@@ -24,6 +24,10 @@ EXIT_BAD_INPUT = 2
 EXIT_THEOREM_VIOLATED = 3
 EXIT_NOT_APPLICABLE = 4
 
+# nogo builds a dense (L^2 + 16) x 4L^2 exact LP: 4.3 million entries at
+# L = 32, 67 million at L = 64. Larger sizes are refused before building.
+NOGO_MAX_LAMBDA = 32
+
 
 def _report(command: str, inputs: dict, payload: dict) -> dict:
     d = {"command": command, "version": __version__,
@@ -81,6 +85,10 @@ def cmd_nogo(args) -> int:
     L = args.lambda_size
     if L < 1:
         print("lambda_size must be >= 1", file=sys.stderr)
+        return EXIT_BAD_INPUT
+    if L > NOGO_MAX_LAMBDA:
+        print(f"lambda_size must be <= {NOGO_MAX_LAMBDA} for nogo",
+              file=sys.stderr)
         return EXIT_BAD_INPUT
     if args.rho:
         try:

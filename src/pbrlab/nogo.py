@@ -122,7 +122,7 @@ def build_feasibility(r1: EpistemicState, r2: EpistemicState,
 
 
 def solve_feasibility(p: FeasibilityProblem) -> FeasibilityOutcome:
-    result = solve_equalities([list(r) for r in p.A], list(p.b))
+    result = solve_equalities(p.A, p.b)
     if not result.feasible:
         return FeasibilityOutcome(feasible=False, witness=None,
                                   certificate=result.certificate)
@@ -140,9 +140,14 @@ def verify_certificate(p: FeasibilityProblem, y) -> bool:
     all exact. True iff y proves {Ax = b, x >= 0} unsolvable."""
     if len(y) != len(p.A):
         raise ModelError(f"certificate has {len(y)} entries for {len(p.A)} rows")
-    for col in range(p.num_vars):
-        if sum(y[r] * p.A[r][col] for r in range(len(p.A))) > 0:
-            return False
+    cols = [0] * p.num_vars
+    for yr, row in zip(y, p.A):
+        if yr:
+            for col, a in enumerate(row):
+                if a:
+                    cols[col] += yr * a
+    if any(c > 0 for c in cols):
+        return False
     return sum(yr * br for yr, br in zip(y, p.b)) > 0
 
 

@@ -26,11 +26,17 @@ def fmt_frac(x: Fraction) -> str:
 
 
 def parse_frac(s) -> Fraction:
-    if isinstance(s, str):
-        return Fraction(s)
-    if isinstance(s, int):
+    # bool is a subclass of int; JSON true/false is not a number.
+    if isinstance(s, str) or (isinstance(s, int) and not isinstance(s, bool)):
         return Fraction(s)
     raise ModelError(f"expected an exact 'num/den' string, got {s!r}")
+
+
+def parse_size(x) -> int:
+    """A JSON integer, taken as is: 2.7, "2" and true are rejected."""
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x
+    raise ModelError(f"lambda_size must be a JSON integer, got {x!r}")
 
 
 def fmt_number(x, mode: str):
@@ -86,7 +92,7 @@ def model_from_json(d: dict):
         mode = d["mode"]
         if mode not in ("exact", "float"):
             raise ModelError(f"unknown mode {mode!r}")
-        L = int(d["lambda_size"])
+        L = parse_size(d["lambda_size"])
         rho1 = EpistemicState(tuple(parse_number(w, mode) for w in d["rho1"]))
         rho2 = EpistemicState(tuple(parse_number(w, mode) for w in d["rho2"]))
         targets = _targets_from_json(d["born_targets"])
@@ -113,7 +119,7 @@ def model_from_json(d: dict):
 def rho_pair_from_json(d: dict):
     """Side file for the no-go command: two exact distributions."""
     try:
-        L = int(d["lambda_size"])
+        L = parse_size(d["lambda_size"])
         r1 = EpistemicState(tuple(parse_frac(w) for w in d["rho1"]))
         r2 = EpistemicState(tuple(parse_frac(w) for w in d["rho2"]))
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:

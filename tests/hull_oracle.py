@@ -4,14 +4,17 @@ A non-contextual response table is a point of the product of L^2 outcome
 simplices, whose vertices are the deterministic tables (each hidden pair
 mapped to one outcome). The model reproduces the targets iff the target
 vector lies in the convex hull of the vertex-induced prediction vectors;
-that membership is itself a small LP over the 4^(L^2) vertex weights.
+that membership is itself a small LP over the 4^(L^2) vertex weights. It
+is decided by scipy's HiGHS in floating point, so the oracle shares no code
+with the exact simplex it cross-checks.
 """
 
 from fractions import Fraction
 from itertools import product
 
+from scipy.optimize import linprog
+
 from pbrlab.hilbert import CONTEXTS
-from pbrlab.simplex import solve_equalities
 
 
 def deterministic_predictions(r1, r2):
@@ -40,8 +43,12 @@ def hull_feasible(r1, r2, targets) -> bool:
     deterministic prediction vectors."""
     vertices = deterministic_predictions(r1, r2)
     nv = len(vertices)
-    A = [[vertices[v][row] for v in range(nv)] for row in range(16)]
-    A.append([Fraction(1)] * nv)  # convex weights sum to 1
-    b = [Fraction(targets[c][i]) for c in range(4) for i in range(4)]
-    b.append(Fraction(1))
-    return solve_equalities(A, b).feasible
+    A = [[float(vertices[v][row]) for v in range(nv)] for row in range(16)]
+    A.append([1.0] * nv)  # convex weights sum to 1
+    b = [float(targets[c][i]) for c in range(4) for i in range(4)]
+    b.append(1.0)
+    res = linprog(c=[0.0] * nv, A_eq=A, b_eq=b, bounds=(0, None),
+                  method="highs")
+    if res.status not in (0, 2):  # 0 feasible, 2 infeasible
+        raise RuntimeError(f"hull LP undecided: {res.message}")
+    return res.status == 0

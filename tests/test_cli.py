@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -70,6 +71,31 @@ def test_nogo_malformed_rho_file(capsys, tmp_path):
     code, _, err = run(capsys, "nogo", "--lambda-size", "2", "--rho", str(path))
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("rho, message", [
+    ({"lambda_size": 2, "rho1": [True, False], "rho2": ["1/2", "1/2"]},
+     "True"),
+    ({"lambda_size": 2.7, "rho1": ["1/2", "1/2"], "rho2": ["1/2", "1/2"]},
+     "lambda_size must be a JSON integer"),
+], ids=["bool-weight", "fractional-size"])
+def test_nogo_rejects_coerced_rho_file(capsys, tmp_path, rho, message):
+    path = tmp_path / "coerced.json"
+    path.write_text(json.dumps(rho))
+    code, out, err = run(capsys, "nogo", "--lambda-size", "2",
+                         "--rho", str(path), "--json")
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+def test_nogo_rejects_huge_lambda_before_building(capsys):
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "nogo", "--lambda-size", "100000")
+    assert code == 2
+    assert out == ""
+    assert "lambda_size must be <= 32" in err
+    assert time.perf_counter() - t0 < 1.0
 
 
 def _write_model(tmp_path, model, name="model.json"):
@@ -149,6 +175,17 @@ def test_check_invalid_model(capsys, tmp_path):
     report = json.loads(out)
     assert report["valid"] is False
     assert report["violations"]
+
+
+def test_check_rejects_fractional_lambda_size(capsys, tmp_path):
+    payload = model_to_json(_noncontextual_overlap_model())
+    payload["lambda_size"] = 2.7
+    path = tmp_path / "coerced_model.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "check", "--model", str(path), "--json")
+    assert code == 2
+    assert out == ""
+    assert "lambda_size must be a JSON integer" in err
 
 
 def test_sample_zero_trials(capsys, tmp_path):
