@@ -27,6 +27,9 @@ EXIT_NOT_APPLICABLE = 4
 # nogo builds a dense (L^2 + 16) x 4L^2 exact LP: 4.3 million entries at
 # L = 32, 67 million at L = 64. Larger sizes are refused before building.
 NOGO_MAX_LAMBDA = 32
+# refute builds, checks and prints an exact model of 16 L^2 entries: about
+# 4.5 MB of JSON at L = 128. Larger sizes are refused before building.
+REFUTE_MAX_LAMBDA = 128
 
 
 def _report(command: str, inputs: dict, payload: dict) -> dict:
@@ -130,8 +133,8 @@ def cmd_nogo(args) -> int:
     consistent = outcome.feasible == expect_feasible
     if outcome.feasible:
         model = nogo.witness_model(problem, outcome)
-        reproduced = all(
-            ontology.predict(model, ctx) == targets[c]
+        reproduced = not ontology.validate_model(model) and all(
+            ontology._predict(model, ctx) == targets[c]
             for c, ctx in enumerate(hilbert.CONTEXTS))
         payload["witness"] = {
             "p": [[[fmt_frac(v) for v in row] for row in plane]
@@ -213,11 +216,20 @@ def cmd_refute(args) -> int:
     if L < 1:
         print("lambda_size must be >= 1", file=sys.stderr)
         return EXIT_BAD_INPUT
+    if L > REFUTE_MAX_LAMBDA:
+        print(f"lambda_size must be <= {REFUTE_MAX_LAMBDA} for refute",
+              file=sys.stderr)
+        return EXIT_BAD_INPUT
     model = contextual.build_interval_model(L, hilbert.born_targets())
     report_data = contextual.refutation_report(model)
+    model_json = model_to_json(model)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(dumps_canonical(model_to_json(model)) + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(dumps_canonical(model_json) + "\n")
+        except OSError as e:
+            print(f"error: {e}", file=sys.stderr)
+            return EXIT_BAD_INPUT
 
     inputs = {"lambda_size": L,
               "targets": [[fmt_frac(q) for q in row]
@@ -228,7 +240,7 @@ def cmd_refute(args) -> int:
                "eq2_violated": report_data.eq2_violated,
                "collapse": report_data.collapse,
                "verdict": report_data.verdict,
-               "model": model_to_json(model)}
+               "model": model_json}
     lines = [f"interval model over L = {L} (uniform epistemic states)",
              f"Born targets reproduced exactly: {report_data.born_reproduced}",
              f"overlap mass: {fmt_frac(report_data.overlap_mass)}",
@@ -241,6 +253,14 @@ def cmd_refute(args) -> int:
     return EXIT_OK if report_data.collapse else EXIT_THEOREM_VIOLATED
 
 
+def _violations(model) -> list:
+    """Every violated invariant of a loaded model, in all four slices of a
+    contextual one."""
+    if isinstance(model, contextual.ContextualModel):
+        return contextual.validate_contextual(model)
+    return ontology.validate_model(model)
+
+
 def cmd_check(args) -> int:
     t0 = time.perf_counter()
     try:
@@ -248,10 +268,7 @@ def cmd_check(args) -> int:
     except (OSError, json.JSONDecodeError, ModelError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    if isinstance(model, contextual.ContextualModel):
-        violations = contextual.validate_contextual(model)
-    else:
-        violations = ontology.validate_model(model)
+    violations = _violations(model)
     report = _report("check", {"model": model_to_json(model)},
                      {"valid": not violations, "violations": violations})
     lines = (["model is valid"] if not violations
@@ -278,16 +295,16 @@ def cmd_sample(args) -> int:
     if args.n < 0:
         print("error: n must be >= 0", file=sys.stderr)
         return EXIT_BAD_INPUT
+    violations = _violations(model)
+    if violations:
+        print("error: invalid model: " + "; ".join(violations), file=sys.stderr)
+        return EXIT_BAD_INPUT
     if isinstance(model, contextual.ContextualModel):
         flat = contextual.slice_model(model, context)
     else:
         flat = model
-    try:
-        counts = ontology.sample(flat, context, args.n, args.seed)
-        predicted = ontology.predict(flat, context)
-    except ModelError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    counts = ontology._sample(flat, context, args.n, args.seed)
+    predicted = ontology._predict(flat, context)
     stat = ontology.chi_square_statistic(counts, predicted)
 
     inputs = {"model": model_to_json(model),

@@ -14,8 +14,8 @@ from fractions import Fraction
 
 from .hilbert import CONTEXTS, context_index
 from .ontology import (EpistemicState, LambdaSpace, ModelError,
-                       OntologicalModel, ResponseTable, support_overlap,
-                       validate_model)
+                       OntologicalModel, ResponseTable, _predict,
+                       support_overlap, validate_model)
 
 
 @dataclass(frozen=True)
@@ -85,25 +85,32 @@ def predict_contextual(m: ContextualModel, context) -> tuple:
 def _interval_slice(targets_row, widths) -> ResponseTable:
     """Inverse-CDF assignment: cells of the given widths tile [0, 1);
     outcome i owns the subinterval of length targets_row[i]. A cell's row
-    is its overlap with each outcome interval, renormalized by its width."""
+    is its overlap with each outcome interval, renormalized by its width:
+    a unit row for a cell inside one outcome interval, computed overlaps
+    only for a cell straddling a boundary."""
     L = math.isqrt(len(widths))
     bounds = [Fraction(0)]
     for q in targets_row:
         bounds.append(bounds[-1] + Fraction(q))
+    zero = Fraction(0)
+    units = [tuple(Fraction(int(i == j)) for i in range(4)) for j in range(4)]
 
     rows = []  # per cell, the 4 outcome probabilities
     pos = Fraction(0)
+    j = 0  # the first outcome whose interval ends after pos
     for w in widths:
         if w == 0:
-            rows.append((Fraction(1), Fraction(0), Fraction(0), Fraction(0)))
+            rows.append(units[0])
             continue
         lo, hi = pos, pos + w
-        row = []
-        for i in range(4):
-            cut_lo = max(lo, bounds[i])
-            cut_hi = min(hi, bounds[i + 1])
-            row.append(max(Fraction(0), cut_hi - cut_lo) / w)
-        rows.append(tuple(row))
+        while j < 3 and bounds[j + 1] <= lo:
+            j += 1
+        if w > 0 and bounds[j] <= lo and hi <= bounds[j + 1]:
+            rows.append(units[j])
+        else:
+            rows.append(tuple(
+                max(zero, min(hi, bounds[i + 1]) - max(lo, bounds[i])) / w
+                for i in range(4)))
         pos = hi
 
     table = tuple(tuple(tuple(rows[lam * L + lamp][i] for lamp in range(L))
@@ -153,8 +160,9 @@ def refutation_report(m: ContextualModel) -> RefutationReport:
     report = validate_contextual(m)
     if report:
         raise ModelError("invalid model: " + "; ".join(report))
-    reproduced = all(predict_contextual(m, context) == m.born_targets[c]
-                     for c, context in enumerate(CONTEXTS))
+    reproduced = all(
+        _predict(slice_model(m, context), context) == m.born_targets[c]
+        for c, context in enumerate(CONTEXTS))
     overlap = support_overlap(m.rho1, m.rho2)
     eq2_violated = not overlap.disjoint
     if reproduced and eq2_violated:

@@ -11,12 +11,16 @@ model, never inferred.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .hilbert import CONTEXTS, context_index
 
 FLOAT_TOL = 1e-9
+
+# random.random() returns k / 2**53 for an integer k in [0, 2**53).
+_RANDOM_SCALE = 1 << 53
 
 # Recorded in sample reports so third parties can reproduce counts.
 PRNG_NAME = "mersenne-twister (python random.Random)"
@@ -109,6 +113,20 @@ def _check_distribution(name, weights, size, tol, report):
         report.append(f"{name} sums to {total}, not 1")
 
 
+def _cell_complaints(cell, tol) -> tuple:
+    """What is wrong with one cell's 4 outcome probabilities, as (1-based
+    outcome, text) pairs; outcome 0 stands for the row sum."""
+    out = []
+    row_sum = 0
+    for i, v in enumerate(cell):
+        if v < -tol or v > 1 + tol:
+            out.append((i + 1, f"= {v} outside [0, 1]"))
+        row_sum += v
+    if abs(row_sum - 1) > tol:
+        out.append((0, f"sum to {row_sum}, deficit {1 - row_sum}"))
+    return tuple(out)
+
+
 def validate_model(m: OntologicalModel) -> list:
     """Every violated invariant, with indices; empty list iff the model is valid."""
     report = []
@@ -128,19 +146,21 @@ def validate_model(m: OntologicalModel) -> list:
                           for i in range(len(p))):
         report.append("response table is not shaped 4 x L x L")
         return report
-    for lam in range(L):
-        for lamp in range(L):
-            row_sum = 0
-            for i in range(4):
-                v = p[i][lam][lamp]
-                if v < -tol or v > 1 + tol:
-                    report.append(
-                        f"response[{i + 1}][{lam}][{lamp}] = {v} outside [0, 1]")
-                row_sum += p[i][lam][lamp]
-            if abs(row_sum - 1) > tol:
-                report.append(
-                    f"response rows at (lambda={lam}, lambda'={lamp}) "
-                    f"sum to {row_sum}, deficit {1 - row_sum}")
+    # Tables repeat a few distinct cells (an interval model holds only unit
+    # rows and the cells straddling a boundary), so each distinct cell is
+    # checked once. Types are part of the key: 1/2 and 0.5 print differently,
+    # and float sums round where Fraction sums do not.
+    checked = {}
+    for lam, rows in enumerate(zip(*p)):
+        for lamp, cell in enumerate(zip(*rows)):
+            key = (cell, tuple(map(type, cell)))
+            complaints = checked.get(key)
+            if complaints is None:
+                complaints = checked[key] = _cell_complaints(cell, tol)
+            for outcome, text in complaints:
+                where = (f"response[{outcome}][{lam}][{lamp}]" if outcome else
+                         f"response rows at (lambda={lam}, lambda'={lamp})")
+                report.append(f"{where} {text}")
 
     if len(m.born_targets) != 4 or any(len(r) != 4 for r in m.born_targets):
         report.append("born_targets is not 4 x 4")
@@ -168,19 +188,25 @@ def predict(m: OntologicalModel, context) -> tuple:
     """Outcome distribution for the (j, k) preparation: the response table
     averaged against the product weighting rho_j(lambda) * rho_k(lambda')."""
     _require_valid(m)
+    return _predict(m, context)
+
+
+def _predict(m: OntologicalModel, context) -> tuple:
+    """`predict` for a model the caller has validated."""
     j, k = context
-    rj = m.rho1 if j == 1 else m.rho2
-    rk = m.rho1 if k == 1 else m.rho2
-    L = m.lambda_space.size
+    rj = (m.rho1 if j == 1 else m.rho2).weights
+    rk = (m.rho1 if k == 1 else m.rho2).weights
+    # A component with no nonzero term stays in the model's arithmetic, so
+    # it prints as "0" in exact mode.
+    zero = Fraction(0) if m.mode == "exact" else 0.0
     out = []
-    for i in range(4):
-        total = 0
-        for lam in range(L):
-            wj = rj.weights[lam]
-            if not wj:
-                continue
-            for lamp in range(L):
-                total += wj * rk.weights[lamp] * m.response.p[i][lam][lamp]
+    for plane in m.response.p:
+        total = zero
+        for wj, row in zip(rj, plane):
+            if wj:
+                inner = sum(wk * v for wk, v in zip(rk, row) if v)
+                if inner:
+                    total += wj * inner
         out.append(total)
     return tuple(out)
 
@@ -193,16 +219,20 @@ def support_overlap(r1: EpistemicState, r2: EpistemicState) -> SupportOverlap:
     return SupportOverlap(disjoint=disjoint, overlap_mass=mass)
 
 
-def _draw(rng: random.Random, weights) -> int:
-    r = rng.random()
-    if weights and isinstance(weights[0], Fraction):
-        r = Fraction(r)  # exact, keeps the comparison exact too
-    acc = 0
-    for i, w in enumerate(weights):
+def _cdf(weights, exact: bool) -> list:
+    """Cumulative sums of `weights`, added up in their own arithmetic. In
+    exact mode each sum acc is stored as the integer ceil(acc * 2**53):
+    random() returns k / 2**53 for an integer k, and k / 2**53 < acc iff
+    k < ceil(acc * 2**53)."""
+    acc, out = 0, []
+    for w in weights:
         acc = acc + w
-        if r < acc:
-            return i
-    return len(weights) - 1  # float round-off fallthrough
+        if exact:
+            num, den = acc.as_integer_ratio()
+            out.append(-(-num * _RANDOM_SCALE // den))
+        else:
+            out.append(acc)
+    return out
 
 
 def sample(m: OntologicalModel, context, n: int, seed: int) -> OutcomeCounts:
@@ -211,17 +241,44 @@ def sample(m: OntologicalModel, context, n: int, seed: int) -> OutcomeCounts:
     _require_valid(m)
     if n < 0:
         raise ModelError(f"trial count must be >= 0, got {n}")
+    return _sample(m, context, n, seed)
+
+
+def _sample(m: OntologicalModel, context, n: int, seed: int) -> OutcomeCounts:
+    """`sample` for a model the caller has validated. Each trial draws three
+    random() values: lambda, lambda', then the outcome; each draw picks the
+    first index whose cumulative weight exceeds the value, the last index
+    if none does."""
     j, k = context
     context_index(context)
-    rj = m.rho1 if j == 1 else m.rho2
-    rk = m.rho1 if k == 1 else m.rho2
     rng = random.Random(seed)
+    exact = m.mode == "exact"
+    if exact:
+        # A valid exact distribution has no negative weight and sums to 1,
+        # so its thresholds are sorted and the last one is 2**53.
+        def pick(cdf):
+            return bisect_right(cdf, int(rng.random() * _RANDOM_SCALE))
+    else:
+        # Float mode tolerates weights down to -1e-9: the sums need not be
+        # sorted, so they are scanned in order.
+        def pick(cdf):
+            r = rng.random()
+            for i, acc in enumerate(cdf):
+                if r < acc:
+                    return i
+            return len(cdf) - 1
+    cdf_j = _cdf((m.rho1 if j == 1 else m.rho2).weights, exact)
+    cdf_k = _cdf((m.rho1 if k == 1 else m.rho2).weights, exact)
+    p = m.response.p
+    cells = {}  # (lambda, lambda') -> the cell's outcome CDF, built on first visit
     counts = [0, 0, 0, 0]
     for _ in range(n):
-        lam = _draw(rng, rj.weights)
-        lamp = _draw(rng, rk.weights)
-        row = tuple(m.response.p[i][lam][lamp] for i in range(4))
-        counts[_draw(rng, row)] += 1
+        lam = pick(cdf_j)
+        lamp = pick(cdf_k)
+        cdf = cells.get((lam, lamp))
+        if cdf is None:
+            cdf = cells[lam, lamp] = _cdf([plane[lam][lamp] for plane in p], exact)
+        counts[pick(cdf)] += 1
     return OutcomeCounts(counts=tuple(counts), n=n, seed=seed)
 
 

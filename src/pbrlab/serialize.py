@@ -19,7 +19,8 @@ from .ontology import (EpistemicState, LambdaSpace, ModelError,
 
 
 def fmt_frac(x: Fraction) -> str:
-    x = Fraction(x)
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
@@ -51,6 +52,24 @@ def parse_number(x, mode: str):
     return parse_frac(x)
 
 
+def _number_parser(mode: str):
+    """`parse_number` for one model load. In exact mode it is memoised by
+    input string, since a refute model spells out "0" and "1" 25,600 times
+    at L = 40; a string that fails to parse raises every time."""
+    if mode == "float":
+        return lambda x: parse_number(x, mode)
+    parsed = {}
+
+    def parse(x):
+        if type(x) is not str:
+            return parse_frac(x)
+        v = parsed.get(x)
+        if v is None:
+            v = parsed[x] = parse_frac(x)
+        return v
+    return parse
+
+
 def _targets_to_json(targets):
     return [[fmt_frac(q) for q in row] for row in targets]
 
@@ -65,8 +84,8 @@ def _table_to_json(t: ResponseTable, mode):
     return [[[fmt_number(v, mode) for v in row] for row in plane] for plane in t.p]
 
 
-def _table_from_json(p, mode) -> ResponseTable:
-    return ResponseTable(tuple(tuple(tuple(parse_number(v, mode) for v in row)
+def _table_from_json(p, parse) -> ResponseTable:
+    return ResponseTable(tuple(tuple(tuple(parse(v) for v in row)
                                      for row in plane) for plane in p))
 
 
@@ -92,28 +111,27 @@ def model_from_json(d: dict):
         mode = d["mode"]
         if mode not in ("exact", "float"):
             raise ModelError(f"unknown mode {mode!r}")
+        parse = _number_parser(mode)
         L = parse_size(d["lambda_size"])
-        rho1 = EpistemicState(tuple(parse_number(w, mode) for w in d["rho1"]))
-        rho2 = EpistemicState(tuple(parse_number(w, mode) for w in d["rho2"]))
+        rho1 = EpistemicState(tuple(parse(w) for w in d["rho1"]))
+        rho2 = EpistemicState(tuple(parse(w) for w in d["rho2"]))
         targets = _targets_from_json(d["born_targets"])
         resp = d["response"]
         kind = resp["kind"]
+        if kind == "noncontextual":
+            response = _table_from_json(resp["p"], parse)
+        elif kind == "contextual":
+            response = ContextualResponseTable(tuple(
+                _table_from_json(resp["p"][f"{j}{k}"], parse)
+                for (j, k) in CONTEXTS))
+        else:
+            raise ModelError(f"unknown response kind {kind!r}")
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
         raise ModelError(f"malformed model: {e}") from e
 
-    if kind == "noncontextual":
-        table = _table_from_json(resp["p"], mode)
-        return OntologicalModel(mode=mode, lambda_space=LambdaSpace(L),
-                                rho1=rho1, rho2=rho2, response=table,
-                                born_targets=targets)
-    if kind == "contextual":
-        slices = tuple(_table_from_json(resp["p"][f"{j}{k}"], mode)
-                       for (j, k) in CONTEXTS)
-        return ContextualModel(mode=mode, lambda_space=LambdaSpace(L),
-                               rho1=rho1, rho2=rho2,
-                               response=ContextualResponseTable(slices),
-                               born_targets=targets)
-    raise ModelError(f"unknown response kind {kind!r}")
+    model_type = OntologicalModel if kind == "noncontextual" else ContextualModel
+    return model_type(mode=mode, lambda_space=LambdaSpace(L), rho1=rho1,
+                      rho2=rho2, response=response, born_targets=targets)
 
 
 def rho_pair_from_json(d: dict):

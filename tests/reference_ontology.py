@@ -1,0 +1,128 @@
+"""Straightforward references for pbrlab's contextual path: the response
+validation, the Monte Carlo draw and the interval slice as first written,
+with every cell checked, every CDF re-summed on each draw and every cell's
+overlap computed. Tests require pbrlab's versions to return exactly the
+same reports, counts and tables.
+"""
+
+import math
+import random
+from fractions import Fraction
+
+from pbrlab.hilbert import CONTEXTS, context_index
+from pbrlab.ontology import FLOAT_TOL, OutcomeCounts, ResponseTable
+
+
+def _check_distribution(name, weights, size, tol, report):
+    if len(weights) != size:
+        report.append(f"{name} has {len(weights)} weights, lambda space has {size}")
+        return
+    for i, w in enumerate(weights):
+        if w < -tol:
+            report.append(f"{name}[{i}] is negative: {w}")
+    total = sum(weights)
+    if abs(total - 1) > tol:
+        report.append(f"{name} sums to {total}, not 1")
+
+
+def validate_model(m) -> list:
+    report = []
+    if m.mode not in ("exact", "float"):
+        report.append(f"unknown mode {m.mode!r}")
+        return report
+    tol = FLOAT_TOL if m.mode == "float" else 0
+    L = m.lambda_space.size
+    if L < 1:
+        report.append(f"lambda space size must be >= 1, got {L}")
+        return report
+    _check_distribution("rho1", m.rho1.weights, L, tol, report)
+    _check_distribution("rho2", m.rho2.weights, L, tol, report)
+
+    p = m.response.p
+    if len(p) != 4 or any(len(p[i]) != L or any(len(row) != L for row in p[i])
+                          for i in range(len(p))):
+        report.append("response table is not shaped 4 x L x L")
+        return report
+    for lam in range(L):
+        for lamp in range(L):
+            row_sum = 0
+            for i in range(4):
+                v = p[i][lam][lamp]
+                if v < -tol or v > 1 + tol:
+                    report.append(
+                        f"response[{i + 1}][{lam}][{lamp}] = {v} outside [0, 1]")
+                row_sum += p[i][lam][lamp]
+            if abs(row_sum - 1) > tol:
+                report.append(
+                    f"response rows at (lambda={lam}, lambda'={lamp}) "
+                    f"sum to {row_sum}, deficit {1 - row_sum}")
+
+    if len(m.born_targets) != 4 or any(len(r) != 4 for r in m.born_targets):
+        report.append("born_targets is not 4 x 4")
+    else:
+        for c, row in enumerate(m.born_targets):
+            for i, q in enumerate(row):
+                if q < -tol or q > 1 + tol:
+                    report.append(
+                        f"born_targets[{CONTEXTS[c]}][outcome {i + 1}] = {q} "
+                        "outside [0, 1]")
+            total = sum(row)
+            if abs(total - 1) > tol:
+                report.append(
+                    f"born_targets row for context {CONTEXTS[c]} sums to {total}")
+    return report
+
+
+def _draw(rng: random.Random, weights) -> int:
+    r = rng.random()
+    if weights and isinstance(weights[0], Fraction):
+        r = Fraction(r)
+    acc = 0
+    for i, w in enumerate(weights):
+        acc = acc + w
+        if r < acc:
+            return i
+    return len(weights) - 1
+
+
+def sample(m, context, n: int, seed: int) -> OutcomeCounts:
+    """Counts of a model already known to be valid."""
+    j, k = context
+    context_index(context)
+    rj = m.rho1 if j == 1 else m.rho2
+    rk = m.rho1 if k == 1 else m.rho2
+    rng = random.Random(seed)
+    counts = [0, 0, 0, 0]
+    for _ in range(n):
+        lam = _draw(rng, rj.weights)
+        lamp = _draw(rng, rk.weights)
+        row = tuple(m.response.p[i][lam][lamp] for i in range(4))
+        counts[_draw(rng, row)] += 1
+    return OutcomeCounts(counts=tuple(counts), n=n, seed=seed)
+
+
+def interval_slice(targets_row, widths) -> ResponseTable:
+    L = math.isqrt(len(widths))
+    bounds = [Fraction(0)]
+    for q in targets_row:
+        bounds.append(bounds[-1] + Fraction(q))
+
+    rows = []
+    pos = Fraction(0)
+    for w in widths:
+        if w == 0:
+            rows.append((Fraction(1), Fraction(0), Fraction(0), Fraction(0)))
+            continue
+        lo, hi = pos, pos + w
+        row = []
+        for i in range(4):
+            cut_lo = max(lo, bounds[i])
+            cut_hi = min(hi, bounds[i + 1])
+            row.append(max(Fraction(0), cut_hi - cut_lo) / w)
+        rows.append(tuple(row))
+        pos = hi
+
+    table = tuple(tuple(tuple(rows[lam * L + lamp][i] for lamp in range(L))
+                        for lam in range(L))
+                  for i in range(4))
+    return ResponseTable(table)

@@ -223,3 +223,65 @@ def test_model_json_roundtrip(tmp_path):
                   _noncontextual_overlap_model()):
         again = model_from_json(json.loads(dumps_canonical(model_to_json(model))))
         assert model_to_json(again) == model_to_json(model)
+
+
+def _corrupt_noncontextual(payload, how):
+    if how == "missing-p":
+        del payload["response"]["p"]
+    elif how == "divide-by-zero":
+        payload["response"]["p"][0][0][0] = "1/0"
+    elif how == "not-a-number":
+        payload["response"]["p"][0][0][0] = "x"
+
+
+@pytest.mark.parametrize("command", ["check", "sample", "contradiction"])
+@pytest.mark.parametrize("how", ["missing-p", "missing-slice", "divide-by-zero",
+                                 "not-a-number"])
+def test_malformed_response_table_exits_2(capsys, tmp_path, command, how):
+    if how == "missing-slice":
+        payload = model_to_json(build_interval_model(2, born_targets()))
+        del payload["response"]["p"]["12"]
+    else:
+        payload = model_to_json(_noncontextual_overlap_model())
+        _corrupt_noncontextual(payload, how)
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(payload))
+    extra = (["--context", "11", "--n", "10", "--seed", "1"]
+             if command == "sample" else [])
+    code, out, err = run(capsys, command, "--model", str(path), *extra, "--json")
+    assert code == 2
+    assert out == ""
+    assert "malformed model" in err
+
+
+def test_sample_rejects_model_invalid_in_another_context(capsys, tmp_path):
+    payload = model_to_json(build_interval_model(2, born_targets()))
+    payload["response"]["p"]["11"].pop()  # slice 11 keeps only 3 planes
+    path = tmp_path / "three_planes.json"
+    path.write_text(json.dumps(payload))
+    code, _, _ = run(capsys, "check", "--model", str(path), "--json")
+    assert code == 2
+    code, out, err = run(capsys, "sample", "--model", str(path), "--context",
+                         "12", "--n", "10", "--seed", "1", "--json")
+    assert code == 2
+    assert out == ""
+    assert "context 11: response table is not shaped 4 x L x L" in err
+
+
+@pytest.mark.parametrize("L", ["129", "100000"])
+def test_refute_rejects_huge_lambda_before_building(capsys, L):
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "refute", "--lambda-size", L, "--json")
+    assert code == 2
+    assert out == ""
+    assert "lambda_size must be <= 128" in err
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_refute_unwritable_out_exits_2(capsys, tmp_path):
+    out_path = tmp_path / "no_such_dir" / "model.json"
+    code, out, err = run(capsys, "refute", "--lambda-size", "2",
+                         "--out", str(out_path), "--json")
+    assert code == 2
+    assert out == ""
+    assert "error" in err and "no_such_dir" in err

@@ -1,17 +1,28 @@
-"""Byte-for-byte golden outputs of `pbr nogo --json`.
+"""Byte-for-byte golden outputs of `pbr nogo`, `refute`, `check` and
+`sample` with `--json`.
 
 Each case's stdout is pinned in tests/golden/<name>.json and its exit code
-in tests/golden/exit_codes.json. Uniform and overlapping rho take the
-certificate path, disjoint supports the witness path. The L=3 rho files
-hold integer weights in 1..9 drawn with random.Random(3), normalised; the
-disjoint one puts rho1 on lambda 0 and rho2 on lambdas 1 and 2. To
-regenerate after an intended change of output, run
+in tests/golden/exit_codes.json; a `refute` case also pins the model it
+writes with `--out`, in tests/golden/<name>_out.json. Uniform and
+overlapping rho take the certificate path, disjoint supports the witness
+path. The L=3 rho files hold integer weights in 1..9 drawn with
+random.Random(3), normalised; the disjoint one puts rho1 on lambda 0 and
+rho2 on lambdas 1 and 2.
+
+The input models are tests/golden/model_*.json: the L=3 interval model
+(`refute --lambda-size 3 --out`); a copy of it with rho1 summing to 7/6,
+entries 3/2 and -1/4, a short row in context 22 and a target row summing
+to 3/2; the context-12 slice of the L=3 interval model built on rho1 =
+(1/2, 1/3, 1/6) and rho2 = (1/5, 2/5, 2/5), which is a valid
+noncontextual model with fractional entries; and the same slice in float
+mode. To regenerate after an intended change of output, run
 `PYTHONPATH=src python tests/test_golden.py` and review the diff.
 """
 
 import contextlib
 import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -19,8 +30,14 @@ import pytest
 from pbrlab.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+OUT = "{out}"  # replaced by a scratch path; the file is compared too
 
-CASES = {
+
+def _model(name):
+    return str(GOLDEN / f"model_{name}.json")
+
+
+NOGO_CASES = {
     **{f"nogo_uniform_L{L}": ["nogo", "--lambda-size", str(L), "--json"]
        for L in (1, 2, 3, 4)},
     **{f"nogo_{rho}": ["nogo", "--lambda-size", L, "--rho",
@@ -28,27 +45,61 @@ CASES = {
        for rho, L in (("L2_point_masses", "2"), ("L3_seed3_overlap", "3"),
                       ("L3_seed3_disjoint", "3"))},
 }
+CONTEXTUAL_CASES = {
+    **{f"refute_L{L}": ["refute", "--lambda-size", str(L), "--out", OUT,
+                        "--json"]
+       for L in (2, 3)},
+    **{f"check_L3_{name}": ["check", "--model", _model(f"L3_{name}"), "--json"]
+       for name in ("contextual", "contextual_invalid", "noncontextual",
+                    "float")},
+    **{f"sample_L3_contextual_{c}": ["sample", "--model",
+                                     _model("L3_contextual"), "--context", c,
+                                     "--n", "2000", "--seed", "11", "--json"]
+       for c in ("11", "12", "21", "22")},
+    **{f"sample_L3_{name}_12": ["sample", "--model", _model(f"L3_{name}"),
+                                "--context", "12", "--n", "2000",
+                                "--seed", "11", "--json"]
+       for name in ("noncontextual", "float")},
+}
+CASES = {**NOGO_CASES, **CONTEXTUAL_CASES}
 
 
-def _run(argv):
+def _run_case(name, scratch: Path):
+    argv = CASES[name]
+    out_path = scratch / f"{name}_out.json"
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main(argv)
-    return code, out.getvalue()
+        code = main([str(out_path) if a == OUT else a for a in argv])
+    written = out_path.read_text() if OUT in argv else None
+    return code, out.getvalue(), written
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_nogo_matches_golden(name):
-    code, out = _run(CASES[name])
+def _check(name, scratch: Path):
+    code, out, written = _run_case(name, scratch)
     expected_codes = json.loads((GOLDEN / "exit_codes.json").read_text())
     assert code == expected_codes[name]
     assert out == (GOLDEN / f"{name}.json").read_text()
+    if written is not None:
+        assert written == (GOLDEN / f"{name}_out.json").read_text()
+
+
+@pytest.mark.parametrize("name", sorted(NOGO_CASES))
+def test_nogo_matches_golden(name, tmp_path):
+    _check(name, tmp_path)
+
+
+@pytest.mark.parametrize("name", sorted(CONTEXTUAL_CASES))
+def test_contextual_matches_golden(name, tmp_path):
+    _check(name, tmp_path)
 
 
 if __name__ == "__main__":
     codes = {}
-    for name, argv in sorted(CASES.items()):
-        codes[name], out = _run(argv)
-        (GOLDEN / f"{name}.json").write_text(out)
+    with tempfile.TemporaryDirectory() as scratch:
+        for name in sorted(CASES):
+            codes[name], out, written = _run_case(name, Path(scratch))
+            (GOLDEN / f"{name}.json").write_text(out)
+            if written is not None:
+                (GOLDEN / f"{name}_out.json").write_text(written)
     (GOLDEN / "exit_codes.json").write_text(
         json.dumps(codes, indent=2, sort_keys=True) + "\n")
