@@ -15,9 +15,8 @@ from .ontology import (EpistemicState, LambdaSpace, OntologicalModel,
 from .nogo import (ContradictionProof, FeasibilityOutcome, FeasibilityProblem,
                    NoOverlap, build_feasibility, derive_contradiction,
                    solve_feasibility, verify_certificate, witness_model)
-from .contextual import (ContextualModel, ContextualResponseTable,
-                         RefutationReport, build_interval_model,
-                         predict_contextual, refutation_report)
+from .contextual import (RefutationReport, build_interval_model,
+                         refutation_report)
 from .scalar import RootTwo, Scalar
 
 __all__ = [name for name in dir() if not name.startswith("_")]

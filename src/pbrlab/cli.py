@@ -50,8 +50,13 @@ def _emit(args, report: dict, human_lines, elapsed: float) -> None:
 
 
 def _load_json_file(path: str):
+    """The parsed file. A file that is not UTF-8 JSON, holds an integer of
+    more than 4300 digits or nests too deep raises ModelError."""
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as e:
+            raise ModelError(str(e)) from e
 
 
 def cmd_basis(args) -> int:
@@ -96,7 +101,7 @@ def cmd_nogo(args) -> int:
     if args.rho:
         try:
             r1, r2 = rho_pair_from_json(_load_json_file(args.rho))
-        except (OSError, json.JSONDecodeError, ModelError) as e:
+        except (OSError, ModelError) as e:
             print(f"error: {e}", file=sys.stderr)
             return EXIT_BAD_INPUT
         if r1.size != L:
@@ -162,14 +167,12 @@ def cmd_contradiction(args) -> int:
     t0 = time.perf_counter()
     try:
         model = model_from_json(_load_json_file(args.model))
-    except (OSError, json.JSONDecodeError, ModelError) as e:
+    except (OSError, ModelError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    if isinstance(model, contextual.ContextualModel):
-        print("error: the forcing argument applies to noncontextual models",
-              file=sys.stderr)
-        return EXIT_BAD_INPUT
-    violations = ontology.validate_model(model)
+    # A contextual model goes straight to derive_contradiction, which
+    # refuses it whether or not it is valid.
+    violations = [] if model.contextual else ontology.validate_model(model)
     if violations:
         print("invalid model:", file=sys.stderr)
         for v in violations:
@@ -253,22 +256,14 @@ def cmd_refute(args) -> int:
     return EXIT_OK if report_data.collapse else EXIT_THEOREM_VIOLATED
 
 
-def _violations(model) -> list:
-    """Every violated invariant of a loaded model, in all four slices of a
-    contextual one."""
-    if isinstance(model, contextual.ContextualModel):
-        return contextual.validate_contextual(model)
-    return ontology.validate_model(model)
-
-
 def cmd_check(args) -> int:
     t0 = time.perf_counter()
     try:
         model = model_from_json(_load_json_file(args.model))
-    except (OSError, json.JSONDecodeError, ModelError) as e:
+    except (OSError, ModelError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    violations = _violations(model)
+    violations = ontology.validate_model(model)
     report = _report("check", {"model": model_to_json(model)},
                      {"valid": not violations, "violations": violations})
     lines = (["model is valid"] if not violations
@@ -289,22 +284,18 @@ def cmd_sample(args) -> int:
     try:
         model = model_from_json(_load_json_file(args.model))
         context = _parse_context(args.context)
-    except (OSError, json.JSONDecodeError, ModelError) as e:
+    except (OSError, ModelError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BAD_INPUT
     if args.n < 0:
         print("error: n must be >= 0", file=sys.stderr)
         return EXIT_BAD_INPUT
-    violations = _violations(model)
+    violations = ontology.validate_model(model)
     if violations:
         print("error: invalid model: " + "; ".join(violations), file=sys.stderr)
         return EXIT_BAD_INPUT
-    if isinstance(model, contextual.ContextualModel):
-        flat = contextual.slice_model(model, context)
-    else:
-        flat = model
-    counts = ontology._sample(flat, context, args.n, args.seed)
-    predicted = ontology._predict(flat, context)
+    counts = ontology._sample(model, context, args.n, args.seed)
+    predicted = ontology._predict(model, context)
     stat = ontology.chi_square_statistic(counts, predicted)
 
     inputs = {"model": model_to_json(model),

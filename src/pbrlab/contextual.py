@@ -12,29 +12,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .hilbert import CONTEXTS, context_index
+from .hilbert import CONTEXTS
 from .ontology import (EpistemicState, LambdaSpace, ModelError,
-                       OntologicalModel, ResponseTable, _predict,
-                       support_overlap, validate_model)
-
-
-@dataclass(frozen=True)
-class ContextualResponseTable:
-    """One full response table per preparation context, in CONTEXTS order."""
-    slices: tuple  # 4 ResponseTables
-
-    def slice(self, context) -> ResponseTable:
-        return self.slices[context_index(context)]
-
-
-@dataclass(frozen=True)
-class ContextualModel:
-    mode: str
-    lambda_space: LambdaSpace
-    rho1: EpistemicState
-    rho2: EpistemicState
-    response: ContextualResponseTable
-    born_targets: tuple  # as in OntologicalModel
+                       OntologicalModel, ResponseTable, _check_distribution,
+                       _predict, support_overlap, validate_model)
 
 
 @dataclass(frozen=True)
@@ -47,39 +28,6 @@ class RefutationReport:
     @property
     def collapse(self) -> bool:
         return self.born_reproduced and self.eq2_violated
-
-
-def slice_model(m: ContextualModel, context) -> OntologicalModel:
-    """The non-contextual model seen by a fixed preparation pair; used for
-    validation, prediction and sampling of one context."""
-    return OntologicalModel(mode=m.mode, lambda_space=m.lambda_space,
-                            rho1=m.rho1, rho2=m.rho2,
-                            response=m.response.slice(context),
-                            born_targets=m.born_targets)
-
-
-def validate_contextual(m: ContextualModel) -> list:
-    report = []
-    if len(m.response.slices) != 4:
-        return ["contextual response needs one slice per context"]
-    for context in CONTEXTS:
-        for line in validate_model(slice_model(m, context)):
-            report.append(f"context {context[0]}{context[1]}: {line}")
-    # slices share rho/targets, so deduplicate the non-response complaints
-    seen = set()
-    out = []
-    for line in report:
-        key = line.split(": ", 1)[1]
-        if "response" not in key and key in seen:
-            continue
-        seen.add(key)
-        out.append(line)
-    return out
-
-
-def predict_contextual(m: ContextualModel, context) -> tuple:
-    from .ontology import predict
-    return predict(slice_model(m, context), context)
 
 
 def _interval_slice(targets_row, widths) -> ResponseTable:
@@ -120,12 +68,13 @@ def _interval_slice(targets_row, widths) -> ResponseTable:
 
 
 def build_interval_model(L: int, targets, rho1: EpistemicState = None,
-                         rho2: EpistemicState = None) -> ContextualModel:
+                         rho2: EpistemicState = None) -> OntologicalModel:
     """Contextual model reproducing the targets exactly despite full overlap.
 
     Defaults to uniform epistemic states (overlap mass 1). Supplying rho1
     and rho2 generalizes the construction: each context's cells are widened
-    by rho_j(lambda) * rho_k(lambda') before the interval assignment.
+    by rho_j(lambda) * rho_k(lambda') before the interval assignment; both
+    must be exact distributions over the L hidden states.
     """
     if L < 1:
         raise ModelError(f"lambda space size must be >= 1, got {L}")
@@ -140,8 +89,11 @@ def build_interval_model(L: int, targets, rho1: EpistemicState = None,
         rho1 = EpistemicState.uniform(L)
     if rho2 is None:
         rho2 = EpistemicState.uniform(L)
-    if rho1.size != L or rho2.size != L:
-        raise ModelError("epistemic states must live on the requested lambda space")
+    report = []
+    _check_distribution("rho1", rho1.weights, L, 0, report)
+    _check_distribution("rho2", rho2.weights, L, 0, report)
+    if report:
+        raise ModelError("; ".join(report))
 
     rho = {1: rho1, 2: rho2}
     slices = []
@@ -150,19 +102,17 @@ def build_interval_model(L: int, targets, rho1: EpistemicState = None,
                   for lam in range(L) for lamp in range(L)]
         slices.append(_interval_slice(targets[c], widths))
 
-    return ContextualModel(mode="exact", lambda_space=LambdaSpace(L),
-                           rho1=rho1, rho2=rho2,
-                           response=ContextualResponseTable(tuple(slices)),
-                           born_targets=targets)
+    return OntologicalModel(mode="exact", lambda_space=LambdaSpace(L),
+                            rho1=rho1, rho2=rho2, response=tuple(slices),
+                            born_targets=targets)
 
 
-def refutation_report(m: ContextualModel) -> RefutationReport:
-    report = validate_contextual(m)
+def refutation_report(m: OntologicalModel) -> RefutationReport:
+    report = validate_model(m)
     if report:
         raise ModelError("invalid model: " + "; ".join(report))
-    reproduced = all(
-        _predict(slice_model(m, context), context) == m.born_targets[c]
-        for c, context in enumerate(CONTEXTS))
+    reproduced = all(_predict(m, context) == m.born_targets[c]
+                     for c, context in enumerate(CONTEXTS))
     overlap = support_overlap(m.rho1, m.rho2)
     eq2_violated = not overlap.disjoint
     if reproduced and eq2_violated:

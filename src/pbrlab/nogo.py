@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .hilbert import CONTEXTS
-from .ontology import (EpistemicState, ModelError, OntologicalModel,
-                       ResponseTable, support_overlap)
+from .ontology import (EpistemicState, LambdaSpace, ModelError,
+                       OntologicalModel, ResponseTable, support_overlap)
 from .simplex import solve_equalities
 
 # Row order: the L^2 normalization rows (lambda-major), then the 16 Born
@@ -151,14 +151,13 @@ def verify_certificate(p: FeasibilityProblem, y) -> bool:
     return sum(yr * br for yr, br in zip(y, p.b)) > 0
 
 
-def witness_model(p: FeasibilityProblem, outcome: FeasibilityOutcome,
-                  mode: str = "exact") -> OntologicalModel:
+def witness_model(p: FeasibilityProblem,
+                  outcome: FeasibilityOutcome) -> OntologicalModel:
     """Package a feasible witness for validation and prediction checks."""
     if not outcome.feasible:
         raise ModelError("no witness: the problem is infeasible")
-    from .ontology import LambdaSpace
-    return OntologicalModel(mode=mode, lambda_space=LambdaSpace(p.lambda_size),
-                            rho1=p.rho1, rho2=p.rho2, response=outcome.witness,
+    return OntologicalModel(mode="exact", lambda_space=LambdaSpace(p.lambda_size),
+                            rho1=p.rho1, rho2=p.rho2, response=(outcome.witness,),
                             born_targets=p.targets)
 
 
@@ -168,8 +167,12 @@ def derive_contradiction(m: OntologicalModel):
     vanish, so the four probabilities cannot sum to 1.
 
     Returns a ContradictionProof, or NoOverlap() when the supports are
-    disjoint. Exact mode only; "probability is zero" is not tolerance-robust.
+    disjoint. Noncontextual models only: a response that may depend on the
+    prepared states escapes the argument. Exact mode only; "probability is
+    zero" is not tolerance-robust.
     """
+    if m.contextual:
+        raise ModelError("the forcing argument applies to noncontextual models")
     if m.mode != "exact":
         raise ModelError("contradiction derivation requires an exact-mode model")
 

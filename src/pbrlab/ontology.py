@@ -43,9 +43,6 @@ class EpistemicState:
     def size(self) -> int:
         return len(self.weights)
 
-    def support(self, tol=0):
-        return tuple(i for i, w in enumerate(self.weights) if w > tol)
-
     @classmethod
     def uniform(cls, size: int) -> "EpistemicState":
         return cls(tuple(Fraction(1, size) for _ in range(size)))
@@ -55,29 +52,33 @@ class EpistemicState:
         return cls(tuple(Fraction(1) if i == index else Fraction(0)
                          for i in range(size)))
 
-    @classmethod
-    def from_weights(cls, weights) -> "EpistemicState":
-        return cls(tuple(weights))
-
 
 @dataclass(frozen=True)
 class ResponseTable:
     """p[i][lam][lamp]: probability of outcome i given the hidden pair."""
     p: tuple  # 4 x L x L
 
-    @property
-    def lambda_size(self) -> int:
-        return len(self.p[0])
-
 
 @dataclass(frozen=True)
 class OntologicalModel:
+    """A noncontextual model holds one response table, used in every
+    preparation context; a contextual one holds one table per context, in
+    CONTEXTS order, so its response may depend on the prepared states."""
     mode: str  # "exact" | "float"
     lambda_space: LambdaSpace
     rho1: EpistemicState
     rho2: EpistemicState
-    response: ResponseTable
+    response: tuple  # ResponseTables: one, or one per context
     born_targets: tuple  # 4x4, rows by context in CONTEXTS order, cols by outcome
+
+    @property
+    def contextual(self) -> bool:
+        return len(self.response) > 1
+
+    def table(self, context) -> ResponseTable:
+        """The response table used when `context` is prepared."""
+        index = context_index(context)
+        return self.response[index if self.contextual else 0]
 
     def target(self, outcome: int, context) -> Fraction:
         """Born target for 1-based outcome in the given (j, k) context."""
@@ -127,30 +128,17 @@ def _cell_complaints(cell, tol) -> tuple:
     return tuple(out)
 
 
-def validate_model(m: OntologicalModel) -> list:
-    """Every violated invariant, with indices; empty list iff the model is valid."""
-    report = []
-    if m.mode not in ("exact", "float"):
-        report.append(f"unknown mode {m.mode!r}")
-        return report
-    tol = _tol(m.mode)
-    L = m.lambda_space.size
-    if L < 1:
-        report.append(f"lambda space size must be >= 1, got {L}")
-        return report
-    _check_distribution("rho1", m.rho1.weights, L, tol, report)
-    _check_distribution("rho2", m.rho2.weights, L, tol, report)
-
-    p = m.response.p
+def _table_complaints(p, L, tol, checked) -> list:
+    """What is wrong with one response table, or None if it is not shaped
+    4 x L x L. `checked` maps each distinct cell already seen to its
+    complaints: tables repeat a few distinct cells (an interval model holds
+    only unit rows and the cells straddling a boundary), so each is checked
+    once. Types are part of the key: 1/2 and 0.5 print differently, and
+    float sums round where Fraction sums do not."""
     if len(p) != 4 or any(len(p[i]) != L or any(len(row) != L for row in p[i])
                           for i in range(len(p))):
-        report.append("response table is not shaped 4 x L x L")
-        return report
-    # Tables repeat a few distinct cells (an interval model holds only unit
-    # rows and the cells straddling a boundary), so each distinct cell is
-    # checked once. Types are part of the key: 1/2 and 0.5 print differently,
-    # and float sums round where Fraction sums do not.
-    checked = {}
+        return None
+    report = []
     for lam, rows in enumerate(zip(*p)):
         for lamp, cell in enumerate(zip(*rows)):
             key = (cell, tuple(map(type, cell)))
@@ -161,20 +149,55 @@ def validate_model(m: OntologicalModel) -> list:
                 where = (f"response[{outcome}][{lam}][{lamp}]" if outcome else
                          f"response rows at (lambda={lam}, lambda'={lamp})")
                 report.append(f"{where} {text}")
+    return report
 
-    if len(m.born_targets) != 4 or any(len(r) != 4 for r in m.born_targets):
-        report.append("born_targets is not 4 x 4")
-    else:
-        for c, row in enumerate(m.born_targets):
-            for i, q in enumerate(row):
-                if q < -tol or q > 1 + tol:
-                    report.append(
-                        f"born_targets[{CONTEXTS[c]}][outcome {i + 1}] = {q} "
-                        "outside [0, 1]")
-            total = sum(row)
-            if abs(total - 1) > tol:
-                report.append(
-                    f"born_targets row for context {CONTEXTS[c]} sums to {total}")
+
+def _target_complaints(targets, tol) -> list:
+    if len(targets) != 4 or any(len(r) != 4 for r in targets):
+        return ["born_targets is not 4 x 4"]
+    report = []
+    for c, row in enumerate(targets):
+        for i, q in enumerate(row):
+            if q < -tol or q > 1 + tol:
+                report.append(f"born_targets[{CONTEXTS[c]}][outcome {i + 1}] = {q} "
+                              "outside [0, 1]")
+        total = sum(row)
+        if abs(total - 1) > tol:
+            report.append(f"born_targets row for context {CONTEXTS[c]} sums to {total}")
+    return report
+
+
+def validate_model(m: OntologicalModel) -> list:
+    """Every violated invariant, with indices; empty list iff the model is
+    valid. A contextual model's complaints start with the context of the
+    table they concern ("context 12: "). Complaints about the shared rho and
+    targets carry the context of the first table checked with them: the
+    rho complaints come first, the target complaints after the first table
+    shaped 4 x L x L, and not at all if no table is."""
+    if len(m.response) not in (1, len(CONTEXTS)):
+        return ["response needs one table, or one per context"]
+    prefixes = ([f"context {j}{k}: " for j, k in CONTEXTS] if m.contextual
+                else [""])
+    if m.mode not in ("exact", "float"):
+        return [f"{prefixes[0]}unknown mode {m.mode!r}"]
+    tol = _tol(m.mode)
+    L = m.lambda_space.size
+    if L < 1:
+        return [f"{prefixes[0]}lambda space size must be >= 1, got {L}"]
+    shared = []
+    _check_distribution("rho1", m.rho1.weights, L, tol, shared)
+    _check_distribution("rho2", m.rho2.weights, L, tol, shared)
+    report = [prefixes[0] + line for line in shared]
+    targets = _target_complaints(m.born_targets, tol)
+    checked = {}
+    for prefix, table in zip(prefixes, m.response):
+        lines = _table_complaints(table.p, L, tol, checked)
+        if lines is None:
+            report.append(f"{prefix}response table is not shaped 4 x L x L")
+            continue
+        report.extend(prefix + line for line in lines)
+        report.extend(prefix + line for line in targets)
+        targets = []
     return report
 
 
@@ -193,6 +216,7 @@ def predict(m: OntologicalModel, context) -> tuple:
 
 def _predict(m: OntologicalModel, context) -> tuple:
     """`predict` for a model the caller has validated."""
+    planes = m.table(context).p
     j, k = context
     rj = (m.rho1 if j == 1 else m.rho2).weights
     rk = (m.rho1 if k == 1 else m.rho2).weights
@@ -200,7 +224,7 @@ def _predict(m: OntologicalModel, context) -> tuple:
     # it prints as "0" in exact mode.
     zero = Fraction(0) if m.mode == "exact" else 0.0
     out = []
-    for plane in m.response.p:
+    for plane in planes:
         total = zero
         for wj, row in zip(rj, plane):
             if wj:
@@ -249,8 +273,8 @@ def _sample(m: OntologicalModel, context, n: int, seed: int) -> OutcomeCounts:
     random() values: lambda, lambda', then the outcome; each draw picks the
     first index whose cumulative weight exceeds the value, the last index
     if none does."""
+    p = m.table(context).p
     j, k = context
-    context_index(context)
     rng = random.Random(seed)
     exact = m.mode == "exact"
     if exact:
@@ -269,7 +293,6 @@ def _sample(m: OntologicalModel, context, n: int, seed: int) -> OutcomeCounts:
             return len(cdf) - 1
     cdf_j = _cdf((m.rho1 if j == 1 else m.rho2).weights, exact)
     cdf_k = _cdf((m.rho1 if k == 1 else m.rho2).weights, exact)
-    p = m.response.p
     cells = {}  # (lambda, lambda') -> the cell's outcome CDF, built on first visit
     counts = [0, 0, 0, 0]
     for _ in range(n):

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from fractions import Fraction
 
-from .contextual import (ContextualModel, ContextualResponseTable)
 from .hilbert import CONTEXTS
 from .ontology import (EpistemicState, LambdaSpace, ModelError,
                        OntologicalModel, ResponseTable)
@@ -48,7 +48,11 @@ def parse_number(x, mode: str):
     if mode == "float":
         if isinstance(x, bool) or not isinstance(x, (int, float)):
             raise ModelError(f"float-mode numbers must be JSON numbers, got {x!r}")
-        return float(x)
+        v = float(x)
+        # json.load reads NaN and Infinity; NaN would pass every bound check.
+        if not math.isfinite(v):
+            raise ModelError(f"float-mode numbers must be finite, got {x!r}")
+        return v
     return parse_frac(x)
 
 
@@ -97,12 +101,13 @@ def model_to_json(m) -> dict:
         "rho2": [fmt_number(w, m.mode) for w in m.rho2.weights],
         "born_targets": _targets_to_json(m.born_targets),
     }
-    if isinstance(m, ContextualModel):
+    if m.contextual:
         d["response"] = {"kind": "contextual",
-                         "p": {f"{j}{k}": _table_to_json(m.response.slice((j, k)), m.mode)
+                         "p": {f"{j}{k}": _table_to_json(m.table((j, k)), m.mode)
                                for (j, k) in CONTEXTS}}
     else:
-        d["response"] = {"kind": "noncontextual", "p": _table_to_json(m.response, m.mode)}
+        d["response"] = {"kind": "noncontextual",
+                         "p": _table_to_json(m.response[0], m.mode)}
     return d
 
 
@@ -119,19 +124,18 @@ def model_from_json(d: dict):
         resp = d["response"]
         kind = resp["kind"]
         if kind == "noncontextual":
-            response = _table_from_json(resp["p"], parse)
+            response = (_table_from_json(resp["p"], parse),)
         elif kind == "contextual":
-            response = ContextualResponseTable(tuple(
-                _table_from_json(resp["p"][f"{j}{k}"], parse)
-                for (j, k) in CONTEXTS))
+            response = tuple(_table_from_json(resp["p"][f"{j}{k}"], parse)
+                             for (j, k) in CONTEXTS)
         else:
             raise ModelError(f"unknown response kind {kind!r}")
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError,
+            OverflowError) as e:
         raise ModelError(f"malformed model: {e}") from e
 
-    model_type = OntologicalModel if kind == "noncontextual" else ContextualModel
-    return model_type(mode=mode, lambda_space=LambdaSpace(L), rho1=rho1,
-                      rho2=rho2, response=response, born_targets=targets)
+    return OntologicalModel(mode=mode, lambda_space=LambdaSpace(L), rho1=rho1,
+                            rho2=rho2, response=response, born_targets=targets)
 
 
 def rho_pair_from_json(d: dict):

@@ -1,16 +1,36 @@
 """Straightforward references for pbrlab's contextual path: the response
 validation, the Monte Carlo draw and the interval slice as first written,
 with every cell checked, every CDF re-summed on each draw and every cell's
-overlap computed. Tests require pbrlab's versions to return exactly the
-same reports, counts and tables.
+overlap computed; and the validation of a contextual model as first
+written, one slice at a time with the repeated complaints dropped by their
+text. Tests require pbrlab's versions to return exactly the same reports,
+counts and tables.
 """
 
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 from pbrlab.hilbert import CONTEXTS, context_index
 from pbrlab.ontology import FLOAT_TOL, OutcomeCounts, ResponseTable
+
+
+@dataclass(frozen=True)
+class Slice:
+    """A model with one response table, `response`, as read below."""
+    mode: str
+    lambda_space: object
+    rho1: object
+    rho2: object
+    response: ResponseTable
+    born_targets: tuple
+
+
+def slice_model(m, index: int) -> Slice:
+    """The model holding only m's `index`-th response table."""
+    return Slice(m.mode, m.lambda_space, m.rho1, m.rho2, m.response[index],
+                 m.born_targets)
 
 
 def _check_distribution(name, weights, size, tol, report):
@@ -71,6 +91,24 @@ def validate_model(m) -> list:
                 report.append(
                     f"born_targets row for context {CONTEXTS[c]} sums to {total}")
     return report
+
+
+def validate_contextual(m) -> list:
+    """Reports of a model with four response tables, in CONTEXTS order."""
+    report = []
+    for c, context in enumerate(CONTEXTS):
+        for line in validate_model(slice_model(m, c)):
+            report.append(f"context {context[0]}{context[1]}: {line}")
+    # slices share rho/targets, so deduplicate the non-response complaints
+    seen = set()
+    out = []
+    for line in report:
+        key = line.split(": ", 1)[1]
+        if "response" not in key and key in seen:
+            continue
+        seen.add(key)
+        out.append(line)
+    return out
 
 
 def _draw(rng: random.Random, weights) -> int:

@@ -7,13 +7,14 @@ lines as they complete.
 import json
 import random
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from hull_oracle import hull_feasible
 from pbrlab.cli import main
-from pbrlab.contextual import build_interval_model, refutation_report, slice_model
+from pbrlab.contextual import build_interval_model, refutation_report
 from pbrlab.hilbert import (CONTEXTS, born, born_targets, gram, pbr_basis,
                             product_state)
 from pbrlab.nogo import (ContradictionProof, NoOverlap, build_feasibility,
@@ -25,6 +26,11 @@ from pbrlab.serialize import dumps_canonical
 
 PBR = born_targets()
 CHI2_999_3DOF = 16.27
+
+
+def _noncontextual(m, context):
+    """The model seen by one preparation context, its table used in all."""
+    return replace(m, response=(m.table(context),))
 
 
 def _outcome(num, name, ok):
@@ -119,7 +125,7 @@ def test_criterion_5_oracle_equivalence():
 
 
 def test_criterion_6_contradiction_proof():
-    overlap_model = slice_model(build_interval_model(2, PBR), (1, 1))
+    overlap_model = _noncontextual(build_interval_model(2, PBR), (1, 1))
     proof = derive_contradiction(overlap_model)
     ok = isinstance(proof, ContradictionProof)
     if ok:
@@ -128,7 +134,7 @@ def test_criterion_6_contradiction_proof():
         ok = ok and all(s.weight > 0 for s in proof.steps)
         ok = ok and proof.total == 0 != 1
 
-    disjoint_model = slice_model(build_interval_model(
+    disjoint_model = _noncontextual(build_interval_model(
         2, PBR, rho1=EpistemicState.point_mass(2, 0),
         rho2=EpistemicState.point_mass(2, 1)), (1, 1))
     ok = ok and isinstance(derive_contradiction(disjoint_model), NoOverlap)
@@ -153,7 +159,7 @@ def test_criterion_8_statistical_consistency():
     m = build_interval_model(2, PBR)
     ok = True
     for c, ctx in enumerate(CONTEXTS):
-        flat = slice_model(m, ctx)
+        flat = _noncontextual(m, ctx)
         counts = sample(flat, ctx, 100_000, seed=42)
         rerun = sample(flat, ctx, 100_000, seed=42)
         ok = ok and counts == rerun

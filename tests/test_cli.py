@@ -1,6 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -104,9 +109,12 @@ def _write_model(tmp_path, model, name="model.json"):
     return str(path)
 
 
+def _noncontextual(model, context=(1, 1)):
+    return replace(model, response=(model.table(context),))
+
+
 def _noncontextual_overlap_model():
-    from pbrlab.contextual import slice_model
-    return slice_model(build_interval_model(2, born_targets()), (1, 1))
+    return _noncontextual(build_interval_model(2, born_targets()))
 
 
 def test_contradiction_proof(capsys, tmp_path):
@@ -120,12 +128,11 @@ def test_contradiction_proof(capsys, tmp_path):
 
 
 def test_contradiction_no_overlap(capsys, tmp_path):
-    from pbrlab.contextual import slice_model
     from pbrlab.ontology import EpistemicState
-    m = slice_model(build_interval_model(
+    m = _noncontextual(build_interval_model(
         2, born_targets(),
         rho1=EpistemicState.point_mass(2, 0),
-        rho2=EpistemicState.point_mass(2, 1)), (1, 1))
+        rho2=EpistemicState.point_mass(2, 1)))
     path = _write_model(tmp_path, m)
     code, out, _ = run(capsys, "contradiction", "--model", path)
     assert code == 4
@@ -285,3 +292,58 @@ def test_refute_unwritable_out_exits_2(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "error" in err and "no_such_dir" in err
+
+
+GOLDEN = Path(__file__).parent / "golden"
+SRC = str(Path(__file__).parents[1] / "src")
+
+
+def _argv(command, path):
+    if command == "nogo --rho":
+        return ["nogo", "--lambda-size", "2", "--rho", path]
+    extra = (["--context", "11", "--n", "10", "--seed", "1"]
+             if command == "sample" else [])
+    return [command, "--model", path, *extra]
+
+
+@pytest.mark.parametrize("command", ["check", "sample", "contradiction",
+                                     "nogo --rho"])
+@pytest.mark.parametrize("content", [
+    b"1" * 5000,
+    b"[" * 100000 + b"]" * 100000,
+    b'{"mode": "\xff"}',
+], ids=["5000-digit-integer", "nested-100000-deep", "not-utf-8"])
+def test_hostile_json_exits_2(tmp_path, command, content):
+    # a separate process, so the exit code and stderr are the real ones
+    path = tmp_path / "hostile.json"
+    path.write_bytes(content)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "pbrlab.cli",
+                           *_argv(command, str(path)), "--json"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["check", "sample"])
+@pytest.mark.parametrize("where, value", [
+    ("rho1", "NaN"), ("rho1", "Infinity"), ("entry", "-Infinity"),
+    ("entry", "1" * 400),
+], ids=["nan-weight", "infinite-weight", "infinite-entry", "400-digit-entry"])
+def test_float_model_rejects_non_finite_numbers(capsys, tmp_path, command,
+                                                where, value):
+    text = (GOLDEN / "model_L3_float.json").read_text()
+    payload = json.loads(text)
+    if where == "rho1":
+        payload["rho1"][0] = "HOLE"
+    else:
+        payload["response"]["p"][0][0][0] = "HOLE"
+    path = tmp_path / "non_finite.json"
+    path.write_text(json.dumps(payload).replace('"HOLE"', value))
+    code, out, err = run(capsys, *_argv(command, str(path)), "--json")
+    assert code == 2
+    assert out == ""
+    assert "malformed model" in err

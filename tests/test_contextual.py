@@ -1,11 +1,9 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from pbrlab.contextual import (ContextualModel, ContextualResponseTable,
-                               build_interval_model, predict_contextual,
-                               refutation_report, slice_model,
-                               validate_contextual)
+from pbrlab.contextual import build_interval_model, refutation_report
 from pbrlab.hilbert import CONTEXTS, born_targets
 from pbrlab.nogo import ContradictionProof, derive_contradiction
 from pbrlab.ontology import (EpistemicState, ModelError, predict,
@@ -18,7 +16,7 @@ def test_interval_L2_context_11_deterministic():
     # targets (0, 1/4, 1/4, 1/2) and cell width 1/4 align on the interval
     # boundaries, so cells map to outcomes (2, 3, 4, 4) with no splitting
     m = build_interval_model(2, PBR)
-    table = m.response.slice((1, 1))
+    table = m.table((1, 1))
     expected_outcomes = {(0, 0): 2, (0, 1): 3, (1, 0): 4, (1, 1): 4}
     for (lam, lamp), outcome in expected_outcomes.items():
         for i in range(4):
@@ -29,30 +27,31 @@ def test_interval_L2_context_11_deterministic():
 def test_interval_L1_copies_targets():
     m = build_interval_model(1, PBR)
     for c, ctx in enumerate(CONTEXTS):
-        table = m.response.slice(ctx)
+        table = m.table(ctx)
         assert tuple(table.p[i][0][0] for i in range(4)) == PBR[c]
 
 
 def test_interval_L3_fractional_boundaries():
     m = build_interval_model(3, PBR)
-    assert validate_contextual(m) == []
+    assert validate_model(m) == []
     # cell width 1/9 does not divide 1/4: some cell must split
-    table = m.response.slice((1, 1))
+    table = m.table((1, 1))
     fractional = [table.p[i][x][y] for i in range(4)
                   for x in range(3) for y in range(3)
                   if table.p[i][x][y] not in (0, 1)]
     assert fractional
     for c, ctx in enumerate(CONTEXTS):
-        assert predict_contextual(m, ctx) == PBR[c]
+        assert predict(m, ctx) == PBR[c]
 
 
 @pytest.mark.parametrize("L", [1, 2, 3, 4, 5, 6])
 def test_interval_exact_reproduction(L):
     m = build_interval_model(L, PBR)
-    assert validate_contextual(m) == []
+    assert m.contextual and len(m.response) == 4
+    assert validate_model(m) == []
     assert support_overlap(m.rho1, m.rho2).overlap_mass == 1
     for c, ctx in enumerate(CONTEXTS):
-        assert predict_contextual(m, ctx) == PBR[c]
+        assert predict(m, ctx) == PBR[c]
 
 
 def test_interval_arbitrary_targets():
@@ -62,7 +61,7 @@ def test_interval_arbitrary_targets():
                (Fraction(1, 2), Fraction(1, 2), Fraction(0), Fraction(0)))
     m = build_interval_model(3, targets)
     for c, ctx in enumerate(CONTEXTS):
-        assert predict_contextual(m, ctx) == targets[c]
+        assert predict(m, ctx) == targets[c]
 
 
 def test_interval_supplied_rhos():
@@ -70,9 +69,9 @@ def test_interval_supplied_rhos():
     r1 = EpistemicState((Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)))
     r2 = EpistemicState((Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)))
     m = build_interval_model(3, PBR, rho1=r1, rho2=r2)
-    assert validate_contextual(m) == []
+    assert validate_model(m) == []
     for c, ctx in enumerate(CONTEXTS):
-        assert predict_contextual(m, ctx) == PBR[c]
+        assert predict(m, ctx) == PBR[c]
     assert not support_overlap(r1, r2).disjoint
 
 
@@ -83,27 +82,39 @@ def test_interval_rejects_bad_inputs():
         build_interval_model(2, ((Fraction(1),) * 4,) * 4)
     with pytest.raises(ModelError):
         build_interval_model(2, PBR, rho1=EpistemicState.uniform(3))
+    with pytest.raises(ModelError, match="rho1"):
+        build_interval_model(2, PBR, rho1=EpistemicState((Fraction(2), Fraction(-1))))
+    with pytest.raises(ModelError, match="rho2"):
+        build_interval_model(2, PBR, rho2=EpistemicState((Fraction(1, 3),) * 2))
 
 
 def test_context_independent_table_reduces_to_noncontextual():
     base = build_interval_model(2, PBR)
-    shared = base.response.slice((1, 1))
-    m = ContextualModel(mode="exact", lambda_space=base.lambda_space,
-                        rho1=base.rho1, rho2=base.rho2,
-                        response=ContextualResponseTable((shared,) * 4),
-                        born_targets=PBR)
+    shared = base.table((1, 1))
+    m = replace(base, response=(shared,) * 4)
+    assert m.contextual
     for ctx in CONTEXTS:
-        flat = slice_model(m, ctx)
-        assert predict_contextual(m, ctx) == predict(flat, ctx)
+        flat = replace(m, response=(m.table(ctx),))
+        assert not flat.contextual
+        assert predict(m, ctx) == predict(flat, ctx)
 
 
 def test_degenerate_contextual_model_still_contradicted():
     # freezing the response across contexts brings back the no-go argument
     base = build_interval_model(2, PBR)
-    flat = slice_model(base, (1, 1))
+    flat = replace(base, response=(base.table((1, 1)),))
     assert validate_model(flat) == []
     proof = derive_contradiction(flat)
     assert isinstance(proof, ContradictionProof)
+
+
+def test_contradiction_refuses_contextual_model():
+    # the case the forcing argument cannot reach: a valid model whose
+    # response depends on the prepared states
+    m = build_interval_model(2, PBR)
+    assert m.contextual and validate_model(m) == []
+    with pytest.raises(ModelError, match="applies to noncontextual models"):
+        derive_contradiction(m)
 
 
 def test_refutation_affirms_collapse():
@@ -130,7 +141,7 @@ def test_refutation_detects_perturbation():
     m = build_interval_model(2, PBR)
     eps = Fraction(1, 1000)
     planes = [[list(row) for row in plane]
-              for plane in m.response.slice((1, 2)).p]
+              for plane in m.table((1, 2)).p]
     # move mass between two outcomes in one cell: rows stay stochastic,
     # the prediction no longer matches
     assert planes[0][0][0] == 1  # cell (0,0) is deterministic for outcome 1
@@ -138,13 +149,10 @@ def test_refutation_detects_perturbation():
     planes[1][0][0] += eps
     from pbrlab.ontology import ResponseTable
     perturbed = ResponseTable(tuple(tuple(tuple(r) for r in p) for p in planes))
-    slices = list(m.response.slices)
+    slices = list(m.response)
     slices[CONTEXTS.index((1, 2))] = perturbed
-    m2 = ContextualModel(mode="exact", lambda_space=m.lambda_space,
-                         rho1=m.rho1, rho2=m.rho2,
-                         response=ContextualResponseTable(tuple(slices)),
-                         born_targets=PBR)
-    assert validate_contextual(m2) == []
+    m2 = replace(m, response=tuple(slices))
+    assert validate_model(m2) == []
     rep = refutation_report(m2)
     assert not rep.born_reproduced
     assert not rep.collapse
@@ -152,9 +160,7 @@ def test_refutation_detects_perturbation():
 
 def test_refutation_rejects_invalid_model():
     m = build_interval_model(2, PBR)
-    bad = ContextualModel(mode="exact", lambda_space=m.lambda_space,
-                          rho1=EpistemicState((Fraction(2), Fraction(-1))),
-                          rho2=m.rho2, response=m.response, born_targets=PBR)
+    bad = replace(m, rho1=EpistemicState((Fraction(2), Fraction(-1))))
     with pytest.raises(ModelError):
         refutation_report(bad)
 

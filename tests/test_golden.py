@@ -1,5 +1,5 @@
-"""Byte-for-byte golden outputs of `pbr nogo`, `refute`, `check` and
-`sample` with `--json`.
+"""Byte-for-byte golden outputs of `pbr basis`, `nogo`, `contradiction`,
+`refute`, `check` and `sample` with `--json`.
 
 Each case's stdout is pinned in tests/golden/<name>.json and its exit code
 in tests/golden/exit_codes.json; a `refute` case also pins the model it
@@ -14,8 +14,13 @@ The input models are tests/golden/model_*.json: the L=3 interval model
 entries 3/2 and -1/4, a short row in context 22 and a target row summing
 to 3/2; the context-12 slice of the L=3 interval model built on rho1 =
 (1/2, 1/3, 1/6) and rho2 = (1/5, 2/5, 2/5), which is a valid
-noncontextual model with fractional entries; and the same slice in float
-mode. To regenerate after an intended change of output, run
+noncontextual model with fractional entries; the same slice in float
+mode; and the context-12 slice of the L=3 interval model built on
+rho1 = (1/2, 1/2, 0) and rho2 = (0, 0, 1), a valid noncontextual model
+with disjoint supports. `contradiction` proves the clash on the
+overlapping model (exit 0), refuses the contextual and the float model
+(exit 2, empty stdout) and reports NoOverlap on the disjoint one (exit 4).
+To regenerate after an intended change of output, run
 `PYTHONPATH=src python tests/test_golden.py` and review the diff.
 """
 
@@ -61,7 +66,13 @@ CONTEXTUAL_CASES = {
                                 "--seed", "11", "--json"]
        for name in ("noncontextual", "float")},
 }
-CASES = {**NOGO_CASES, **CONTEXTUAL_CASES}
+OTHER_CASES = {
+    "basis": ["basis", "--json"],
+    **{f"contradiction_L3_{name}": ["contradiction", "--model",
+                                    _model(f"L3_{name}"), "--json"]
+       for name in ("noncontextual", "contextual", "float", "disjoint")},
+}
+CASES = {**NOGO_CASES, **CONTEXTUAL_CASES, **OTHER_CASES}
 
 
 def _run_case(name, scratch: Path):
@@ -90,6 +101,11 @@ def test_nogo_matches_golden(name, tmp_path):
 
 @pytest.mark.parametrize("name", sorted(CONTEXTUAL_CASES))
 def test_contextual_matches_golden(name, tmp_path):
+    _check(name, tmp_path)
+
+
+@pytest.mark.parametrize("name", sorted(OTHER_CASES))
+def test_basis_and_contradiction_match_golden(name, tmp_path):
     _check(name, tmp_path)
 
 

@@ -148,7 +148,7 @@ def _model(r1, r2, targets=PBR, mode="exact"):
     L = r1.size
     return OntologicalModel(mode=mode, lambda_space=LambdaSpace(L),
                             rho1=r1, rho2=r2,
-                            response=_trivial_response(L), born_targets=targets)
+                            response=(_trivial_response(L),), born_targets=targets)
 
 
 def test_contradiction_uniform_overlap():
@@ -183,7 +183,7 @@ def test_contradiction_refuses_float_mode():
     m = OntologicalModel(mode="float", lambda_space=LambdaSpace(2),
                          rho1=EpistemicState((0.5, 0.5)),
                          rho2=EpistemicState((0.5, 0.5)),
-                         response=_trivial_response(2), born_targets=PBR)
+                         response=(_trivial_response(2),), born_targets=PBR)
     with pytest.raises(ModelError, match="exact"):
         derive_contradiction(m)
 

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -24,7 +25,7 @@ def _model(L=2, rho1=None, rho2=None, response=None, targets=None, mode="exact")
         lambda_space=LambdaSpace(L),
         rho1=rho1 or EpistemicState.uniform(L),
         rho2=rho2 or EpistemicState.uniform(L),
-        response=response or _uniform_response(L),
+        response=(response or _uniform_response(L),),
         born_targets=targets or born_targets(),
     )
 
@@ -192,8 +193,8 @@ def test_sample_seed_reproducible():
 
 def test_sample_matches_prediction_tv():
     # shipped example model: the L=2 interval construction, one context
-    m = contextual.slice_model(
-        contextual.build_interval_model(2, born_targets()), (2, 1))
+    m = contextual.build_interval_model(2, born_targets())
+    m = replace(m, response=(m.table((2, 1)),))
     counts = sample(m, (2, 1), 100_000, seed=42)
     expected = predict(m, (2, 1))
     tv = sum(abs(c / Fraction(100_000) - p)
@@ -215,9 +216,9 @@ def test_float_mode_validation():
     m = OntologicalModel(
         mode="float", lambda_space=LambdaSpace(2),
         rho1=EpistemicState((0.5, 0.5)), rho2=EpistemicState((0.3, 0.7)),
-        response=ResponseTable(tuple(
+        response=(ResponseTable(tuple(
             tuple(tuple(0.25 for _ in range(2)) for _ in range(2))
-            for _ in range(4))),
+            for _ in range(4))),),
         born_targets=born_targets())
     assert validate_model(m) == []
     assert predict(m, (1, 2)) == pytest.approx((0.25, 0.25, 0.25, 0.25))

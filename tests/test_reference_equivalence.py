@@ -1,6 +1,7 @@
 """pbrlab's validation, sampling and interval slices against the
-straightforward versions in tests/reference_ontology.py: same reports,
-same seeded counts, same tables, value for value and type for type."""
+straightforward versions in tests/reference_ontology.py: same reports
+(for noncontextual and contextual models), same seeded counts, same
+tables, value for value and type for type."""
 
 from fractions import Fraction
 
@@ -30,7 +31,27 @@ def _table(cells, L):
 
 
 @st.composite
-def _models(draw):
+def _misshapen(draw, table):
+    """`table` with one plane too few or too many, a plane one row short,
+    or a row one entry short."""
+    p = list(table.p)
+    i = draw(st.integers(0, 3))
+    how = draw(st.sampled_from(("plane", "extra-plane", "row", "entry")))
+    if how == "plane":
+        del p[i]
+    elif how == "extra-plane":
+        p.append(p[i])
+    elif how == "row":
+        p[i] = p[i][:-1]
+    else:
+        p[i] = (p[i][0][:-1],) + p[i][1:]
+    return ResponseTable(tuple(p))
+
+
+@st.composite
+def _models(draw, contextual=False):
+    """A noncontextual model, or a contextual one whose four tables draw on
+    the same cells and are each mis-shaped or not."""
     L = draw(st.integers(1, 4))
     mode = draw(st.sampled_from(("exact", "float")))
     entry = st.sampled_from(ENTRIES)
@@ -40,8 +61,14 @@ def _models(draw):
     if draw(st.booleans()):
         # the same values as a pooled cell, as floats: only the types differ
         pool.append(tuple(float(v) for v in pool[0]))
-    cells = draw(st.lists(st.sampled_from(pool), min_size=L * L,
-                          max_size=L * L))
+    tables = []
+    for _ in range(4 if contextual else 1):
+        cells = draw(st.lists(st.sampled_from(pool), min_size=L * L,
+                              max_size=L * L))
+        table = _table(cells, L)
+        if contextual and draw(st.booleans()):
+            table = draw(_misshapen(table))
+        tables.append(table)
     rho = st.lists(entry, min_size=L, max_size=L).map(EpistemicState)
     targets = born_targets()
     if draw(st.booleans()):
@@ -52,13 +79,19 @@ def _models(draw):
         mode=mode, lambda_space=LambdaSpace(L),
         rho1=draw(st.one_of(rho, st.just(EpistemicState.uniform(L)))),
         rho2=draw(st.one_of(rho, st.just(EpistemicState.uniform(L)))),
-        response=_table(cells, L), born_targets=targets)
+        response=tuple(tables), born_targets=targets)
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(_models())
 def test_validation_reports_match_reference(m):
-    assert validate_model(m) == ref.validate_model(m)
+    assert validate_model(m) == ref.validate_model(ref.slice_model(m, 0))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_models(contextual=True))
+def test_contextual_validation_reports_match_reference(m):
+    assert validate_model(m) == ref.validate_contextual(m)
 
 
 @st.composite
@@ -91,12 +124,13 @@ def test_sample_counts_match_reference(data):
         mode=mode, lambda_space=LambdaSpace(L),
         rho1=EpistemicState(data.draw(dist(L))),
         rho2=EpistemicState(data.draw(dist(L))),
-        response=_table(cells, L), born_targets=born_targets())
+        response=(_table(cells, L),), born_targets=born_targets())
     assume(not validate_model(m))
     context = data.draw(st.sampled_from(CONTEXTS))
     seed = data.draw(st.integers(0, 2 ** 32))
     n = data.draw(st.integers(0, 300))
-    assert sample(m, context, n, seed) == ref.sample(m, context, n, seed)
+    assert sample(m, context, n, seed) == ref.sample(ref.slice_model(m, 0),
+                                                     context, n, seed)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -119,7 +153,7 @@ def test_interval_slice_matches_reference(data):
         rho_j = data.draw(_exact_distribution(L))
         rho_k = data.draw(_exact_distribution(L))
     else:
-        # weights of either sign, not normalised: the builder does not check rho
+        # weights of either sign, not normalised: the slice does not check rho
         weights = st.lists(st.fractions(-1, 2, max_denominator=6),
                            min_size=L, max_size=L)
         rho_j, rho_k = data.draw(weights), data.draw(weights)
