@@ -24,12 +24,20 @@ EXIT_BAD_INPUT = 2
 EXIT_THEOREM_VIOLATED = 3
 EXIT_NOT_APPLICABLE = 4
 
-# nogo builds a dense (L^2 + 16) x 4L^2 exact LP: 4.3 million entries at
-# L = 32, 67 million at L = 64. Larger sizes are refused before building.
+# nogo builds an exact LP of L^2 + 16 rows over 4L^2 columns with at most
+# 20 L^2 nonzeros (4 per normalization row, L^2 per Born row): 1040 rows,
+# 4096 columns and 20480 nonzeros at L = 32, decided in under 0.1 s for
+# uniform rho. The witness path on random disjoint rho grows much faster
+# with L (0.4 s at L = 14, 2 s at L = 20), so the cap stays until a
+# symmetry reduction shrinks the LP. Larger sizes are refused before
+# building.
 NOGO_MAX_LAMBDA = 32
 # refute builds, checks and prints an exact model of 16 L^2 entries: about
 # 4.5 MB of JSON at L = 128. Larger sizes are refused before building.
 REFUTE_MAX_LAMBDA = 128
+# sample draws exactly, at a few microseconds per trial: 10^7 trials take
+# about 17 s. Larger counts are refused before sampling.
+SAMPLE_MAX_N = 10 ** 7
 
 
 def _report(command: str, inputs: dict, payload: dict) -> dict:
@@ -290,6 +298,9 @@ def cmd_sample(args) -> int:
     if args.n < 0:
         print("error: n must be >= 0", file=sys.stderr)
         return EXIT_BAD_INPUT
+    if args.n > SAMPLE_MAX_N:
+        print(f"error: n must be <= {SAMPLE_MAX_N}", file=sys.stderr)
+        return EXIT_BAD_INPUT
     violations = ontology.validate_model(model)
     if violations:
         print("error: invalid model: " + "; ".join(violations), file=sys.stderr)
@@ -369,7 +380,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ModelError as e:
+        # Invalid input found past a command's own checks, e.g. an exact
+        # result too long to print (serialize.fmt_frac).
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_BAD_INPUT
 
 
 if __name__ == "__main__":

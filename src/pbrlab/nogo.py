@@ -11,15 +11,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .hilbert import CONTEXTS
 from .ontology import (EpistemicState, LambdaSpace, ModelError,
                        OntologicalModel, ResponseTable, support_overlap)
 from .simplex import solve_equalities
 
+_ONE = Fraction(1)
+
 # Row order: the L^2 normalization rows (lambda-major), then the 16 Born
 # rows (outcome-major, context-minor). Column order: variable x[i][lam][lamp]
 # at ((i-1)*L + lam)*L + lamp. Fixed so certificates compare across runs.
+# A row lists only its nonzero coefficients, by increasing column: a
+# normalization row has 4, a Born row at most L^2.
 ROW_ORDER_NOTE = ("normalization rows (lambda-major), then Born rows "
                   "(outcome-major, context-minor in order 11,12,21,22); "
                   "columns x[i][lambda][lambda'] outcome-major")
@@ -31,7 +36,7 @@ class FeasibilityProblem:
     rho1: EpistemicState
     rho2: EpistemicState
     targets: tuple          # 4x4, rows by context, cols by outcome
-    A: tuple                # (L^2 + 16) x 4L^2 exact coefficients
+    A: tuple                # L^2 + 16 rows of (column, coefficient) pairs
     b: tuple
     row_labels: tuple
 
@@ -93,26 +98,29 @@ def build_feasibility(r1: EpistemicState, r2: EpistemicState,
                       targets) -> FeasibilityProblem:
     _check_inputs(r1, r2, targets)
     L = r1.size
-    nvars = 4 * L * L
     A, b, labels = [], [], []
 
     for lam in range(L):
         for lamp in range(L):
-            row = [Fraction(0)] * nvars
-            for i in range(4):
-                row[_var(i, lam, lamp, L)] = Fraction(1)
-            A.append(tuple(row))
-            b.append(Fraction(1))
+            A.append(tuple((_var(i, lam, lamp, L), _ONE) for i in range(4)))
+            b.append(_ONE)
             labels.append(f"norm lambda={lam} lambda'={lamp}")
 
-    rho = {1: r1, 2: r2}
+    # Each context's weights rho_j(lambda) * rho_k(lambda') over the cells
+    # lambda * L + lambda' they do not vanish on, shared by its 4 Born rows.
+    rho = {1: r1.weights, 2: r2.weights}
+    products = []
+    for j, k in CONTEXTS:
+        cells = []
+        for lam, wj in enumerate(rho[j]):
+            if wj:
+                cells.extend((lam * L + lamp, wj * wk)
+                             for lamp, wk in enumerate(rho[k]) if wk)
+        products.append(cells)
     for i in range(4):
+        offset = i * L * L
         for c, (j, k) in enumerate(CONTEXTS):
-            row = [Fraction(0)] * nvars
-            for lam in range(L):
-                for lamp in range(L):
-                    row[_var(i, lam, lamp, L)] = rho[j].weights[lam] * rho[k].weights[lamp]
-            A.append(tuple(row))
+            A.append(tuple((offset + cell, w) for cell, w in products[c]))
             b.append(Fraction(targets[c][i]))
             labels.append(f"born outcome={i + 1} context={j}{k}")
 
@@ -122,7 +130,7 @@ def build_feasibility(r1: EpistemicState, r2: EpistemicState,
 
 
 def solve_feasibility(p: FeasibilityProblem) -> FeasibilityOutcome:
-    result = solve_equalities(p.A, p.b)
+    result = solve_equalities(p.A, p.b, p.num_vars)
     if not result.feasible:
         return FeasibilityOutcome(feasible=False, witness=None,
                                   certificate=result.certificate)
@@ -137,18 +145,27 @@ def solve_feasibility(p: FeasibilityProblem) -> FeasibilityOutcome:
 
 def verify_certificate(p: FeasibilityProblem, y) -> bool:
     """Independent Farkas audit: y^T A <= 0 columnwise and y^T b > 0,
-    all exact. True iff y proves {Ax = b, x >= 0} unsolvable."""
+    all exact. True iff y proves {Ax = b, x >= 0} unsolvable.
+
+    y is put over one common denominator, and the rows y uses over
+    another, so each column sum is a sum of integer products over the
+    nonzeros; both denominators are positive, so its sign is the sign
+    of the exact column of y^T A."""
     if len(y) != len(p.A):
         raise ModelError(f"certificate has {len(y)} entries for {len(p.A)} rows")
-    cols = [0] * p.num_vars
-    for yr, row in zip(y, p.A):
-        if yr:
-            for col, a in enumerate(row):
-                if a:
-                    cols[col] += yr * a
-    if any(c > 0 for c in cols):
+    y_den = lcm(*(yr.denominator for yr in y))
+    used = [(r, yr.numerator * (y_den // yr.denominator))
+            for r, yr in enumerate(y) if yr]
+    a_den = lcm(*{a.denominator for r, _ in used for _, a in p.A[r]})
+    cols = {}
+    for r, yr in used:
+        for col, a in p.A[r]:
+            cols[col] = cols.get(col, 0) + yr * a.numerator * (a_den // a.denominator)
+    if any(c > 0 for c in cols.values()):
         return False
-    return sum(yr * br for yr, br in zip(y, p.b)) > 0
+    b_den = lcm(*(p.b[r].denominator for r, _ in used))
+    return sum(yr * p.b[r].numerator * (b_den // p.b[r].denominator)
+               for r, yr in used) > 0
 
 
 def witness_model(p: FeasibilityProblem,

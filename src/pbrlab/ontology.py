@@ -102,16 +102,27 @@ def _tol(mode: str) -> float:
     return FLOAT_TOL if mode == "float" else 0
 
 
+def _show(x) -> str:
+    """str(x) for a complaint; an exact number whose numerator or
+    denominator has more digits than int-to-str conversion allows (4300 by
+    default) is described by its bit lengths instead."""
+    try:
+        return str(x)
+    except ValueError:
+        return (f"<a fraction of {x.numerator.bit_length()} by "
+                f"{x.denominator.bit_length()} bits, too long to print>")
+
+
 def _check_distribution(name, weights, size, tol, report):
     if len(weights) != size:
         report.append(f"{name} has {len(weights)} weights, lambda space has {size}")
         return
     for i, w in enumerate(weights):
         if w < -tol:
-            report.append(f"{name}[{i}] is negative: {w}")
+            report.append(f"{name}[{i}] is negative: {_show(w)}")
     total = sum(weights)
     if abs(total - 1) > tol:
-        report.append(f"{name} sums to {total}, not 1")
+        report.append(f"{name} sums to {_show(total)}, not 1")
 
 
 def _cell_complaints(cell, tol) -> tuple:
@@ -121,10 +132,11 @@ def _cell_complaints(cell, tol) -> tuple:
     row_sum = 0
     for i, v in enumerate(cell):
         if v < -tol or v > 1 + tol:
-            out.append((i + 1, f"= {v} outside [0, 1]"))
+            out.append((i + 1, f"= {_show(v)} outside [0, 1]"))
         row_sum += v
     if abs(row_sum - 1) > tol:
-        out.append((0, f"sum to {row_sum}, deficit {1 - row_sum}"))
+        out.append((0, f"sum to {_show(row_sum)}, "
+                       f"deficit {_show(1 - row_sum)}"))
     return tuple(out)
 
 
@@ -159,11 +171,12 @@ def _target_complaints(targets, tol) -> list:
     for c, row in enumerate(targets):
         for i, q in enumerate(row):
             if q < -tol or q > 1 + tol:
-                report.append(f"born_targets[{CONTEXTS[c]}][outcome {i + 1}] = {q} "
+                report.append(f"born_targets[{CONTEXTS[c]}][outcome {i + 1}] = {_show(q)} "
                               "outside [0, 1]")
         total = sum(row)
         if abs(total - 1) > tol:
-            report.append(f"born_targets row for context {CONTEXTS[c]} sums to {total}")
+            report.append(f"born_targets row for context {CONTEXTS[c]} "
+                          f"sums to {_show(total)}")
     return report
 
 

@@ -19,11 +19,17 @@ from .ontology import (EpistemicState, LambdaSpace, ModelError,
 
 
 def fmt_frac(x: Fraction) -> str:
+    """"num/den", or "num" for an integer. Raises ModelError when the
+    numerator or the denominator has more digits than int-to-str
+    conversion allows (4300 by default)."""
     if not isinstance(x, Fraction):
         x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    try:
+        if x.denominator == 1:
+            return str(x.numerator)
+        return f"{x.numerator}/{x.denominator}"
+    except ValueError as e:
+        raise ModelError("an exact number has too many digits to print") from e
 
 
 def parse_frac(s) -> Fraction:

@@ -347,3 +347,68 @@ def test_float_model_rejects_non_finite_numbers(capsys, tmp_path, command,
     assert code == 2
     assert out == ""
     assert "malformed model" in err
+
+
+@pytest.mark.parametrize("n", ["10000001", "1000000000000"])
+def test_sample_rejects_huge_n_before_sampling(capsys, n):
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "sample", "--model",
+                         str(GOLDEN / "model_L3_noncontextual.json"),
+                         "--context", "12", "--n", n, "--seed", "1", "--json")
+    assert code == 2
+    assert out == ""
+    assert "n must be <= 10000000" in err
+    assert time.perf_counter() - t0 < 1.0
+
+
+# 1/7...7 (4000 digits) and 1/3...31 (4000 digits) parse within the
+# interpreter's 4300-digit limit for int-to-str conversion; their sum's
+# numerator and denominator do not.
+_LONG_A = "1/" + "7" * 4000
+_LONG_B = "1/" + "3" * 3999 + "1"
+
+
+def _run_cli(*argv):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "pbrlab.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
+@pytest.mark.parametrize("command", ["check", "sample", "contradiction"])
+@pytest.mark.parametrize("kind", ["noncontextual", "contextual"])
+def test_sum_too_long_to_print_exits_2(tmp_path, command, kind):
+    payload = json.loads((GOLDEN / f"model_L3_{kind}.json").read_text())
+    payload["rho1"] = [_LONG_A, _LONG_B, "0"]
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(payload))
+    proc = _run_cli(*_argv(command, str(path)), "--json")
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    if command == "check":
+        report = json.loads(proc.stdout)
+        assert report["valid"] is False
+        assert any("rho1 sums to <a fraction of" in v and "too long to print" in v
+                   for v in report["violations"])
+    else:
+        assert proc.stdout == ""
+        assert proc.stderr.startswith(("error: ", "invalid model:"))
+        if command == "sample" or kind == "noncontextual":
+            assert "too long to print" in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["sample", "contradiction"])
+def test_result_too_long_to_print_exits_2(tmp_path, command):
+    # a valid model whose predictions and forcing weights are products of
+    # two 4000-digit denominators
+    payload = json.loads((GOLDEN / "model_L3_noncontextual.json").read_text())
+    a, b = Fraction(_LONG_A), Fraction(_LONG_B)
+    payload["rho1"] = [_LONG_A, str(1 - a), "0"]
+    payload["rho2"] = [_LONG_B, "0", str(1 - b)]
+    path = tmp_path / "long_valid.json"
+    path.write_text(json.dumps(payload))
+    assert _run_cli("check", "--model", str(path)).returncode == 0
+    proc = _run_cli(*_argv(command, str(path)), "--json")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: an exact number has too many digits to print\n"

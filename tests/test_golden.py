@@ -7,7 +7,10 @@ writes with `--out`, in tests/golden/<name>_out.json. Uniform and
 overlapping rho take the certificate path, disjoint supports the witness
 path. The L=3 rho files hold integer weights in 1..9 drawn with
 random.Random(3), normalised; the disjoint one puts rho1 on lambda 0 and
-rho2 on lambdas 1 and 2.
+rho2 on lambdas 1 and 2. The L=7 rho files hold distinct integer weights
+in 1..1000 drawn with random.Random(7), normalised: the overlapping one
+gives full support to both states (a certificate after many pivots), the
+disjoint one puts rho1 on 3 points and rho2 on the other 4 (a witness).
 
 The input models are tests/golden/model_*.json: the L=3 interval model
 (`refute --lambda-size 3 --out`); a copy of it with rho1 summing to 7/6,
@@ -44,11 +47,12 @@ def _model(name):
 
 NOGO_CASES = {
     **{f"nogo_uniform_L{L}": ["nogo", "--lambda-size", str(L), "--json"]
-       for L in (1, 2, 3, 4)},
+       for L in (1, 2, 3, 4, 12)},
     **{f"nogo_{rho}": ["nogo", "--lambda-size", L, "--rho",
                        str(GOLDEN / f"rho_{rho}.json"), "--json"]
        for rho, L in (("L2_point_masses", "2"), ("L3_seed3_overlap", "3"),
-                      ("L3_seed3_disjoint", "3"))},
+                      ("L3_seed3_disjoint", "3"), ("L7_seed7_overlap", "7"),
+                      ("L7_seed7_disjoint", "7"))},
 }
 CONTEXTUAL_CASES = {
     **{f"refute_L{L}": ["refute", "--lambda-size", str(L), "--out", OUT,

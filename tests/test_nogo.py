@@ -1,7 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from dense_simplex import (densify, dense_solve_equalities,
+                           dense_verify_certificate)
 from pbrlab.hilbert import CONTEXTS, born_targets
 from pbrlab.nogo import (ContradictionProof, NoOverlap, build_feasibility,
                          derive_contradiction, solve_feasibility,
@@ -23,7 +27,10 @@ def test_build_counts_L1():
     p = build_feasibility(*_uniform_pair(1), PBR)
     assert p.num_vars == 4
     assert len(p.A) == 1 + 16
-    assert all(len(row) == 4 for row in p.A)
+    assert all(len(row) == 4 for row in densify(p.A, p.num_vars))
+    # sparse rows: 4 outcome columns per normalization row, one cell per
+    # Born row at L = 1
+    assert [len(row) for row in p.A] == [4] + [1] * 16
 
 
 def test_build_counts_L2():
@@ -40,7 +47,9 @@ def test_born_row_coefficients():
     p = build_feasibility(r1, r2, PBR)
     # row for outcome 1, context (1,1): weights rho1(lam)*rho1(lam') on the
     # outcome-1 columns, zero elsewhere
-    row = p.A[4]
+    assert p.A[4] == ((0, Fraction(1, 9)), (1, Fraction(2, 9)),
+                      (2, Fraction(2, 9)), (3, Fraction(4, 9)))
+    row = densify(p.A, p.num_vars)[4]
     expected = {(0, 0): Fraction(1, 9), (0, 1): Fraction(2, 9),
                 (1, 0): Fraction(2, 9), (1, 1): Fraction(4, 9)}
     for (lam, lamp), w in expected.items():
@@ -73,7 +82,7 @@ def test_disjoint_point_masses_feasible():
         for lam in range(2):
             for lamp in range(2):
                 x[(i * 2 + lam) * 2 + lamp] = ctx_row(lam, lamp)[i]
-    for row, rhs in zip(p.A, p.b):
+    for row, rhs in zip(densify(p.A, p.num_vars), p.b):
         assert sum(c * v for c, v in zip(row, x)) == rhs
 
 
@@ -94,6 +103,38 @@ def test_single_lambda_infeasible():
 def test_zero_certificate_rejected():
     p = build_feasibility(*_uniform_pair(2), PBR)
     assert not verify_certificate(p, [Fraction(0)] * len(p.A))
+
+
+def test_certificate_with_zero_objective_rejected():
+    # y^T A <= 0 in every column, but y^T b = -1 + 1/4 + 1/4 + 1/2 = 0:
+    # y = -1 on the normalization row, 1 on the Born rows of outcomes
+    # 2, 3 and 4 in context 11 (targets 1/4, 1/4, 1/2)
+    p = build_feasibility(*_uniform_pair(1), PBR)
+    y = [Fraction(0)] * len(p.A)
+    y[0] = Fraction(-1)
+    for i in (1, 2, 3):
+        y[1 + 4 * i] = Fraction(1)
+    assert p.b[5] == Fraction(1, 4) and p.b[13] == Fraction(1, 2)
+    assert not verify_certificate(p, y)
+    assert not dense_verify_certificate(densify(p.A, p.num_vars), p.b, y)
+
+
+def test_audit_shares_no_code_with_simplex():
+    # the audit checks the solver's certificates, so it must not run any
+    # of the solver's code
+    import types
+
+    import pbrlab.nogo as nogo
+
+    def names(code):
+        yield from code.co_names
+        for const in code.co_consts:
+            if isinstance(const, types.CodeType):
+                yield from names(const)
+
+    for name in names(verify_certificate.__code__):
+        used = getattr(nogo, name, None)
+        assert getattr(used, "__module__", None) != "pbrlab.simplex", name
 
 
 def test_certificate_fails_on_feasible_problem():
@@ -197,3 +238,67 @@ def test_monotonicity_block_disjoint_L4():
     m = witness_model(p, out)
     for c, ctx in enumerate(CONTEXTS):
         assert predict(m, ctx) == PBR[c]
+
+
+def test_sparse_rows_skip_zero_weights():
+    r1 = EpistemicState((Fraction(1, 2), Fraction(0), Fraction(1, 2)))
+    r2 = EpistemicState((Fraction(0), Fraction(1), Fraction(0)))
+    p = build_feasibility(r1, r2, PBR)
+    L = 3
+    for row in p.A:
+        cols = [col for col, _ in row]
+        assert cols == sorted(set(cols))
+        assert all(a != 0 for _, a in row)
+        assert all(0 <= col < p.num_vars for col in cols)
+    assert all(len(row) == 4 for row in p.A[:L * L])
+    # contexts 11, 12, 21, 22 carry 4, 2, 2 and 1 nonzero cells
+    assert [len(row) for row in p.A[L * L:]] == [4, 2, 2, 1] * 4
+
+
+@st.composite
+def _rho_pairs(draw):
+    """Epistemic states over L <= 4 with small integer weights, zeros
+    included; for L > 1 about half of the pairs have disjoint supports."""
+    L = draw(st.integers(1, 4))
+    weights = st.lists(st.integers(0, 6), min_size=L, max_size=L)
+    w1 = draw(weights.filter(any))
+    w2 = draw(weights.filter(any))
+    if L > 1 and draw(st.booleans()):
+        # rho1 keeps the points below a cut, rho2 the points from it on
+        cut = draw(st.integers(1, L - 1))
+        w1 = [w if i < cut else 0 for i, w in enumerate(w1)]
+        w2 = [0 if i < cut else w for i, w in enumerate(w2)]
+        assume(any(w1) and any(w2))
+    return (EpistemicState(tuple(Fraction(w, sum(w1)) for w in w1)),
+            EpistemicState(tuple(Fraction(w, sum(w2)) for w in w2)))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(_rho_pairs())
+def test_solve_feasibility_matches_dense_reference(pair):
+    p = build_feasibility(*pair, PBR)
+    ref = dense_solve_equalities(densify(p.A, p.num_vars), p.b)
+    out = solve_feasibility(p)
+    assert out.feasible == ref.feasible == theorem_expected_verdict(*pair)
+    if out.feasible:
+        assert tuple(v for plane in out.witness.p for row in plane
+                     for v in row) == ref.witness
+    else:
+        assert out.certificate == ref.certificate
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(_rho_pairs(), st.integers(0, 10 ** 6), st.sampled_from([1, -1]))
+def test_audit_matches_dense_audit(pair, index, sign):
+    p = build_feasibility(*pair, PBR)
+    dense = densify(p.A, p.num_vars)
+    out = solve_feasibility(p)
+    zero = (Fraction(0),) * len(p.A)
+    # the solver's certificate, or the zero vector for a feasible problem
+    found = zero if out.feasible else out.certificate
+    moved = list(found)
+    moved[index % len(moved)] += sign * Fraction(1, 7)
+    for y in (found, tuple(moved), zero):
+        assert verify_certificate(p, y) == dense_verify_certificate(dense, p.b, y)
+    if not out.feasible:
+        assert verify_certificate(p, found)
