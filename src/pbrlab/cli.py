@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from fractions import Fraction
 
-from . import __version__
-from . import contextual, hilbert, nogo, ontology
+from . import __version__, ontology
 from .ontology import ModelError
 from .serialize import (digest, dumps_canonical, fmt_frac, model_from_json,
                         model_to_json, rho_pair_from_json)
@@ -38,6 +38,9 @@ REFUTE_MAX_LAMBDA = 128
 # sample draws exactly, at a few microseconds per trial: 10^7 trials take
 # about 17 s. Larger counts are refused before sampling.
 SAMPLE_MAX_N = 10 ** 7
+# The largest file pbr writes, `refute --lambda-size 128 --out`, holds about
+# 4.5 MB. Larger model and rho files are refused before parsing.
+INPUT_MAX_BYTES = 16 * 2 ** 20
 
 
 def _report(command: str, inputs: dict, payload: dict) -> dict:
@@ -58,16 +61,25 @@ def _emit(args, report: dict, human_lines, elapsed: float) -> None:
 
 
 def _load_json_file(path: str):
-    """The parsed file. A file that is not UTF-8 JSON, holds an integer of
-    more than 4300 digits or nests too deep raises ModelError."""
+    """The parsed file. A file over INPUT_MAX_BYTES, not UTF-8 JSON, holding
+    an integer of more than 4300 digits or nesting too deep raises
+    ModelError."""
     with open(path) as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size > INPUT_MAX_BYTES:
+            raise ModelError(f"{path} holds {size} bytes; input files are "
+                             f"capped at {INPUT_MAX_BYTES}")
         try:
             return json.load(fh)
         except (ValueError, RecursionError) as e:
             raise ModelError(str(e)) from e
 
 
+# Each command imports the layers it runs, so `check` and `sample` never
+# load the Born table, the LP or the interval model.
+
 def cmd_basis(args) -> int:
+    from . import hilbert
     t0 = time.perf_counter()
     basis = hilbert.pbr_basis()
     g = hilbert.gram(basis)
@@ -77,7 +89,7 @@ def cmd_basis(args) -> int:
     report = _report("basis", {}, {
         "arithmetic": "exact",
         "effects": basis.to_json(),
-        "gram": [[e.to_json() for e in row] for row in g],
+        "gram": [[hilbert.amplitude_json(e) for e in row] for row in g],
         "anchors": anchors,
         "contexts": [f"{j}{k}" for (j, k) in hilbert.CONTEXTS],
         "targets": [[fmt_frac(q) for q in row] for row in targets],
@@ -97,6 +109,7 @@ def cmd_basis(args) -> int:
 
 
 def cmd_nogo(args) -> int:
+    from . import hilbert, nogo
     t0 = time.perf_counter()
     L = args.lambda_size
     if L < 1:
@@ -148,7 +161,7 @@ def cmd_nogo(args) -> int:
         model = nogo.witness_model(problem, outcome)
         reproduced = not ontology.validate_model(model) and all(
             ontology._predict(model, ctx) == targets[c]
-            for c, ctx in enumerate(hilbert.CONTEXTS))
+            for c, ctx in enumerate(ontology.CONTEXTS))
         payload["witness"] = {
             "p": [[[fmt_frac(v) for v in row] for row in plane]
                   for plane in outcome.witness.p],
@@ -172,6 +185,7 @@ def cmd_nogo(args) -> int:
 
 
 def cmd_contradiction(args) -> int:
+    from . import nogo
     t0 = time.perf_counter()
     try:
         model = model_from_json(_load_json_file(args.model))
@@ -222,6 +236,7 @@ def cmd_contradiction(args) -> int:
 
 
 def cmd_refute(args) -> int:
+    from . import contextual, hilbert
     t0 = time.perf_counter()
     L = args.lambda_size
     if L < 1:

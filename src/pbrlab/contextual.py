@@ -12,8 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .hilbert import CONTEXTS
-from .ontology import (EpistemicState, LambdaSpace, ModelError,
+from .ontology import (CONTEXTS, EpistemicState, LambdaSpace, ModelError,
                        OntologicalModel, ResponseTable, _check_distribution,
                        _predict, support_overlap, validate_model)
 

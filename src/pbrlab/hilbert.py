@@ -12,22 +12,22 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .scalar import INV_SQRT2, RootTwo, Scalar
+# Defined in ontology, so the model path never imports this module;
+# re-exported here for callers of the Hilbert-space layer.
+from .ontology import CONTEXTS, StateError, context_index
+from .scalar import INV_SQRT2, RootTwo, coerce
 
-# Preparation contexts (j, k): which of the two named states each qubit got.
-CONTEXTS = ((1, 1), (1, 2), (2, 1), (2, 2))
+def amplitude_json(x: RootTwo) -> dict:
+    """An amplitude or Gram entry as JSON. Every one in scope is real, but
+    the schema keeps the complex form and writes the zero imaginary part."""
+    return {"re": x.to_json(), "im": coerce(0).to_json()}
 
 
-class StateError(ValueError):
-    """Raised for unnormalized states and dimension mismatches."""
-
-
-def _as_scalar(x) -> Scalar:
-    if isinstance(x, Scalar):
-        return x
-    if isinstance(x, (int, Fraction, RootTwo)):
-        return Scalar(x)
-    raise StateError(f"cannot use {type(x).__name__} as an amplitude")
+def _as_amplitude(x) -> RootTwo:
+    a = coerce(x)
+    if a is None:
+        raise StateError(f"cannot use {type(x).__name__} as an amplitude")
+    return a
 
 
 @dataclass(frozen=True)
@@ -39,18 +39,15 @@ class PureState:
         return len(self.amplitudes)
 
     def norm_sq(self) -> RootTwo:
-        total = RootTwo(0)
-        for a in self.amplitudes:
-            total = total + a.abs_sq()
-        return total
+        return inner(self, self)
 
     def to_json(self) -> list:
-        return [a.to_json() for a in self.amplitudes]
+        return [amplitude_json(a) for a in self.amplitudes]
 
 
 def make_state(amplitudes) -> PureState:
     """Build a PureState, rejecting anything that is not exactly unit norm."""
-    amps = tuple(_as_scalar(a) for a in amplitudes)
+    amps = tuple(_as_amplitude(a) for a in amplitudes)
     if not amps:
         raise StateError("state needs at least one amplitude")
     s = PureState(amps)
@@ -61,30 +58,24 @@ def make_state(amplitudes) -> PureState:
 
 
 def tensor(a: PureState, b: PureState) -> PureState:
-    out = []
-    for x in a.amplitudes:
-        for y in b.amplitudes:
-            out.append(x * y)
-    return PureState(tuple(out))
+    return PureState(tuple(x * y for x in a.amplitudes for y in b.amplitudes))
 
 
-def inner(a: PureState, b: PureState) -> Scalar:
-    """<a|b>, conjugate-linear in the first argument."""
+def inner(a: PureState, b: PureState) -> RootTwo:
+    """<a|b>; every amplitude is real, so no conjugation is needed."""
     if a.dim != b.dim:
         raise StateError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    total = Scalar(0)
-    for x, y in zip(a.amplitudes, b.amplitudes):
-        total = total + x.conjugate() * y
-    return total
+    return sum((x * y for x, y in zip(a.amplitudes, b.amplitudes)), coerce(0))
 
 
 def born(effect: PureState, state: PureState) -> Fraction:
-    """|<effect|state>|^2 as an exact rational.
+    """<effect|state>^2 as an exact rational.
 
-    For every state and effect in scope the squared modulus lands in Q;
-    an irrational result would mean the caller left that regime.
+    For every state and effect in scope the square lands in Q; an
+    irrational result would mean the caller left that regime.
     """
-    m = inner(effect, state).abs_sq()
+    overlap = inner(effect, state)
+    m = overlap * overlap
     if not m.is_rational:
         raise StateError(f"Born probability {m} is not rational")
     return m.as_fraction()
@@ -176,10 +167,3 @@ def born_targets():
         s = product_state(j, k)
         rows.append(tuple(born(e, s) for e in basis.effects))
     return tuple(rows)
-
-
-def context_index(context) -> int:
-    try:
-        return CONTEXTS.index(tuple(context))
-    except ValueError:
-        raise StateError(f"unknown context {context!r}; expected one of {CONTEXTS}")

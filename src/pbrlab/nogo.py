@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .hilbert import CONTEXTS
-from .ontology import (EpistemicState, LambdaSpace, ModelError,
+from .ontology import (CONTEXTS, EpistemicState, LambdaSpace, ModelError,
                        OntologicalModel, ResponseTable, support_overlap)
 from .simplex import solve_equalities
 

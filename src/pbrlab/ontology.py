@@ -15,8 +15,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .hilbert import CONTEXTS, context_index
-
 FLOAT_TOL = 1e-9
 
 # random.random() returns k / 2**53 for an integer k in [0, 2**53).
@@ -26,8 +24,24 @@ _RANDOM_SCALE = 1 << 53
 PRNG_NAME = "mersenne-twister (python random.Random)"
 
 
+# Preparation contexts (j, k): which of the two named states each qubit got.
+CONTEXTS = ((1, 1), (1, 2), (2, 1), (2, 2))
+
+
 class ModelError(ValueError):
     """Raised when an operation receives an invalid model."""
+
+
+class StateError(ValueError):
+    """Raised for unnormalized states, dimension mismatches and unknown
+    contexts."""
+
+
+def context_index(context) -> int:
+    try:
+        return CONTEXTS.index(tuple(context))
+    except ValueError:
+        raise StateError(f"unknown context {context!r}; expected one of {CONTEXTS}")
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,7 @@ import json
 import math
 from fractions import Fraction
 
-from .hilbert import CONTEXTS
-from .ontology import (EpistemicState, LambdaSpace, ModelError,
+from .ontology import (CONTEXTS, EpistemicState, LambdaSpace, ModelError,
                        OntologicalModel, ResponseTable)
 
 

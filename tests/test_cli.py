@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from pbrlab.cli import main
+from pbrlab.cli import INPUT_MAX_BYTES, main
 from pbrlab.contextual import build_interval_model
 from pbrlab.hilbert import born_targets
 from pbrlab.serialize import dumps_canonical, model_to_json
@@ -326,6 +326,21 @@ def test_hostile_json_exits_2(tmp_path, command, content):
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["check", "sample", "contradiction",
+                                     "nogo --rho"])
+def test_oversized_input_exits_2_before_parsing(capsys, tmp_path, command):
+    # a sparse file one byte over the cap: refused on its size, unread
+    path = tmp_path / "oversized.json"
+    with open(path, "wb") as fh:
+        fh.truncate(INPUT_MAX_BYTES + 1)
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, *_argv(command, str(path)), "--json")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and str(INPUT_MAX_BYTES) in err
 
 
 @pytest.mark.parametrize("command", ["check", "sample"])

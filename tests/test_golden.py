@@ -2,8 +2,10 @@
 `refute`, `check` and `sample` with `--json`.
 
 Each case's stdout is pinned in tests/golden/<name>.json and its exit code
-in tests/golden/exit_codes.json; a `refute` case also pins the model it
-writes with `--out`, in tests/golden/<name>_out.json. Uniform and
+in tests/golden/exit_codes.json; the human `basis` stdout, without its
+timing line, is pinned in tests/golden/basis_human.txt. A `refute` case
+also pins the model it writes with `--out`, in
+tests/golden/<name>_out.json. Uniform and
 overlapping rho take the certificate path, disjoint supports the witness
 path. The L=3 rho files hold integer weights in 1..9 drawn with
 random.Random(3), normalised; the disjoint one puts rho1 on lambda 0 and
@@ -113,6 +115,22 @@ def test_basis_and_contradiction_match_golden(name, tmp_path):
     _check(name, tmp_path)
 
 
+def _basis_human():
+    """Human `pbr basis` stdout without its timing line: it pins str() of
+    the amplitudes, e.g. 1/2*sqrt2."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["basis"])
+    return code, "".join(line for line in out.getvalue().splitlines(True)
+                         if not line.startswith("elapsed: "))
+
+
+def test_basis_human_matches_golden():
+    code, out = _basis_human()
+    assert code == 0
+    assert out == (GOLDEN / "basis_human.txt").read_text()
+
+
 if __name__ == "__main__":
     codes = {}
     with tempfile.TemporaryDirectory() as scratch:
@@ -121,5 +139,6 @@ if __name__ == "__main__":
             (GOLDEN / f"{name}.json").write_text(out)
             if written is not None:
                 (GOLDEN / f"{name}_out.json").write_text(written)
+    (GOLDEN / "basis_human.txt").write_text(_basis_human()[1])
     (GOLDEN / "exit_codes.json").write_text(
         json.dumps(codes, indent=2, sort_keys=True) + "\n")

@@ -1,10 +1,14 @@
+import json
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pbrlab.scalar import INV_SQRT2, RootTwo, Scalar, SQRT2
+from pbrlab.hilbert import born_targets
+from pbrlab.scalar import INV_SQRT2, SQRT2, RootTwo
 
 
 def test_field_ops_exact():
@@ -60,27 +64,107 @@ def test_float_roundtrip_small_denominators():
         assert math.isclose(float(x), reference, rel_tol=1e-12, abs_tol=1e-12)
 
 
-def test_complex_layer():
-    z = Scalar(RootTwo(1, 0), RootTwo(0, 1))       # 1 + i sqrt2
-    w = Scalar(RootTwo(0, 1), RootTwo(-1, 0))      # sqrt2 - i
-    # (1 + i sqrt2)(sqrt2 - i) = 2 sqrt2 + i
-    assert z * w == Scalar(RootTwo(0, 2), RootTwo(1, 0))
-    assert z.conjugate() == Scalar(RootTwo(1, 0), RootTwo(0, -1))
-    assert z.abs_sq() == RootTwo(3, 0)
-    assert z * z.inverse() == 1
-    with pytest.raises(ZeroDivisionError):
-        Scalar(0, 0).inverse()
-
-
-def test_complex_conversion():
-    z = Scalar(INV_SQRT2, INV_SQRT2)
-    c = complex(z)
-    assert abs(c - complex(1 / math.sqrt(2), 1 / math.sqrt(2))) < 1e-12
-
-
 def test_json_roundtrip():
-    z = Scalar(RootTwo(Fraction(1, 3), Fraction(-2, 7)),
-               RootTwo(Fraction(0), Fraction(5, 11)))
-    assert Scalar.from_json(z.to_json()) == z
     r = RootTwo(Fraction(-4, 9), Fraction(1, 2))
     assert RootTwo.from_json(r.to_json()) == r
+
+
+# ---------------------------------------------------------------------------
+# Reference field: p + q*sqrt2 as a pair of Fractions (p, q), written here
+# from the definitions and sharing no code with pbrlab.scalar.
+
+def _ref_add(x, y):
+    return (x[0] + y[0], x[1] + y[1])
+
+
+def _ref_neg(x):
+    return (-x[0], -x[1])
+
+
+def _ref_mul(x, y):
+    return (x[0] * y[0] + 2 * x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _ref_inverse(x):
+    n = x[0] * x[0] - 2 * x[1] * x[1]
+    return (x[0] / n, -x[1] / n)
+
+
+def _ref_json(x):
+    return {"num": str(x[0].numerator), "den": str(x[0].denominator),
+            "snum": str(x[1].numerator), "sden": str(x[1].denominator)}
+
+
+def _ref_str(x):
+    p, q = x
+    if q == 0:
+        return str(p)
+    if p == 0:
+        return f"{q}*sqrt2"
+    return f"{p}{'+' if q > 0 else ''}{q}*sqrt2"
+
+
+def _matches(r: RootTwo, x) -> bool:
+    """r holds the reference value x as a triple in lowest terms."""
+    return (r.d > 0 and math.gcd(r.a, r.b, r.d) == 1
+            and Fraction(r.a, r.d) == x[0] and Fraction(r.b, r.d) == x[1])
+
+
+_rationals = st.one_of(
+    st.builds(Fraction, st.integers(-20, 20), st.integers(1, 30)),
+    st.builds(Fraction, st.integers(-10 ** 12, 10 ** 12), st.integers(1, 10 ** 12)))
+_pairs = st.tuples(_rationals, _rationals)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_pairs, _pairs)
+def test_field_ops_match_reference(x, y):
+    rx, ry = RootTwo(*x), RootTwo(*y)
+    assert _matches(rx, x) and _matches(ry, y)
+    assert _matches(rx + ry, _ref_add(x, y))
+    assert _matches(rx - ry, _ref_add(x, _ref_neg(y)))
+    assert _matches(-rx, _ref_neg(x))
+    assert _matches(rx * ry, _ref_mul(x, y))
+    # a rational operand on either side
+    assert _matches(rx + y[0], _ref_add(x, (y[0], 0)))
+    assert _matches(y[0] - rx, _ref_add((y[0], 0), _ref_neg(x)))
+    assert _matches(y[0] * rx, _ref_mul(x, (y[0], 0)))
+    if x != (0, 0):
+        assert _matches(rx.inverse(), _ref_inverse(x))
+        assert _matches(ry / rx, _ref_mul(y, _ref_inverse(x)))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            rx.inverse()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_pairs, _pairs)
+def test_eq_hash_bool_match_reference(x, y):
+    rx, ry = RootTwo(*x), RootTwo(*y)
+    assert (rx == ry) == (x == y)
+    assert rx == RootTwo(*x) and hash(rx) == hash(RootTwo(*x))
+    # an element reached by arithmetic equals and hashes as a constructed one
+    total = rx + ry - ry
+    assert total == rx and hash(total) == hash(rx)
+    assert bool(rx) == (x != (0, 0))
+    if x[1] == 0:
+        assert rx == x[0] and hash(rx) == hash(x[0])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_pairs)
+def test_to_json_and_str_match_reference(x):
+    r = RootTwo(*x)
+    assert (json.dumps(r.to_json(), sort_keys=True)
+            == json.dumps(_ref_json(x), sort_keys=True))
+    assert str(r) == _ref_str(x)
+
+
+def test_born_targets_exact_table():
+    q = Fraction(1, 4)
+    h = Fraction(1, 2)
+    assert born_targets() == ((0, q, q, h),
+                              (q, 0, h, q),
+                              (q, h, 0, q),
+                              (h, q, q, 0))
+    assert all(type(v) is Fraction for row in born_targets() for v in row)
