@@ -33,7 +33,9 @@ EXIT_NOT_APPLICABLE = 4
 # building.
 NOGO_MAX_LAMBDA = 32
 # refute builds, checks and prints an exact model of 16 L^2 entries: about
-# 4.5 MB of JSON at L = 128. Larger sizes are refused before building.
+# 4.5 MB of JSON at L = 128, where `refute --out` takes 0.6-0.8 s from
+# process start to exit and peaks at 53 MB RSS (Python 3.11, 2 vCPUs).
+# Larger sizes are refused before building.
 REFUTE_MAX_LAMBDA = 128
 # sample draws exactly, at a few microseconds per trial: 10^7 trials take
 # about 17 s. Larger counts are refused before sampling.

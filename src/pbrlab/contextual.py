@@ -8,13 +8,13 @@ still reproduce every Born target exactly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .ontology import (CONTEXTS, EpistemicState, LambdaSpace, ModelError,
                        OntologicalModel, ResponseTable, _check_distribution,
-                       _predict, support_overlap, validate_model)
+                       _over_common_denominator, _predict, support_overlap,
+                       validate_model)
 
 
 @dataclass(frozen=True)
@@ -29,41 +29,46 @@ class RefutationReport:
         return self.born_reproduced and self.eq2_violated
 
 
-def _interval_slice(targets_row, widths) -> ResponseTable:
-    """Inverse-CDF assignment: cells of the given widths tile [0, 1);
-    outcome i owns the subinterval of length targets_row[i]. A cell's row
-    is its overlap with each outcome interval, renormalized by its width:
-    a unit row for a cell inside one outcome interval, computed overlaps
-    only for a cell straddling a boundary."""
-    L = math.isqrt(len(widths))
-    bounds = [Fraction(0)]
-    for q in targets_row:
-        bounds.append(bounds[-1] + Fraction(q))
-    zero = Fraction(0)
+def _interval_slice(targets_row, rho_j, rho_k) -> ResponseTable:
+    """Inverse-CDF assignment: cells of widths rho_j[lam] * rho_k[lamp], in
+    row-major order, tile [0, 1); outcome i owns the subinterval of length
+    targets_row[i]. A cell's row is its overlap with each outcome interval,
+    renormalized by its width: a unit row for a cell inside one outcome
+    interval, computed overlaps only for a cell straddling a boundary.
+
+    The walk runs on integers: with rho_j = a / dj, rho_k = b / dk and the
+    targets t / e, every width a * b * e and bound (t_1 + ... + t_i) * dj * dk
+    is a multiple of 1 / (dj * dk * e)."""
+    a, dj = _over_common_denominator(rho_j)
+    b, dk = _over_common_denominator(rho_k)
+    t, e = _over_common_denominator(targets_row)
+    bounds = [0]
+    for q in t:
+        bounds.append(bounds[-1] + q * dj * dk)
     units = [tuple(Fraction(int(i == j)) for i in range(4)) for j in range(4)]
 
-    rows = []  # per cell, the 4 outcome probabilities
-    pos = Fraction(0)
+    planes = ([], [], [], [])
+    pos = 0
     j = 0  # the first outcome whose interval ends after pos
-    for w in widths:
-        if w == 0:
-            rows.append(units[0])
-            continue
-        lo, hi = pos, pos + w
-        while j < 3 and bounds[j + 1] <= lo:
-            j += 1
-        if w > 0 and bounds[j] <= lo and hi <= bounds[j + 1]:
-            rows.append(units[j])
-        else:
-            rows.append(tuple(
-                max(zero, min(hi, bounds[i + 1]) - max(lo, bounds[i])) / w
-                for i in range(4)))
-        pos = hi
-
-    table = tuple(tuple(tuple(rows[lam * L + lamp][i] for lamp in range(L))
-                        for lam in range(L))
-                  for i in range(4))
-    return ResponseTable(table)
+    for a_lam in a:
+        cells = []  # per cell of this lambda, the 4 outcome probabilities
+        for w in [a_lam * e * b_lamp for b_lamp in b]:
+            if w == 0:
+                cells.append(units[0])
+                continue
+            lo, hi = pos, pos + w
+            while j < 3 and bounds[j + 1] <= lo:
+                j += 1
+            if w > 0 and bounds[j] <= lo and hi <= bounds[j + 1]:
+                cells.append(units[j])
+            else:
+                cells.append(tuple(
+                    Fraction(max(0, min(hi, bounds[i + 1]) - max(lo, bounds[i])),
+                             w) for i in range(4)))
+            pos = hi
+        for plane, row in zip(planes, zip(*cells)):
+            plane.append(row)
+    return ResponseTable(tuple(map(tuple, planes)))
 
 
 def build_interval_model(L: int, targets, rho1: EpistemicState = None,
@@ -95,14 +100,11 @@ def build_interval_model(L: int, targets, rho1: EpistemicState = None,
         raise ModelError("; ".join(report))
 
     rho = {1: rho1, 2: rho2}
-    slices = []
-    for c, (j, k) in enumerate(CONTEXTS):
-        widths = [rho[j].weights[lam] * rho[k].weights[lamp]
-                  for lam in range(L) for lamp in range(L)]
-        slices.append(_interval_slice(targets[c], widths))
+    slices = tuple(_interval_slice(targets[c], rho[j].weights, rho[k].weights)
+                   for c, (j, k) in enumerate(CONTEXTS))
 
     return OntologicalModel(mode="exact", lambda_space=LambdaSpace(L),
-                            rho1=rho1, rho2=rho2, response=tuple(slices),
+                            rho1=rho1, rho2=rho2, response=slices,
                             born_targets=targets)
 
 

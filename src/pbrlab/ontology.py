@@ -10,6 +10,7 @@ model, never inferred.
 
 from __future__ import annotations
 
+import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -156,18 +157,21 @@ def _cell_complaints(cell, tol) -> tuple:
 
 def _table_complaints(p, L, tol, checked) -> list:
     """What is wrong with one response table, or None if it is not shaped
-    4 x L x L. `checked` maps each distinct cell already seen to its
-    complaints: tables repeat a few distinct cells (an interval model holds
-    only unit rows and the cells straddling a boundary), so each is checked
-    once. Types are part of the key: 1/2 and 0.5 print differently, and
-    float sums round where Fraction sums do not."""
+    4 x L x L. `checked` maps each cell already seen, keyed by the
+    identities of its 4 entries, to its complaints: tables repeat a few
+    distinct cells (an interval model holds only unit rows and the cells
+    straddling a boundary, and a model read from JSON shares one entry
+    object per distinct literal), so each is checked once without hashing
+    or comparing a single Fraction. The entries stay alive while the model
+    does, so their ids are not reused during one validation, and the same
+    objects have the same types: 1/2 and 0.5 never share a key."""
     if len(p) != 4 or any(len(p[i]) != L or any(len(row) != L for row in p[i])
                           for i in range(len(p))):
         return None
     report = []
     for lam, rows in enumerate(zip(*p)):
         for lamp, cell in enumerate(zip(*rows)):
-            key = (cell, tuple(map(type, cell)))
+            key = tuple(map(id, cell))
             complaints = checked.get(key)
             if complaints is None:
                 complaints = checked[key] = _cell_complaints(cell, tol)
@@ -241,24 +245,50 @@ def predict(m: OntologicalModel, context) -> tuple:
     return _predict(m, context)
 
 
+def _over_common_denominator(values):
+    """(numerators, d): integers with values[i] == numerators[i] / d, d the
+    least common denominator."""
+    ratios = [v.as_integer_ratio() for v in values]
+    d = math.lcm(*(den for _, den in ratios))
+    return [num * (d // den) for num, den in ratios], d
+
+
 def _predict(m: OntologicalModel, context) -> tuple:
     """`predict` for a model the caller has validated."""
     planes = m.table(context).p
     j, k = context
     rj = (m.rho1 if j == 1 else m.rho2).weights
     rk = (m.rho1 if k == 1 else m.rho2).weights
-    # A component with no nonzero term stays in the model's arithmetic, so
-    # it prints as "0" in exact mode.
-    zero = Fraction(0) if m.mode == "exact" else 0.0
+    if m.mode != "exact":
+        out = []
+        for plane in planes:
+            total = 0.0
+            for wj, row in zip(rj, plane):
+                if wj:
+                    inner = sum(wk * v for wk, v in zip(rk, row) if v)
+                    if inner:
+                        total += wj * inner
+            out.append(total)
+        return tuple(out)
+    # With rho_j = a / dj and rho_k = b / dk, a component is
+    # sum(a * b * v) / (dj * dk). The integer products a * b * num(v) are
+    # summed per denominator of v, so a table of a few distinct entries
+    # costs a few Fraction additions per component.
+    a, dj = _over_common_denominator(rj)
+    b, dk = _over_common_denominator(rk)
     out = []
     for plane in planes:
-        total = zero
-        for wj, row in zip(rj, plane):
-            if wj:
-                inner = sum(wk * v for wk, v in zip(rk, row) if v)
-                if inner:
-                    total += wj * inner
-        out.append(total)
+        sums = {}  # denominator of v -> sum of a * b * num(v)
+        for a_lam, row in zip(a, plane):
+            if a_lam:
+                for b_lamp, v in zip(b, row):
+                    num, den = v.as_integer_ratio()
+                    if num and b_lamp:
+                        sums[den] = sums.get(den, 0) + a_lam * b_lamp * num
+        total = Fraction(0)
+        for den, num in sums.items():
+            total += Fraction(num, den)
+        out.append(total / (dj * dk))
     return tuple(out)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 from fractions import Fraction
 
 from .ontology import (CONTEXTS, EpistemicState, LambdaSpace, ModelError,
@@ -31,9 +32,18 @@ def fmt_frac(x: Fraction) -> str:
         raise ModelError("an exact number has too many digits to print") from e
 
 
+# An optional sign, ASCII digits, and optionally "/" and ASCII digits.
+# Fraction itself also reads decimals and exponents, and expands
+# "1e10000000" into a 10-million-digit integer before anything can check it.
+_EXACT_TEXT = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+
+
 def parse_frac(s) -> Fraction:
+    if isinstance(s, str):
+        if _EXACT_TEXT.fullmatch(s):
+            return Fraction(s)
     # bool is a subclass of int; JSON true/false is not a number.
-    if isinstance(s, str) or (isinstance(s, int) and not isinstance(s, bool)):
+    elif isinstance(s, int) and not isinstance(s, bool):
         return Fraction(s)
     raise ModelError(f"expected an exact 'num/den' string, got {s!r}")
 
@@ -63,14 +73,17 @@ def parse_number(x, mode: str):
 
 def _number_parser(mode: str):
     """`parse_number` for one model load. In exact mode it is memoised by
-    input string, since a refute model spells out "0" and "1" 25,600 times
-    at L = 40; a string that fails to parse raises every time."""
+    JSON string and integer literal, since a refute model spells out "0"
+    and "1" 25,600 times at L = 40: each distinct literal becomes one
+    shared Fraction, which validation then checks once per distinct cell.
+    Other values (true, 0.5, lists) are never looked up, since true == 1
+    and 1.0 == 1; a literal that fails to parse raises every time."""
     if mode == "float":
         return lambda x: parse_number(x, mode)
     parsed = {}
 
     def parse(x):
-        if type(x) is not str:
+        if type(x) is not str and type(x) is not int:
             return parse_frac(x)
         v = parsed.get(x)
         if v is None:
@@ -89,8 +102,17 @@ def _targets_from_json(rows):
     return tuple(tuple(parse_frac(q) for q in row) for row in rows)
 
 
-def _table_to_json(t: ResponseTable, mode):
-    return [[[fmt_number(v, mode) for v in row] for row in plane] for plane in t.p]
+def _table_to_json(t: ResponseTable, mode, shown: dict):
+    """The table's JSON lists. `shown` maps the id of each entry object
+    already formatted, in this or an earlier table of the same model, to its
+    text, so a table of a few shared entries formats each of them once (a
+    float-mode 0.0 reads as not shown and is formatted again)."""
+    def fmt(v):
+        text = shown[id(v)] = fmt_number(v, mode)
+        return text
+    get = shown.get
+    return [[[get(id(v)) or fmt(v) for v in row] for row in plane]
+            for plane in t.p]
 
 
 def _table_from_json(p, parse) -> ResponseTable:
@@ -106,13 +128,15 @@ def model_to_json(m) -> dict:
         "rho2": [fmt_number(w, m.mode) for w in m.rho2.weights],
         "born_targets": _targets_to_json(m.born_targets),
     }
+    shown = {}
     if m.contextual:
         d["response"] = {"kind": "contextual",
-                         "p": {f"{j}{k}": _table_to_json(m.table((j, k)), m.mode)
+                         "p": {f"{j}{k}": _table_to_json(m.table((j, k)),
+                                                         m.mode, shown)
                                for (j, k) in CONTEXTS}}
     else:
         d["response"] = {"kind": "noncontextual",
-                         "p": _table_to_json(m.response[0], m.mode)}
+                         "p": _table_to_json(m.response[0], m.mode, shown)}
     return d
 
 

@@ -1,10 +1,11 @@
 """Straightforward references for pbrlab's contextual path: the response
-validation, the Monte Carlo draw and the interval slice as first written,
-with every cell checked, every CDF re-summed on each draw and every cell's
-overlap computed; and the validation of a contextual model as first
-written, one slice at a time with the repeated complaints dropped by their
-text. Tests require pbrlab's versions to return exactly the same reports,
-counts and tables.
+validation, the Monte Carlo draw, the interval slice and the exact
+prediction as first written, with every cell checked, every CDF re-summed
+on each draw, every cell's overlap computed in Fractions and every
+prediction term added as a Fraction; and the validation of a contextual
+model as first written, one slice at a time with the repeated complaints
+dropped by their text. Tests require pbrlab's versions to return exactly
+the same reports, counts, tables and predictions.
 """
 
 import math
@@ -164,3 +165,22 @@ def interval_slice(targets_row, widths) -> ResponseTable:
                         for lam in range(L))
                   for i in range(4))
     return ResponseTable(table)
+
+
+def predict(m, context) -> tuple:
+    """Outcome distribution of an exact model for the (j, k) preparation,
+    summed in Fractions term by term."""
+    planes = m.table(context).p
+    j, k = context
+    rj = (m.rho1 if j == 1 else m.rho2).weights
+    rk = (m.rho1 if k == 1 else m.rho2).weights
+    out = []
+    for plane in planes:
+        total = Fraction(0)
+        for wj, row in zip(rj, plane):
+            if wj:
+                inner = sum(wk * v for wk, v in zip(rk, row) if v)
+                if inner:
+                    total += wj * inner
+        out.append(total)
+    return tuple(out)

@@ -427,3 +427,27 @@ def test_result_too_long_to_print_exits_2(tmp_path, command):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == "error: an exact number has too many digits to print\n"
+
+
+@pytest.mark.parametrize("command", ["check", "sample", "contradiction",
+                                     "nogo --rho"])
+@pytest.mark.parametrize("literal", ["1e10000000", "1e-10000000", "0.5",
+                                     " 1/2"])
+def test_non_fraction_strings_exit_2_at_once(capsys, tmp_path, command,
+                                              literal):
+    # Fraction() itself would read "1e10000000" as a 10-million-digit
+    # integer, which took over 10 s; only "num/den" text is accepted.
+    if command == "nogo --rho":
+        doc = json.loads((GOLDEN / "rho_L2_point_masses.json").read_text())
+        doc["rho1"][0] = literal
+    else:
+        doc = json.loads((GOLDEN / "model_L3_noncontextual.json").read_text())
+        doc["response"]["p"][0][0][0] = literal
+    path = tmp_path / "exponent.json"
+    path.write_text(json.dumps(doc))
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, *_argv(command, str(path)), "--json")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and repr(literal) in err

@@ -4,9 +4,10 @@ file holds, `check`, `sample`, `contradiction` and `nogo --rho` exit 0, 2,
 
 Each example takes a valid file from tests/golden/ and applies one to three
 mutations at random places in its JSON tree: a key or element dropped, a
-value replaced by "1/0", a boolean, a huge integer, a float, a string, null
-or an empty container, a list wrapped, emptied, cut short or grown, or the
-mode switched. The example count keeps the test to a few seconds.
+value replaced by "1/0", a boolean, a huge integer, a float, a string (an
+exponent such as "1e999999999" among them), null or an empty container, a
+list wrapped, emptied, cut short or grown, or the mode switched. The
+example count keeps the test to a few seconds.
 """
 
 import contextlib
@@ -31,7 +32,8 @@ CONTRACT = {0, 2, 3, 4}
 REPLACEMENTS = ["1/0", "0/0", "1/2", "-1", "abc", "", True, False, None,
                 10 ** 4000, -(10 ** 30), 2 ** 64, 0.5, -0.0, 1e308, 7,
                 [], {}, ["1/2", "1/2"], {"kind": "contextual"},
-                "exact", "float", "contextual", "noncontextual"]
+                "exact", "float", "contextual", "noncontextual",
+                "1e999999999", "-2E-9", "0.5"]
 
 
 def _paths(node, path=()):

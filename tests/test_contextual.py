@@ -1,13 +1,16 @@
+import json
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from pbrlab import ontology
 from pbrlab.contextual import build_interval_model, refutation_report
 from pbrlab.hilbert import CONTEXTS, born_targets
 from pbrlab.nogo import ContradictionProof, derive_contradiction
 from pbrlab.ontology import (EpistemicState, ModelError, predict,
                              support_overlap, validate_model)
+from pbrlab.serialize import dumps_canonical, model_from_json, model_to_json
 
 PBR = born_targets()
 
@@ -171,3 +174,32 @@ def test_thesis_both_directions_on_same_inputs():
     u = EpistemicState.uniform(2)
     assert not solve_feasibility(build_feasibility(u, u, PBR)).feasible
     assert refutation_report(build_interval_model(2, PBR)).collapse
+
+
+def _integer_literals(node):
+    """`node` with every "0" and "1" string turned into a JSON integer."""
+    if isinstance(node, dict):
+        return {key: _integer_literals(v) for key, v in node.items()}
+    if isinstance(node, list):
+        return [_integer_literals(v) for v in node]
+    return int(node) if node in ("0", "1") else node
+
+
+@pytest.mark.parametrize("source", ["built", "as written", "integer literals"])
+def test_validation_checks_each_distinct_cell_once(monkeypatch, source):
+    # At L = 40 every cell of the interval model is a unit row, so a table
+    # holds at most 4 distinct cells; the memo must see them as such, or
+    # validation falls back to 6400 Fraction checks per table.
+    model = build_interval_model(40, PBR)
+    if source != "built":
+        doc = json.loads(dumps_canonical(model_to_json(model)))
+        if source == "integer literals":
+            doc = _integer_literals(doc)
+        model = model_from_json(doc)
+    calls = []
+    check_cell = ontology._cell_complaints
+    monkeypatch.setattr(ontology, "_cell_complaints",
+                        lambda cell, tol: calls.append(cell) or
+                        check_cell(cell, tol))
+    assert validate_model(model) == []
+    assert 0 < len(calls) <= 4 * len(model.response)

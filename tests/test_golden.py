@@ -14,7 +14,10 @@ in 1..1000 drawn with random.Random(7), normalised: the overlapping one
 gives full support to both states (a certificate after many pivots), the
 disjoint one puts rho1 on 3 points and rho2 on the other 4 (a witness).
 
-The input models are tests/golden/model_*.json: the L=3 interval model
+The L=7 `refute --out` model, whose cell widths of 1/49 straddle every
+Born boundary, is also read back by `check` and by `sample` in contexts 11
+and 22 (`python tests/test_golden.py` writes it before those cases run).
+The other input models are tests/golden/model_*.json: the L=3 interval model
 (`refute --lambda-size 3 --out`); a copy of it with rho1 summing to 7/6,
 entries 3/2 and -1/4, a short row in context 22 and a target row summing
 to 3/2; the context-12 slice of the L=3 interval model built on rho1 =
@@ -47,6 +50,8 @@ def _model(name):
     return str(GOLDEN / f"model_{name}.json")
 
 
+REFUTE_L7 = GOLDEN / "refute_L7_out.json"
+
 NOGO_CASES = {
     **{f"nogo_uniform_L{L}": ["nogo", "--lambda-size", str(L), "--json"]
        for L in (1, 2, 3, 4, 12)},
@@ -59,7 +64,7 @@ NOGO_CASES = {
 CONTEXTUAL_CASES = {
     **{f"refute_L{L}": ["refute", "--lambda-size", str(L), "--out", OUT,
                         "--json"]
-       for L in (2, 3)},
+       for L in (2, 3, 7)},
     **{f"check_L3_{name}": ["check", "--model", _model(f"L3_{name}"), "--json"]
        for name in ("contextual", "contextual_invalid", "noncontextual",
                     "float")},
@@ -71,6 +76,13 @@ CONTEXTUAL_CASES = {
                                 "--context", "12", "--n", "2000",
                                 "--seed", "11", "--json"]
        for name in ("noncontextual", "float")},
+    # The L=7 model read back from the golden `refute --out` file: widths of
+    # 1/49 straddle every Born boundary, so every slice splits cells.
+    "check_L7_contextual": ["check", "--model", str(REFUTE_L7), "--json"],
+    **{f"sample_L7_contextual_{c}": ["sample", "--model", str(REFUTE_L7),
+                                     "--context", c, "--n", "2000",
+                                     "--seed", "11", "--json"]
+       for c in ("11", "22")},
 }
 OTHER_CASES = {
     "basis": ["basis", "--json"],
@@ -134,7 +146,8 @@ def test_basis_human_matches_golden():
 if __name__ == "__main__":
     codes = {}
     with tempfile.TemporaryDirectory() as scratch:
-        for name in sorted(CASES):
+        # refute first: the L=7 check and sample cases read its model.
+        for name in sorted(CASES, key=lambda n: (CASES[n][0] != "refute", n)):
             codes[name], out, written = _run_case(name, Path(scratch))
             (GOLDEN / f"{name}.json").write_text(out)
             if written is not None:

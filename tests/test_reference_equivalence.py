@@ -1,7 +1,8 @@
-"""pbrlab's validation, sampling and interval slices against the
-straightforward versions in tests/reference_ontology.py: same reports
-(for noncontextual and contextual models), same seeded counts, same
-tables, value for value and type for type."""
+"""pbrlab's validation, sampling, interval slices and exact prediction
+against the straightforward versions in tests/reference_ontology.py: same
+reports (for noncontextual and contextual models), same seeded counts, same
+tables and interval models, same predictions, value for value and type for
+type."""
 
 from fractions import Fraction
 
@@ -9,10 +10,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import reference_ontology as ref
-from pbrlab.contextual import _interval_slice
+from pbrlab.contextual import _interval_slice, build_interval_model
 from pbrlab.hilbert import CONTEXTS, born_targets
+from pbrlab.nogo import build_feasibility, solve_feasibility, witness_model
 from pbrlab.ontology import (EpistemicState, LambdaSpace, OntologicalModel,
-                             ResponseTable, _cdf, sample, validate_model)
+                             ResponseTable, _cdf, _predict, sample,
+                             validate_model)
 
 # Equal values of different types (1/2, 0.5), entries just inside and just
 # outside the float tolerance, and entries outside [0, 1].
@@ -145,6 +148,10 @@ def test_exact_thresholds_decide_random_draws(data):
         assert Fraction(t - 1, 2 ** 53) < acc <= Fraction(t, 2 ** 53)
 
 
+def _types(planes):
+    return [type(v) for plane in planes for row in plane for v in row]
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.data())
 def test_interval_slice_matches_reference(data):
@@ -157,10 +164,83 @@ def test_interval_slice_matches_reference(data):
         weights = st.lists(st.fractions(-1, 2, max_denominator=6),
                            min_size=L, max_size=L)
         rho_j, rho_k = data.draw(weights), data.draw(weights)
-    widths = [a * b for a in rho_j for b in rho_k]
     targets = data.draw(_exact_distribution(4))
-    got = _interval_slice(targets, widths).p
-    want = ref.interval_slice(targets, widths).p
+    got = _interval_slice(targets, rho_j, rho_k).p
+    want = ref.interval_slice(targets, [a * b for a in rho_j for b in rho_k]).p
     assert got == want
-    assert [type(v) for plane in got for row in plane for v in row] == \
-        [type(v) for plane in want for row in plane for v in row]
+    assert _types(got) == _types(want)
+
+
+@st.composite
+def _mixed_distribution(draw, size):
+    """Fractions over different denominators, zeros included, summing to 1;
+    sometimes a point mass held as the int 1 or Fraction(1) among int or
+    Fraction zeros."""
+    if draw(st.booleans()):
+        one = draw(st.sampled_from((1, Fraction(1))))
+        zero = draw(st.sampled_from((0, Fraction(0))))
+        at = draw(st.integers(0, size - 1))
+        return tuple(one if i == at else zero for i in range(size))
+    w = draw(st.lists(st.fractions(0, 5, max_denominator=9), min_size=size,
+                      max_size=size).filter(any))
+    return tuple(v / sum(w) for v in w)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.data())
+def test_interval_model_matches_reference(data):
+    L = data.draw(st.integers(1, 6))
+    rho = {1: data.draw(_mixed_distribution(L)),
+           2: data.draw(_mixed_distribution(L))}
+    targets = born_targets() if data.draw(st.booleans()) else tuple(
+        data.draw(_mixed_distribution(4)) for _ in CONTEXTS)
+    m = build_interval_model(L, targets, EpistemicState(rho[1]),
+                             EpistemicState(rho[2]))
+    for table, row, (j, k) in zip(m.response, targets, CONTEXTS):
+        want = ref.interval_slice(
+            tuple(map(Fraction, row)), [a * b for a in rho[j] for b in rho[k]]).p
+        assert table.p == want
+        assert _types(table.p) == _types(want)
+
+
+def _assert_predictions_match(m):
+    for context in CONTEXTS:
+        got, want = _predict(m, context), ref.predict(m, context)
+        assert got == want
+        assert list(map(type, got)) == list(map(type, want))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_exact_prediction_matches_reference(data):
+    L = data.draw(st.integers(1, 5))
+    cells = data.draw(st.lists(_mixed_distribution(4), min_size=1, max_size=4))
+    tables = tuple(
+        _table(data.draw(st.lists(st.sampled_from(cells), min_size=L * L,
+                                  max_size=L * L)), L)
+        for _ in range(data.draw(st.sampled_from((1, 4)))))
+    m = OntologicalModel(
+        mode="exact", lambda_space=LambdaSpace(L),
+        rho1=EpistemicState(data.draw(_mixed_distribution(L))),
+        rho2=EpistemicState(data.draw(_mixed_distribution(L))),
+        response=tables, born_targets=born_targets())
+    _assert_predictions_match(m)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.data())
+def test_witness_prediction_matches_reference(data):
+    """LP witnesses of disjoint rho with distinct weights: entries over
+    many different denominators."""
+    L = data.draw(st.integers(2, 5))
+    cut = data.draw(st.integers(1, L - 1))
+    w = data.draw(st.lists(st.integers(1, 1000), min_size=L, max_size=L,
+                           unique=True))
+    r1 = EpistemicState(tuple(Fraction(v, sum(w[:cut])) if i < cut else
+                              Fraction(0) for i, v in enumerate(w)))
+    r2 = EpistemicState(tuple(Fraction(0) if i < cut else
+                              Fraction(v, sum(w[cut:])) for i, v in enumerate(w)))
+    problem = build_feasibility(r1, r2, born_targets())
+    m = witness_model(problem, solve_feasibility(problem))
+    assert validate_model(m) == []
+    _assert_predictions_match(m)

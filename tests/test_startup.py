@@ -48,6 +48,20 @@ def test_model_commands_skip_the_born_table_and_the_lp(argv):
     assert not HEAVY & set(loaded)
 
 
+@pytest.mark.parametrize("argv, loads, skips", [
+    (["refute", "--lambda-size", "2"], {"pbrlab.contextual", "pbrlab.hilbert"},
+     {"pbrlab.nogo", "pbrlab.simplex"}),
+    (["nogo", "--lambda-size", "2"], {"pbrlab.nogo", "pbrlab.simplex"},
+     {"pbrlab.contextual"}),
+], ids=["refute", "nogo"])
+def test_refute_and_nogo_load_only_their_layers(argv, loads, skips):
+    loaded = _fresh("import contextlib, io, pbrlab.cli\n"
+                    "with contextlib.redirect_stdout(io.StringIO()):\n"
+                    f"    assert pbrlab.cli.main({argv!r}) == 0\n" + _LOADED)
+    assert loads <= set(loaded)
+    assert not skips & set(loaded)
+
+
 def test_public_names_resolve_lazily():
     result = _fresh(
         "import json, pbrlab\n"
