@@ -12,7 +12,6 @@ import json
 import os
 import sys
 import time
-from fractions import Fraction
 
 from . import __version__, ontology
 from .ontology import ModelError
@@ -332,8 +331,7 @@ def cmd_sample(args) -> int:
     payload = {
         "generator": ontology.PRNG_NAME,
         "counts": list(counts.counts),
-        "predicted": [fmt_frac(p) if isinstance(p, Fraction) else float(f"{p:.6g}")
-                      for p in predicted],
+        "predicted": [fmt_frac(p) for p in predicted],
         "frequencies": [float(f"{c / args.n:.6g}") if args.n else 0.0
                         for c in counts.counts],
         "chi_square": float(f"{stat:.6g}"),
@@ -341,9 +339,7 @@ def cmd_sample(args) -> int:
     lines = [f"context {context[0]}{context[1]}, n = {args.n}, seed = {args.seed}",
              f"generator: {ontology.PRNG_NAME}",
              "counts:    " + " ".join(str(c) for c in counts.counts),
-             "predicted: " + " ".join(
-                 fmt_frac(p) if isinstance(p, Fraction) else f"{p:.6g}"
-                 for p in predicted),
+             "predicted: " + " ".join(fmt_frac(p) for p in predicted),
              f"chi-square: {stat:.6g}"]
     _emit(args, _report("sample", inputs, payload), lines,
           time.perf_counter() - t0)

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .ontology import (CONTEXTS, EpistemicState, LambdaSpace, ModelError,
-                       OntologicalModel, ResponseTable, _check_distribution,
-                       _over_common_denominator, _predict, support_overlap,
+                       OntologicalModel, ResponseTable, _over_common_denominator,
+                       _predict, _require_inputs, support_overlap,
                        validate_model)
 
 
@@ -82,30 +82,18 @@ def build_interval_model(L: int, targets, rho1: EpistemicState = None,
     """
     if L < 1:
         raise ModelError(f"lambda space size must be >= 1, got {L}")
-    if len(targets) != 4 or any(len(row) != 4 for row in targets):
-        raise ModelError("targets must be 4x4")
-    targets = tuple(tuple(Fraction(q) for q in row) for row in targets)
-    for c, row in enumerate(targets):
-        if any(q < 0 for q in row) or sum(row) != 1:
-            raise ModelError(f"targets row for context {CONTEXTS[c]} is not a distribution")
-
     if rho1 is None:
         rho1 = EpistemicState.uniform(L)
     if rho2 is None:
         rho2 = EpistemicState.uniform(L)
-    report = []
-    _check_distribution("rho1", rho1.weights, L, 0, report)
-    _check_distribution("rho2", rho2.weights, L, 0, report)
-    if report:
-        raise ModelError("; ".join(report))
-
+    _require_inputs(rho1, rho2, L, targets)
+    targets = tuple(tuple(Fraction(q) for q in row) for row in targets)
     rho = {1: rho1, 2: rho2}
     slices = tuple(_interval_slice(targets[c], rho[j].weights, rho[k].weights)
                    for c, (j, k) in enumerate(CONTEXTS))
 
-    return OntologicalModel(mode="exact", lambda_space=LambdaSpace(L),
-                            rho1=rho1, rho2=rho2, response=slices,
-                            born_targets=targets)
+    return OntologicalModel(lambda_space=LambdaSpace(L), rho1=rho1, rho2=rho2,
+                            response=slices, born_targets=targets)
 
 
 def refutation_report(m: OntologicalModel) -> RefutationReport:

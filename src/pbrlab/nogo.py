@@ -14,7 +14,8 @@ from fractions import Fraction
 from math import lcm
 
 from .ontology import (CONTEXTS, EpistemicState, LambdaSpace, ModelError,
-                       OntologicalModel, ResponseTable, support_overlap)
+                       OntologicalModel, ResponseTable, _require_inputs,
+                       support_overlap)
 from .simplex import solve_equalities
 
 _ONE = Fraction(1)
@@ -76,27 +77,14 @@ class NoOverlap:
     """Returned when the supports are disjoint and the argument does not bite."""
 
 
-def _check_inputs(r1, r2, targets):
-    if r1.size != r2.size:
-        raise ModelError(f"epistemic states disagree on L: {r1.size} vs {r2.size}")
-    for rho, name in ((r1, "rho1"), (r2, "rho2")):
-        if any(w < 0 for w in rho.weights) or sum(rho.weights) != 1:
-            raise ModelError(f"{name} is not a probability distribution")
-    if len(targets) != 4 or any(len(row) != 4 for row in targets):
-        raise ModelError("targets must be 4x4")
-    for c, row in enumerate(targets):
-        if sum(row) != 1:
-            raise ModelError(f"targets row for context {CONTEXTS[c]} sums to {sum(row)}")
-
-
 def _var(i: int, lam: int, lamp: int, L: int) -> int:
     return (i * L + lam) * L + lamp
 
 
 def build_feasibility(r1: EpistemicState, r2: EpistemicState,
                       targets) -> FeasibilityProblem:
-    _check_inputs(r1, r2, targets)
     L = r1.size
+    _require_inputs(r1, r2, L, targets)
     A, b, labels = [], [], []
 
     for lam in range(L):
@@ -172,7 +160,7 @@ def witness_model(p: FeasibilityProblem,
     """Package a feasible witness for validation and prediction checks."""
     if not outcome.feasible:
         raise ModelError("no witness: the problem is infeasible")
-    return OntologicalModel(mode="exact", lambda_space=LambdaSpace(p.lambda_size),
+    return OntologicalModel(lambda_space=LambdaSpace(p.lambda_size),
                             rho1=p.rho1, rho2=p.rho2, response=(outcome.witness,),
                             born_targets=p.targets)
 
@@ -184,13 +172,10 @@ def derive_contradiction(m: OntologicalModel):
 
     Returns a ContradictionProof, or NoOverlap() when the supports are
     disjoint. Noncontextual models only: a response that may depend on the
-    prepared states escapes the argument. Exact mode only; "probability is
-    zero" is not tolerance-robust.
+    prepared states escapes the argument.
     """
     if m.contextual:
         raise ModelError("the forcing argument applies to noncontextual models")
-    if m.mode != "exact":
-        raise ModelError("contradiction derivation requires an exact-mode model")
 
     zero_contexts = []
     for i in range(1, 5):

@@ -2,10 +2,9 @@
 response tables, the product-form prediction rule, support overlap,
 and seeded Monte Carlo sampling.
 
-Two arithmetic modes exist. "exact" keeps every number a Fraction and is
-the only mode the no-go machinery accepts; "float" trades exactness for
-speed with a fixed 1e-9 validation tolerance. The mode is part of the
-model, never inferred.
+Every number is exact: weights, response entries and targets are
+Fractions, compared with no tolerance, since the no-go argument turns on
+probabilities that are exactly 0.
 """
 
 from __future__ import annotations
@@ -15,8 +14,6 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-
-FLOAT_TOL = 1e-9
 
 # random.random() returns k / 2**53 for an integer k in [0, 2**53).
 _RANDOM_SCALE = 1 << 53
@@ -52,7 +49,7 @@ class LambdaSpace:
 
 @dataclass(frozen=True)
 class EpistemicState:
-    weights: tuple  # Fractions in exact mode, floats in float mode
+    weights: tuple  # Fractions
 
     @property
     def size(self) -> int:
@@ -79,7 +76,6 @@ class OntologicalModel:
     """A noncontextual model holds one response table, used in every
     preparation context; a contextual one holds one table per context, in
     CONTEXTS order, so its response may depend on the prepared states."""
-    mode: str  # "exact" | "float"
     lambda_space: LambdaSpace
     rho1: EpistemicState
     rho2: EpistemicState
@@ -113,10 +109,6 @@ class OutcomeCounts:
     seed: int
 
 
-def _tol(mode: str) -> float:
-    return FLOAT_TOL if mode == "float" else 0
-
-
 def _show(x) -> str:
     """str(x) for a complaint; an exact number whose numerator or
     denominator has more digits than int-to-str conversion allows (4300 by
@@ -128,34 +120,34 @@ def _show(x) -> str:
                 f"{x.denominator.bit_length()} bits, too long to print>")
 
 
-def _check_distribution(name, weights, size, tol, report):
+def _check_distribution(name, weights, size, report):
     if len(weights) != size:
         report.append(f"{name} has {len(weights)} weights, lambda space has {size}")
         return
     for i, w in enumerate(weights):
-        if w < -tol:
+        if w < 0:
             report.append(f"{name}[{i}] is negative: {_show(w)}")
     total = sum(weights)
-    if abs(total - 1) > tol:
+    if total != 1:
         report.append(f"{name} sums to {_show(total)}, not 1")
 
 
-def _cell_complaints(cell, tol) -> tuple:
+def _cell_complaints(cell) -> tuple:
     """What is wrong with one cell's 4 outcome probabilities, as (1-based
     outcome, text) pairs; outcome 0 stands for the row sum."""
     out = []
     row_sum = 0
     for i, v in enumerate(cell):
-        if v < -tol or v > 1 + tol:
+        if v < 0 or v > 1:
             out.append((i + 1, f"= {_show(v)} outside [0, 1]"))
         row_sum += v
-    if abs(row_sum - 1) > tol:
+    if row_sum != 1:
         out.append((0, f"sum to {_show(row_sum)}, "
                        f"deficit {_show(1 - row_sum)}"))
     return tuple(out)
 
 
-def _table_complaints(p, L, tol, checked) -> list:
+def _table_complaints(p, L, checked) -> list:
     """What is wrong with one response table, or None if it is not shaped
     4 x L x L. `checked` maps each cell already seen, keyed by the
     identities of its 4 entries, to its complaints: tables repeat a few
@@ -174,7 +166,7 @@ def _table_complaints(p, L, tol, checked) -> list:
             key = tuple(map(id, cell))
             complaints = checked.get(key)
             if complaints is None:
-                complaints = checked[key] = _cell_complaints(cell, tol)
+                complaints = checked[key] = _cell_complaints(cell)
             for outcome, text in complaints:
                 where = (f"response[{outcome}][{lam}][{lamp}]" if outcome else
                          f"response rows at (lambda={lam}, lambda'={lamp})")
@@ -182,17 +174,17 @@ def _table_complaints(p, L, tol, checked) -> list:
     return report
 
 
-def _target_complaints(targets, tol) -> list:
+def _target_complaints(targets) -> list:
     if len(targets) != 4 or any(len(r) != 4 for r in targets):
         return ["born_targets is not 4 x 4"]
     report = []
     for c, row in enumerate(targets):
         for i, q in enumerate(row):
-            if q < -tol or q > 1 + tol:
+            if q < 0 or q > 1:
                 report.append(f"born_targets[{CONTEXTS[c]}][outcome {i + 1}] = {_show(q)} "
                               "outside [0, 1]")
         total = sum(row)
-        if abs(total - 1) > tol:
+        if total != 1:
             report.append(f"born_targets row for context {CONTEXTS[c]} "
                           f"sums to {_show(total)}")
     return report
@@ -209,20 +201,17 @@ def validate_model(m: OntologicalModel) -> list:
         return ["response needs one table, or one per context"]
     prefixes = ([f"context {j}{k}: " for j, k in CONTEXTS] if m.contextual
                 else [""])
-    if m.mode not in ("exact", "float"):
-        return [f"{prefixes[0]}unknown mode {m.mode!r}"]
-    tol = _tol(m.mode)
     L = m.lambda_space.size
     if L < 1:
         return [f"{prefixes[0]}lambda space size must be >= 1, got {L}"]
     shared = []
-    _check_distribution("rho1", m.rho1.weights, L, tol, shared)
-    _check_distribution("rho2", m.rho2.weights, L, tol, shared)
+    _check_distribution("rho1", m.rho1.weights, L, shared)
+    _check_distribution("rho2", m.rho2.weights, L, shared)
     report = [prefixes[0] + line for line in shared]
-    targets = _target_complaints(m.born_targets, tol)
+    targets = _target_complaints(m.born_targets)
     checked = {}
     for prefix, table in zip(prefixes, m.response):
-        lines = _table_complaints(table.p, L, tol, checked)
+        lines = _table_complaints(table.p, L, checked)
         if lines is None:
             report.append(f"{prefix}response table is not shaped 4 x L x L")
             continue
@@ -236,6 +225,17 @@ def _require_valid(m):
     report = validate_model(m)
     if report:
         raise ModelError("invalid model: " + "; ".join(report))
+
+
+def _require_inputs(rho1, rho2, size, targets):
+    """Raise one ModelError joining the complaints validate_model makes of
+    these epistemic states over `size` hidden states and these targets."""
+    report = []
+    _check_distribution("rho1", rho1.weights, size, report)
+    _check_distribution("rho2", rho2.weights, size, report)
+    report += _target_complaints(targets)
+    if report:
+        raise ModelError("; ".join(report))
 
 
 def predict(m: OntologicalModel, context) -> tuple:
@@ -259,17 +259,6 @@ def _predict(m: OntologicalModel, context) -> tuple:
     j, k = context
     rj = (m.rho1 if j == 1 else m.rho2).weights
     rk = (m.rho1 if k == 1 else m.rho2).weights
-    if m.mode != "exact":
-        out = []
-        for plane in planes:
-            total = 0.0
-            for wj, row in zip(rj, plane):
-                if wj:
-                    inner = sum(wk * v for wk, v in zip(rk, row) if v)
-                    if inner:
-                        total += wj * inner
-            out.append(total)
-        return tuple(out)
     # With rho_j = a / dj and rho_k = b / dk, a component is
     # sum(a * b * v) / (dj * dk). The integer products a * b * num(v) are
     # summed per denominator of v, so a table of a few distinct entries
@@ -300,19 +289,15 @@ def support_overlap(r1: EpistemicState, r2: EpistemicState) -> SupportOverlap:
     return SupportOverlap(disjoint=disjoint, overlap_mass=mass)
 
 
-def _cdf(weights, exact: bool) -> list:
-    """Cumulative sums of `weights`, added up in their own arithmetic. In
-    exact mode each sum acc is stored as the integer ceil(acc * 2**53):
-    random() returns k / 2**53 for an integer k, and k / 2**53 < acc iff
-    k < ceil(acc * 2**53)."""
+def _cdf(weights) -> list:
+    """Cumulative sums of `weights`, each sum acc stored as the integer
+    ceil(acc * 2**53): random() returns k / 2**53 for an integer k, and
+    k / 2**53 < acc iff k < ceil(acc * 2**53)."""
     acc, out = 0, []
     for w in weights:
         acc = acc + w
-        if exact:
-            num, den = acc.as_integer_ratio()
-            out.append(-(-num * _RANDOM_SCALE // den))
-        else:
-            out.append(acc)
+        num, den = acc.as_integer_ratio()
+        out.append(-(-num * _RANDOM_SCALE // den))
     return out
 
 
@@ -328,28 +313,18 @@ def sample(m: OntologicalModel, context, n: int, seed: int) -> OutcomeCounts:
 def _sample(m: OntologicalModel, context, n: int, seed: int) -> OutcomeCounts:
     """`sample` for a model the caller has validated. Each trial draws three
     random() values: lambda, lambda', then the outcome; each draw picks the
-    first index whose cumulative weight exceeds the value, the last index
-    if none does."""
+    first index whose cumulative weight exceeds the value. A valid
+    distribution has no negative weight and sums to 1, so its thresholds
+    are sorted and the last one is 2**53: every draw lands on an index of
+    positive weight."""
     p = m.table(context).p
     j, k = context
     rng = random.Random(seed)
-    exact = m.mode == "exact"
-    if exact:
-        # A valid exact distribution has no negative weight and sums to 1,
-        # so its thresholds are sorted and the last one is 2**53.
-        def pick(cdf):
-            return bisect_right(cdf, int(rng.random() * _RANDOM_SCALE))
-    else:
-        # Float mode tolerates weights down to -1e-9: the sums need not be
-        # sorted, so they are scanned in order.
-        def pick(cdf):
-            r = rng.random()
-            for i, acc in enumerate(cdf):
-                if r < acc:
-                    return i
-            return len(cdf) - 1
-    cdf_j = _cdf((m.rho1 if j == 1 else m.rho2).weights, exact)
-    cdf_k = _cdf((m.rho1 if k == 1 else m.rho2).weights, exact)
+
+    def pick(cdf):
+        return bisect_right(cdf, int(rng.random() * _RANDOM_SCALE))
+    cdf_j = _cdf((m.rho1 if j == 1 else m.rho2).weights)
+    cdf_k = _cdf((m.rho1 if k == 1 else m.rho2).weights)
     cells = {}  # (lambda, lambda') -> the cell's outcome CDF, built on first visit
     counts = [0, 0, 0, 0]
     for _ in range(n):
@@ -357,7 +332,7 @@ def _sample(m: OntologicalModel, context, n: int, seed: int) -> OutcomeCounts:
         lamp = pick(cdf_k)
         cdf = cells.get((lam, lamp))
         if cdf is None:
-            cdf = cells[lam, lamp] = _cdf([plane[lam][lamp] for plane in p], exact)
+            cdf = cells[lam, lamp] = _cdf([plane[lam][lamp] for plane in p])
         counts[pick(cdf)] += 1
     return OutcomeCounts(counts=tuple(counts), n=n, seed=seed)
 

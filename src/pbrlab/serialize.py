@@ -2,15 +2,14 @@
 
 Exact numbers cross every boundary as "num/den" strings ("3/4", "1", "0")
 so reports stay re-verifiable by third parties; floats appear only in
-float-mode models and sampling statistics. Canonical dumps sort keys so
-golden-file comparisons are byte-stable.
+sampling statistics. Canonical dumps sort keys so golden-file comparisons
+are byte-stable.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
 import re
 from fractions import Fraction
 
@@ -55,31 +54,13 @@ def parse_size(x) -> int:
     raise ModelError(f"lambda_size must be a JSON integer, got {x!r}")
 
 
-def fmt_number(x, mode: str):
-    return float(x) if mode == "float" else fmt_frac(x)
-
-
-def parse_number(x, mode: str):
-    if mode == "float":
-        if isinstance(x, bool) or not isinstance(x, (int, float)):
-            raise ModelError(f"float-mode numbers must be JSON numbers, got {x!r}")
-        v = float(x)
-        # json.load reads NaN and Infinity; NaN would pass every bound check.
-        if not math.isfinite(v):
-            raise ModelError(f"float-mode numbers must be finite, got {x!r}")
-        return v
-    return parse_frac(x)
-
-
-def _number_parser(mode: str):
-    """`parse_number` for one model load. In exact mode it is memoised by
-    JSON string and integer literal, since a refute model spells out "0"
-    and "1" 25,600 times at L = 40: each distinct literal becomes one
-    shared Fraction, which validation then checks once per distinct cell.
-    Other values (true, 0.5, lists) are never looked up, since true == 1
-    and 1.0 == 1; a literal that fails to parse raises every time."""
-    if mode == "float":
-        return lambda x: parse_number(x, mode)
+def _number_parser():
+    """`parse_frac` for one model load, memoised by JSON string and integer
+    literal, since a refute model spells out "0" and "1" 25,600 times at
+    L = 40: each distinct literal becomes one shared Fraction, which
+    validation then checks once per distinct cell. Other values (true, 0.5,
+    lists) are never looked up, since true == 1 and 1.0 == 1; a literal that
+    fails to parse raises every time."""
     parsed = {}
 
     def parse(x):
@@ -102,13 +83,12 @@ def _targets_from_json(rows):
     return tuple(tuple(parse_frac(q) for q in row) for row in rows)
 
 
-def _table_to_json(t: ResponseTable, mode, shown: dict):
+def _table_to_json(t: ResponseTable, shown: dict):
     """The table's JSON lists. `shown` maps the id of each entry object
     already formatted, in this or an earlier table of the same model, to its
-    text, so a table of a few shared entries formats each of them once (a
-    float-mode 0.0 reads as not shown and is formatted again)."""
+    text, so a table of a few shared entries formats each of them once."""
     def fmt(v):
-        text = shown[id(v)] = fmt_number(v, mode)
+        text = shown[id(v)] = fmt_frac(v)
         return text
     get = shown.get
     return [[[get(id(v)) or fmt(v) for v in row] for row in plane]
@@ -122,30 +102,28 @@ def _table_from_json(p, parse) -> ResponseTable:
 
 def model_to_json(m) -> dict:
     d = {
-        "mode": m.mode,
+        "mode": "exact",
         "lambda_size": m.lambda_space.size,
-        "rho1": [fmt_number(w, m.mode) for w in m.rho1.weights],
-        "rho2": [fmt_number(w, m.mode) for w in m.rho2.weights],
+        "rho1": [fmt_frac(w) for w in m.rho1.weights],
+        "rho2": [fmt_frac(w) for w in m.rho2.weights],
         "born_targets": _targets_to_json(m.born_targets),
     }
     shown = {}
     if m.contextual:
         d["response"] = {"kind": "contextual",
-                         "p": {f"{j}{k}": _table_to_json(m.table((j, k)),
-                                                         m.mode, shown)
+                         "p": {f"{j}{k}": _table_to_json(m.table((j, k)), shown)
                                for (j, k) in CONTEXTS}}
     else:
         d["response"] = {"kind": "noncontextual",
-                         "p": _table_to_json(m.response[0], m.mode, shown)}
+                         "p": _table_to_json(m.response[0], shown)}
     return d
 
 
 def model_from_json(d: dict):
     try:
-        mode = d["mode"]
-        if mode not in ("exact", "float"):
-            raise ModelError(f"unknown mode {mode!r}")
-        parse = _number_parser(mode)
+        if d["mode"] != "exact":
+            raise ModelError(f"unknown mode {d['mode']!r}; models are exact")
+        parse = _number_parser()
         L = parse_size(d["lambda_size"])
         rho1 = EpistemicState(tuple(parse(w) for w in d["rho1"]))
         rho2 = EpistemicState(tuple(parse(w) for w in d["rho2"]))
@@ -163,8 +141,8 @@ def model_from_json(d: dict):
             OverflowError) as e:
         raise ModelError(f"malformed model: {e}") from e
 
-    return OntologicalModel(mode=mode, lambda_space=LambdaSpace(L), rho1=rho1,
-                            rho2=rho2, response=response, born_targets=targets)
+    return OntologicalModel(lambda_space=LambdaSpace(L), rho1=rho1, rho2=rho2,
+                            response=response, born_targets=targets)
 
 
 def rho_pair_from_json(d: dict):

@@ -14,13 +14,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from pbrlab.hilbert import CONTEXTS, context_index
-from pbrlab.ontology import FLOAT_TOL, OutcomeCounts, ResponseTable
+from pbrlab.ontology import OutcomeCounts, ResponseTable
 
 
 @dataclass(frozen=True)
 class Slice:
     """A model with one response table, `response`, as read below."""
-    mode: str
     lambda_space: object
     rho1: object
     rho2: object
@@ -30,34 +29,30 @@ class Slice:
 
 def slice_model(m, index: int) -> Slice:
     """The model holding only m's `index`-th response table."""
-    return Slice(m.mode, m.lambda_space, m.rho1, m.rho2, m.response[index],
+    return Slice(m.lambda_space, m.rho1, m.rho2, m.response[index],
                  m.born_targets)
 
 
-def _check_distribution(name, weights, size, tol, report):
+def _check_distribution(name, weights, size, report):
     if len(weights) != size:
         report.append(f"{name} has {len(weights)} weights, lambda space has {size}")
         return
     for i, w in enumerate(weights):
-        if w < -tol:
+        if w < 0:
             report.append(f"{name}[{i}] is negative: {w}")
     total = sum(weights)
-    if abs(total - 1) > tol:
+    if total != 1:
         report.append(f"{name} sums to {total}, not 1")
 
 
 def validate_model(m) -> list:
     report = []
-    if m.mode not in ("exact", "float"):
-        report.append(f"unknown mode {m.mode!r}")
-        return report
-    tol = FLOAT_TOL if m.mode == "float" else 0
     L = m.lambda_space.size
     if L < 1:
         report.append(f"lambda space size must be >= 1, got {L}")
         return report
-    _check_distribution("rho1", m.rho1.weights, L, tol, report)
-    _check_distribution("rho2", m.rho2.weights, L, tol, report)
+    _check_distribution("rho1", m.rho1.weights, L, report)
+    _check_distribution("rho2", m.rho2.weights, L, report)
 
     p = m.response.p
     if len(p) != 4 or any(len(p[i]) != L or any(len(row) != L for row in p[i])
@@ -69,11 +64,11 @@ def validate_model(m) -> list:
             row_sum = 0
             for i in range(4):
                 v = p[i][lam][lamp]
-                if v < -tol or v > 1 + tol:
+                if v < 0 or v > 1:
                     report.append(
                         f"response[{i + 1}][{lam}][{lamp}] = {v} outside [0, 1]")
                 row_sum += p[i][lam][lamp]
-            if abs(row_sum - 1) > tol:
+            if row_sum != 1:
                 report.append(
                     f"response rows at (lambda={lam}, lambda'={lamp}) "
                     f"sum to {row_sum}, deficit {1 - row_sum}")
@@ -83,12 +78,12 @@ def validate_model(m) -> list:
     else:
         for c, row in enumerate(m.born_targets):
             for i, q in enumerate(row):
-                if q < -tol or q > 1 + tol:
+                if q < 0 or q > 1:
                     report.append(
                         f"born_targets[{CONTEXTS[c]}][outcome {i + 1}] = {q} "
                         "outside [0, 1]")
             total = sum(row)
-            if abs(total - 1) > tol:
+            if total != 1:
                 report.append(
                     f"born_targets row for context {CONTEXTS[c]} sums to {total}")
     return report
@@ -113,9 +108,7 @@ def validate_contextual(m) -> list:
 
 
 def _draw(rng: random.Random, weights) -> int:
-    r = rng.random()
-    if weights and isinstance(weights[0], Fraction):
-        r = Fraction(r)
+    r = Fraction(rng.random())
     acc = 0
     for i, w in enumerate(weights):
         acc = acc + w

@@ -343,25 +343,24 @@ def test_oversized_input_exits_2_before_parsing(capsys, tmp_path, command):
     assert err.startswith("error: ") and str(INPUT_MAX_BYTES) in err
 
 
-@pytest.mark.parametrize("command", ["check", "sample"])
-@pytest.mark.parametrize("where, value", [
-    ("rho1", "NaN"), ("rho1", "Infinity"), ("entry", "-Infinity"),
-    ("entry", "1" * 400),
-], ids=["nan-weight", "infinite-weight", "infinite-entry", "400-digit-entry"])
-def test_float_model_rejects_non_finite_numbers(capsys, tmp_path, command,
-                                                where, value):
-    text = (GOLDEN / "model_L3_float.json").read_text()
-    payload = json.loads(text)
-    if where == "rho1":
-        payload["rho1"][0] = "HOLE"
+@pytest.mark.parametrize("command", ["check", "sample", "contradiction"])
+@pytest.mark.parametrize("mode", ["float", "Exact", None],
+                         ids=["float", "Exact", "missing"])
+def test_mode_other_than_exact_exits_2(capsys, tmp_path, command, mode):
+    # every model is exact: any other mode, or none, is refused on reading
+    payload = json.loads((GOLDEN / "model_L3_noncontextual.json").read_text())
+    if mode is None:
+        del payload["mode"]
     else:
-        payload["response"]["p"][0][0][0] = "HOLE"
-    path = tmp_path / "non_finite.json"
-    path.write_text(json.dumps(payload).replace('"HOLE"', value))
+        payload["mode"] = mode
+    path = tmp_path / "mode.json"
+    path.write_text(json.dumps(payload))
     code, out, err = run(capsys, *_argv(command, str(path)), "--json")
     assert code == 2
     assert out == ""
-    assert "malformed model" in err
+    assert err.startswith("error: ")
+    if mode is not None:
+        assert f"unknown mode {mode!r}; models are exact" in err
 
 
 @pytest.mark.parametrize("n", ["10000001", "1000000000000"])

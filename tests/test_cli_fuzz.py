@@ -2,7 +2,8 @@
 file holds, `check`, `sample`, `contradiction` and `nogo --rho` exit 0, 2,
 3 or 4 through `cli.main`, and no exception escapes.
 
-Each example takes a valid file from tests/golden/ and applies one to three
+Each example takes a model or rho file from tests/golden/ (all valid but
+the float-mode model, which every command refuses) and applies one to three
 mutations at random places in its JSON tree: a key or element dropped, a
 value replaced by "1/0", a boolean, a huge integer, a float, a string (an
 exponent such as "1e999999999" among them), null or an empty container, a

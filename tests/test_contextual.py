@@ -199,7 +199,6 @@ def test_validation_checks_each_distinct_cell_once(monkeypatch, source):
     calls = []
     check_cell = ontology._cell_complaints
     monkeypatch.setattr(ontology, "_cell_complaints",
-                        lambda cell, tol: calls.append(cell) or
-                        check_cell(cell, tol))
+                        lambda cell: calls.append(cell) or check_cell(cell))
     assert validate_model(model) == []
     assert 0 < len(calls) <= 4 * len(model.response)

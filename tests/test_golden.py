@@ -22,12 +22,14 @@ The other input models are tests/golden/model_*.json: the L=3 interval model
 entries 3/2 and -1/4, a short row in context 22 and a target row summing
 to 3/2; the context-12 slice of the L=3 interval model built on rho1 =
 (1/2, 1/3, 1/6) and rho2 = (1/5, 2/5, 2/5), which is a valid
-noncontextual model with fractional entries; the same slice in float
-mode; and the context-12 slice of the L=3 interval model built on
-rho1 = (1/2, 1/2, 0) and rho2 = (0, 0, 1), a valid noncontextual model
-with disjoint supports. `contradiction` proves the clash on the
-overlapping model (exit 0), refuses the contextual and the float model
-(exit 2, empty stdout) and reports NoOverlap on the disjoint one (exit 4).
+noncontextual model with fractional entries; the same slice with
+`"mode": "float"` and float numbers, which `check` refuses on reading
+(exit 2, empty stdout), since every model is exact; and the context-12
+slice of the L=3 interval model built on rho1 = (1/2, 1/2, 0) and
+rho2 = (0, 0, 1), a valid noncontextual model with disjoint supports.
+`contradiction` proves the clash on the overlapping model (exit 0),
+refuses the contextual model (exit 2, empty stdout) and reports NoOverlap
+on the disjoint one (exit 4).
 To regenerate after an intended change of output, run
 `PYTHONPATH=src python tests/test_golden.py` and review the diff.
 """
@@ -72,10 +74,10 @@ CONTEXTUAL_CASES = {
                                      _model("L3_contextual"), "--context", c,
                                      "--n", "2000", "--seed", "11", "--json"]
        for c in ("11", "12", "21", "22")},
-    **{f"sample_L3_{name}_12": ["sample", "--model", _model(f"L3_{name}"),
-                                "--context", "12", "--n", "2000",
-                                "--seed", "11", "--json"]
-       for name in ("noncontextual", "float")},
+    "sample_L3_noncontextual_12": ["sample", "--model",
+                                   _model("L3_noncontextual"), "--context",
+                                   "12", "--n", "2000", "--seed", "11",
+                                   "--json"],
     # The L=7 model read back from the golden `refute --out` file: widths of
     # 1/49 straddle every Born boundary, so every slice splits cells.
     "check_L7_contextual": ["check", "--model", str(REFUTE_L7), "--json"],
@@ -88,7 +90,7 @@ OTHER_CASES = {
     "basis": ["basis", "--json"],
     **{f"contradiction_L3_{name}": ["contradiction", "--model",
                                     _model(f"L3_{name}"), "--json"]
-       for name in ("noncontextual", "contextual", "float", "disjoint")},
+       for name in ("noncontextual", "contextual", "disjoint")},
 }
 CASES = {**NOGO_CASES, **CONTEXTUAL_CASES, **OTHER_CASES}
 

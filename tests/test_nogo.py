@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from dense_simplex import (densify, dense_solve_equalities,
                            dense_verify_certificate)
+from pbrlab.contextual import build_interval_model
 from pbrlab.hilbert import CONTEXTS, born_targets
 from pbrlab.nogo import (ContradictionProof, NoOverlap, build_feasibility,
                          derive_contradiction, solve_feasibility,
@@ -185,11 +186,38 @@ def _trivial_response(L):
         for _ in range(4)))
 
 
-def _model(r1, r2, targets=PBR, mode="exact"):
+def _model(r1, r2, targets=PBR):
     L = r1.size
-    return OntologicalModel(mode=mode, lambda_space=LambdaSpace(L),
+    return OntologicalModel(lambda_space=LambdaSpace(L),
                             rho1=r1, rho2=r2,
                             response=(_trivial_response(L),), born_targets=targets)
+
+
+_HALVES = EpistemicState.uniform(2)
+BAD_INPUTS = {
+    "negative-rho1": (EpistemicState((Fraction(3, 2), Fraction(-1, 2))),
+                      _HALVES, PBR),
+    "unnormalised-rho2": (_HALVES, EpistemicState((Fraction(1, 3),) * 2), PBR),
+    "both-rho": (EpistemicState((Fraction(-1), Fraction(1))),
+                 EpistemicState((Fraction(1), Fraction(1))), PBR),
+    "rows-sum-to-4": (_HALVES, _HALVES, ((Fraction(1),) * 4,) * 4),
+    "target-out-of-range": (_HALVES, _HALVES, (
+        (Fraction(-1, 4), Fraction(1, 4), Fraction(1, 2), Fraction(1, 2)),
+        *PBR[1:])),
+    "targets-not-4x4": (_HALVES, _HALVES, PBR[:3]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_builders_report_what_validation_reports(case):
+    r1, r2, targets = BAD_INPUTS[case]
+    complaints = validate_model(_model(r1, r2, targets))
+    assert complaints
+    for build in (lambda: build_feasibility(r1, r2, targets),
+                  lambda: build_interval_model(2, targets, r1, r2)):
+        with pytest.raises(ModelError) as raised:
+            build()
+        assert all(c in str(raised.value) for c in complaints)
 
 
 def test_contradiction_uniform_overlap():
@@ -218,15 +246,6 @@ def test_contradiction_requires_zero_targets():
     flat = ((Fraction(1, 4),) * 4,) * 4
     with pytest.raises(ModelError, match="outcome 1"):
         derive_contradiction(_model(*_uniform_pair(2), targets=flat))
-
-
-def test_contradiction_refuses_float_mode():
-    m = OntologicalModel(mode="float", lambda_space=LambdaSpace(2),
-                         rho1=EpistemicState((0.5, 0.5)),
-                         rho2=EpistemicState((0.5, 0.5)),
-                         response=(_trivial_response(2),), born_targets=PBR)
-    with pytest.raises(ModelError, match="exact"):
-        derive_contradiction(m)
 
 
 def test_monotonicity_block_disjoint_L4():

@@ -19,9 +19,8 @@ def _uniform_response(L):
         for _ in range(4)))
 
 
-def _model(L=2, rho1=None, rho2=None, response=None, targets=None, mode="exact"):
+def _model(L=2, rho1=None, rho2=None, response=None, targets=None):
     return OntologicalModel(
-        mode=mode,
         lambda_space=LambdaSpace(L),
         rho1=rho1 or EpistemicState.uniform(L),
         rho2=rho2 or EpistemicState.uniform(L),
@@ -210,17 +209,3 @@ def test_chi_square_statistic():
     counts = OutcomeCounts((1, 0, 0, 99), 100, 0)
     assert chi_square_statistic(
         counts, (0, 0, 0, 1)) == float("inf")
-
-
-def test_float_mode_validation():
-    m = OntologicalModel(
-        mode="float", lambda_space=LambdaSpace(2),
-        rho1=EpistemicState((0.5, 0.5)), rho2=EpistemicState((0.3, 0.7)),
-        response=(ResponseTable(tuple(
-            tuple(tuple(0.25 for _ in range(2)) for _ in range(2))
-            for _ in range(4))),),
-        born_targets=born_targets())
-    assert validate_model(m) == []
-    assert predict(m, (1, 2)) == pytest.approx((0.25, 0.25, 0.25, 0.25))
-    counts = sample(m, (1, 2), 1000, seed=9)
-    assert sum(counts.counts) == 1000

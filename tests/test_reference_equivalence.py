@@ -6,7 +6,7 @@ type."""
 
 from fractions import Fraction
 
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_ontology as ref
@@ -17,8 +17,9 @@ from pbrlab.ontology import (EpistemicState, LambdaSpace, OntologicalModel,
                              ResponseTable, _cdf, _predict, sample,
                              validate_model)
 
-# Equal values of different types (1/2, 0.5), entries just inside and just
-# outside the float tolerance, and entries outside [0, 1].
+# Equal values of different types (1/2, 0.5), entries a hair inside and
+# outside [0, 1], and entries well outside it. Models built in Python can
+# hold floats, so both validations must judge them alike.
 ENTRIES = (Fraction(0), Fraction(1), Fraction(1, 2), Fraction(1, 4),
            Fraction(1, 3), Fraction(-1, 4), Fraction(3, 2), 0, 1,
            0.0, 1.0, 0.5, 0.25, -0.0, 1 + 5e-10, -5e-10, 1 + 2e-9, -2e-9,
@@ -56,7 +57,6 @@ def _models(draw, contextual=False):
     """A noncontextual model, or a contextual one whose four tables draw on
     the same cells and are each mis-shaped or not."""
     L = draw(st.integers(1, 4))
-    mode = draw(st.sampled_from(("exact", "float")))
     entry = st.sampled_from(ENTRIES)
     # a few distinct cells, so the table repeats some of them
     pool = draw(st.lists(st.tuples(entry, entry, entry, entry),
@@ -79,7 +79,7 @@ def _models(draw, contextual=False):
         targets = tuple(tuple(draw(entry) for _ in range(4)) if c == row else r
                         for c, r in enumerate(targets))
     return OntologicalModel(
-        mode=mode, lambda_space=LambdaSpace(L),
+        lambda_space=LambdaSpace(L),
         rho1=draw(st.one_of(rho, st.just(EpistemicState.uniform(L)))),
         rho2=draw(st.one_of(rho, st.just(EpistemicState.uniform(L)))),
         response=tuple(tables), born_targets=targets)
@@ -105,30 +105,18 @@ def _exact_distribution(draw, size):
     return tuple(Fraction(i, sum(ints)) for i in ints)
 
 
-@st.composite
-def _float_distribution(draw, size):
-    """Floats that sum to 1 up to round-off; sometimes a weight of -1e-10
-    offset by its neighbour, which float mode's tolerance allows."""
-    w = [float(x) for x in draw(_exact_distribution(size))]
-    if size > 1 and draw(st.booleans()):
-        w[0] -= 1e-10
-        w[1] += 1e-10
-    return tuple(w)
-
-
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(st.data())
 def test_sample_counts_match_reference(data):
     L = data.draw(st.integers(1, 5))
-    mode = data.draw(st.sampled_from(("exact", "float")))
-    dist = _exact_distribution if mode == "exact" else _float_distribution
-    cells = data.draw(st.lists(dist(4), min_size=L * L, max_size=L * L))
+    cells = data.draw(st.lists(_exact_distribution(4), min_size=L * L,
+                               max_size=L * L))
     m = OntologicalModel(
-        mode=mode, lambda_space=LambdaSpace(L),
-        rho1=EpistemicState(data.draw(dist(L))),
-        rho2=EpistemicState(data.draw(dist(L))),
+        lambda_space=LambdaSpace(L),
+        rho1=EpistemicState(data.draw(_exact_distribution(L))),
+        rho2=EpistemicState(data.draw(_exact_distribution(L))),
         response=(_table(cells, L),), born_targets=born_targets())
-    assume(not validate_model(m))
+    assert validate_model(m) == []
     context = data.draw(st.sampled_from(CONTEXTS))
     seed = data.draw(st.integers(0, 2 ** 32))
     n = data.draw(st.integers(0, 300))
@@ -143,7 +131,7 @@ def test_exact_thresholds_decide_random_draws(data):
     (T - 1) / 2**53 < acc <= T / 2**53, for each cumulative sum acc."""
     weights = data.draw(_exact_distribution(data.draw(st.integers(1, 8))))
     acc = 0
-    for w, t in zip(weights, _cdf(weights, exact=True)):
+    for w, t in zip(weights, _cdf(weights)):
         acc += w
         assert Fraction(t - 1, 2 ** 53) < acc <= Fraction(t, 2 ** 53)
 
@@ -220,7 +208,7 @@ def test_exact_prediction_matches_reference(data):
                                   max_size=L * L)), L)
         for _ in range(data.draw(st.sampled_from((1, 4)))))
     m = OntologicalModel(
-        mode="exact", lambda_space=LambdaSpace(L),
+        lambda_space=LambdaSpace(L),
         rho1=EpistemicState(data.draw(_mixed_distribution(L))),
         rho2=EpistemicState(data.draw(_mixed_distribution(L))),
         response=tables, born_targets=born_targets())
