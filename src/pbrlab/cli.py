@@ -15,8 +15,9 @@ import time
 
 from . import __version__, ontology
 from .ontology import ModelError
-from .serialize import (digest, dumps_canonical, fmt_frac, model_from_json,
-                        model_to_json, rho_pair_from_json)
+from .serialize import (FORMATTED, digest, dumps_canonical, fmt_frac,
+                        model_from_json, model_to_json, rho_pair_from_json,
+                        splice)
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
@@ -44,17 +45,25 @@ SAMPLE_MAX_N = 10 ** 7
 INPUT_MAX_BYTES = 16 * 2 ** 20
 
 
-def _report(command: str, inputs: dict, payload: dict) -> dict:
-    d = {"command": command, "version": __version__,
-         "inputs": {"digest": digest(inputs), **inputs}}
-    d.update(payload)
-    return d
+def _model_text(model) -> str:
+    return dumps_canonical(model_to_json(model))
 
 
-def _emit(args, report: dict, human_lines, elapsed: float) -> None:
+def _emit(args, command: str, inputs: dict, payload: dict, human_lines,
+          elapsed: float, model_text: str = None) -> None:
+    """Print the --json report, or else the human lines. With model_text,
+    the FORMATTED value in inputs or payload stands for that model text;
+    the input digest is the SHA-256 of the inputs' canonical dump, so it
+    covers the model."""
     # Timings stay out of --json output so reports are byte-stable.
     if getattr(args, "json", False):
-        print(dumps_canonical(report))
+        def dump(obj):
+            text = dumps_canonical(obj)
+            return text if model_text is None else splice(text, model_text)
+        report = {"command": command, "version": __version__,
+                  "inputs": {"digest": digest(dump(inputs)), **inputs}}
+        report.update(payload)
+        print(dump(report))
     else:
         for line in human_lines:
             print(line)
@@ -87,14 +96,14 @@ def cmd_basis(args) -> int:
     targets = hilbert.born_targets()
     anchors = [fmt_frac(hilbert.born(basis.effects[i], hilbert.product_state(j, k)))
                for i, (j, k) in enumerate(hilbert.CONTEXTS)]
-    report = _report("basis", {}, {
+    payload = {
         "arithmetic": "exact",
         "effects": basis.to_json(),
         "gram": [[hilbert.amplitude_json(e) for e in row] for row in g],
         "anchors": anchors,
         "contexts": [f"{j}{k}" for (j, k) in hilbert.CONTEXTS],
         "targets": [[fmt_frac(q) for q in row] for row in targets],
-    })
+    }
     lines = ["measurement basis (4 effects, dim 4):"]
     for i, e in enumerate(basis.effects):
         lines.append(f"  xi_{i + 1}: " + ", ".join(str(a) for a in e.amplitudes))
@@ -105,7 +114,7 @@ def cmd_basis(args) -> int:
     lines.append("born targets (rows = contexts 11,12,21,22):")
     for (j, k), row in zip(hilbert.CONTEXTS, targets):
         lines.append(f"  {j}{k}: " + " ".join(fmt_frac(q) for q in row))
-    _emit(args, report, lines, time.perf_counter() - t0)
+    _emit(args, "basis", {}, payload, lines, time.perf_counter() - t0)
     return EXIT_OK
 
 
@@ -179,9 +188,8 @@ def cmd_nogo(args) -> int:
         consistent = consistent and verified
 
     payload["theorem_consistent"] = consistent
-    report = _report("nogo", inputs, payload)
     lines.append(f"consistent with the no-go theorem: {consistent}")
-    _emit(args, report, lines, time.perf_counter() - t0)
+    _emit(args, "nogo", inputs, payload, lines, time.perf_counter() - t0)
     return EXIT_OK if consistent else EXIT_THEOREM_VIOLATED
 
 
@@ -207,12 +215,12 @@ def cmd_contradiction(args) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BAD_INPUT
 
-    inputs = {"model": model_to_json(model)}
+    inputs = {"model": FORMATTED}
+    model_text = _model_text(model) if args.json else None
     if isinstance(result, nogo.NoOverlap):
-        report = _report("contradiction", inputs, {"no_overlap": True})
-        _emit(args, report, ["supports are disjoint: the forcing argument "
-                             "does not apply (NoOverlap)"],
-              time.perf_counter() - t0)
+        _emit(args, "contradiction", inputs, {"no_overlap": True},
+              ["supports are disjoint: the forcing argument does not apply "
+               "(NoOverlap)"], time.perf_counter() - t0, model_text)
         return EXIT_NOT_APPLICABLE
 
     payload = {
@@ -231,8 +239,8 @@ def cmd_contradiction(args) -> int:
             f"{s.context[0]}{s.context[1]} with weight {fmt_frac(s.weight)} > 0 "
             f"forces P(xi_{s.outcome}|lambda*,lambda*) = 0")
     lines.append(result.conclusion)
-    _emit(args, _report("contradiction", inputs, payload), lines,
-          time.perf_counter() - t0)
+    _emit(args, "contradiction", inputs, payload, lines,
+          time.perf_counter() - t0, model_text)
     return EXIT_OK
 
 
@@ -249,11 +257,11 @@ def cmd_refute(args) -> int:
         return EXIT_BAD_INPUT
     model = contextual.build_interval_model(L, hilbert.born_targets())
     report_data = contextual.refutation_report(model)
-    model_json = model_to_json(model)
+    model_text = _model_text(model) if args.out or args.json else None
     if args.out:
         try:
             with open(args.out, "w") as fh:
-                fh.write(dumps_canonical(model_json) + "\n")
+                fh.write(model_text + "\n")
         except OSError as e:
             print(f"error: {e}", file=sys.stderr)
             return EXIT_BAD_INPUT
@@ -267,7 +275,7 @@ def cmd_refute(args) -> int:
                "eq2_violated": report_data.eq2_violated,
                "collapse": report_data.collapse,
                "verdict": report_data.verdict,
-               "model": model_json}
+               "model": FORMATTED}
     lines = [f"interval model over L = {L} (uniform epistemic states)",
              f"Born targets reproduced exactly: {report_data.born_reproduced}",
              f"overlap mass: {fmt_frac(report_data.overlap_mass)}",
@@ -275,8 +283,8 @@ def cmd_refute(args) -> int:
              f"verdict: {report_data.verdict}"]
     if args.out:
         lines.append(f"model written to {args.out}")
-    _emit(args, _report("refute", inputs, payload), lines,
-          time.perf_counter() - t0)
+    _emit(args, "refute", inputs, payload, lines, time.perf_counter() - t0,
+          model_text)
     return EXIT_OK if report_data.collapse else EXIT_THEOREM_VIOLATED
 
 
@@ -288,11 +296,11 @@ def cmd_check(args) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BAD_INPUT
     violations = ontology.validate_model(model)
-    report = _report("check", {"model": model_to_json(model)},
-                     {"valid": not violations, "violations": violations})
     lines = (["model is valid"] if not violations
              else ["model is invalid:"] + [f"  {v}" for v in violations])
-    _emit(args, report, lines, time.perf_counter() - t0)
+    _emit(args, "check", {"model": FORMATTED},
+          {"valid": not violations, "violations": violations}, lines,
+          time.perf_counter() - t0, _model_text(model) if args.json else None)
     return EXIT_OK if not violations else EXIT_BAD_INPUT
 
 
@@ -325,7 +333,7 @@ def cmd_sample(args) -> int:
     predicted = ontology._predict(model, context)
     stat = ontology.chi_square_statistic(counts, predicted)
 
-    inputs = {"model": model_to_json(model),
+    inputs = {"model": FORMATTED,
               "context": f"{context[0]}{context[1]}",
               "n": args.n, "seed": args.seed}
     payload = {
@@ -341,8 +349,8 @@ def cmd_sample(args) -> int:
              "counts:    " + " ".join(str(c) for c in counts.counts),
              "predicted: " + " ".join(fmt_frac(p) for p in predicted),
              f"chi-square: {stat:.6g}"]
-    _emit(args, _report("sample", inputs, payload), lines,
-          time.perf_counter() - t0)
+    _emit(args, "sample", inputs, payload, lines, time.perf_counter() - t0,
+          _model_text(model) if args.json else None)
     return EXIT_OK
 
 

@@ -8,21 +8,16 @@ still reproduce every Born target exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .ontology import (CONTEXTS, EpistemicState, LambdaSpace, ModelError,
-                       OntologicalModel, ResponseTable, _over_common_denominator,
-                       _predict, _require_inputs, support_overlap,
-                       validate_model)
+                       OntologicalModel, Record, ResponseTable,
+                       _over_common_denominator, _predict, _require_inputs,
+                       support_overlap, validate_model)
 
 
-@dataclass(frozen=True)
-class RefutationReport:
-    born_reproduced: bool
-    overlap_mass: Fraction
-    eq2_violated: bool
-    verdict: str
+class RefutationReport(Record):
+    __slots__ = ("born_reproduced", "overlap_mass", "eq2_violated", "verdict")
 
     @property
     def collapse(self) -> bool:

@@ -8,13 +8,12 @@ index = (first-factor index) * (second-factor dim) + (second-factor index).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 # Defined in ontology, so the model path never imports this module;
 # re-exported here for callers of the Hilbert-space layer.
-from .ontology import CONTEXTS, StateError, context_index
+from .ontology import CONTEXTS, Record, StateError, context_index
 from .scalar import INV_SQRT2, RootTwo, coerce
 
 def amplitude_json(x: RootTwo) -> dict:
@@ -30,9 +29,8 @@ def _as_amplitude(x) -> RootTwo:
     return a
 
 
-@dataclass(frozen=True)
-class PureState:
-    amplitudes: tuple
+class PureState(Record):
+    __slots__ = ("amplitudes",)
 
     @property
     def dim(self) -> int:
@@ -110,9 +108,8 @@ def product_state(j: int, k: int) -> PureState:
     return tensor(psi(j), psi(k))
 
 
-@dataclass(frozen=True)
-class MeasurementBasis:
-    effects: tuple  # 4 PureStates of dim 4
+class MeasurementBasis(Record):
+    __slots__ = ("effects",)  # 4 PureStates of dim 4
 
     def to_json(self) -> list:
         return [e.to_json() for e in self.effects]

@@ -9,13 +9,12 @@ overlapping supports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
 from .ontology import (CONTEXTS, EpistemicState, LambdaSpace, ModelError,
-                       OntologicalModel, ResponseTable, _require_inputs,
-                       support_overlap)
+                       OntologicalModel, Record, ResponseTable,
+                       _require_inputs, support_overlap)
 from .simplex import solve_equalities
 
 _ONE = Fraction(1)
@@ -30,40 +29,31 @@ ROW_ORDER_NOTE = ("normalization rows (lambda-major), then Born rows "
                   "columns x[i][lambda][lambda'] outcome-major")
 
 
-@dataclass(frozen=True)
-class FeasibilityProblem:
-    lambda_size: int
-    rho1: EpistemicState
-    rho2: EpistemicState
-    targets: tuple          # 4x4, rows by context, cols by outcome
-    A: tuple                # L^2 + 16 rows of (column, coefficient) pairs
-    b: tuple
-    row_labels: tuple
+class FeasibilityProblem(Record):
+    # targets: 4 x 4, rows by context, columns by outcome; A: L^2 + 16 rows
+    # of (column, coefficient) pairs.
+    __slots__ = ("lambda_size", "rho1", "rho2", "targets", "A", "b",
+                 "row_labels")
 
     @property
     def num_vars(self) -> int:
         return 4 * self.lambda_size ** 2
 
 
-@dataclass(frozen=True)
-class FeasibilityOutcome:
-    feasible: bool
-    witness: ResponseTable | None
-    certificate: tuple | None
+class FeasibilityOutcome(Record):
+    __slots__ = ("feasible", "witness", "certificate")  # either may be None
 
 
-@dataclass(frozen=True)
-class ForcingStep:
-    outcome: int     # 1-based
-    context: tuple   # (j, k) whose Born target vanishes
-    weight: Fraction  # rho_j(l*) * rho_k(l*), strictly positive
+class ForcingStep(Record):
+    # The 1-based outcome, the (j, k) context whose Born target for it
+    # vanishes, and the weight rho_j(l*) * rho_k(l*) > 0.
+    __slots__ = ("outcome", "context", "weight")
 
 
-@dataclass(frozen=True)
-class ContradictionProof:
-    lambda_star: int
-    steps: tuple  # one ForcingStep per outcome
-    total: Fraction  # forced sum of response probabilities at (l*, l*)
+class ContradictionProof(Record):
+    # steps: one ForcingStep per outcome; total: the forced sum of the
+    # response probabilities at (l*, l*).
+    __slots__ = ("lambda_star", "steps", "total")
 
     @property
     def conclusion(self) -> str:
@@ -72,9 +62,9 @@ class ContradictionProof:
                 "but normalization requires 1")
 
 
-@dataclass(frozen=True)
-class NoOverlap:
+class NoOverlap(Record):
     """Returned when the supports are disjoint and the argument does not bite."""
+    __slots__ = ()
 
 
 def _var(i: int, lam: int, lamp: int, L: int) -> int:
@@ -122,7 +112,10 @@ def solve_feasibility(p: FeasibilityProblem) -> FeasibilityOutcome:
         return FeasibilityOutcome(feasible=False, witness=None,
                                   certificate=result.certificate)
     L = p.lambda_size
-    x = result.witness
+    # One object per distinct value, so validate_model's cell memo, keyed
+    # on entry identity, checks each distinct cell once.
+    shared = {}
+    x = [shared.setdefault(v, v) for v in result.witness]
     table = tuple(tuple(tuple(x[_var(i, lam, lamp, L)] for lamp in range(L))
                         for lam in range(L))
                   for i in range(4))

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 
 # random.random() returns k / 2**53 for an integer k in [0, 2**53).
@@ -42,14 +41,54 @@ def context_index(context) -> int:
         raise StateError(f"unknown context {context!r}; expected one of {CONTEXTS}")
 
 
-@dataclass(frozen=True)
-class LambdaSpace:
-    size: int
+class Record:
+    """An immutable value whose fields are its class's __slots__, given by
+    position or keyword. Records compare and hash by their field values;
+    records of different classes are never equal."""
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        names = type(self).__slots__
+        values = dict(zip(names, args), **kwargs)
+        if (len(args) > len(names) or len(values) != len(args) + len(kwargs)
+                or values.keys() != set(names)):
+            raise TypeError(f"{type(self).__name__} takes the fields {names}, "
+                            f"got {len(args)} positional and {sorted(kwargs)}")
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in type(self).__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in type(self).__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return type(self), self._values()
 
 
-@dataclass(frozen=True)
-class EpistemicState:
-    weights: tuple  # Fractions
+class LambdaSpace(Record):
+    __slots__ = ("size",)
+
+
+class EpistemicState(Record):
+    __slots__ = ("weights",)  # a tuple of Fractions
 
     @property
     def size(self) -> int:
@@ -65,22 +104,18 @@ class EpistemicState:
                          for i in range(size)))
 
 
-@dataclass(frozen=True)
-class ResponseTable:
+class ResponseTable(Record):
     """p[i][lam][lamp]: probability of outcome i given the hidden pair."""
-    p: tuple  # 4 x L x L
+    __slots__ = ("p",)  # 4 x L x L
 
 
-@dataclass(frozen=True)
-class OntologicalModel:
+class OntologicalModel(Record):
     """A noncontextual model holds one response table, used in every
     preparation context; a contextual one holds one table per context, in
     CONTEXTS order, so its response may depend on the prepared states."""
-    lambda_space: LambdaSpace
-    rho1: EpistemicState
-    rho2: EpistemicState
-    response: tuple  # ResponseTables: one, or one per context
-    born_targets: tuple  # 4x4, rows by context in CONTEXTS order, cols by outcome
+    # response: ResponseTables, one or one per context; born_targets: 4 x 4,
+    # rows by context in CONTEXTS order, columns by outcome.
+    __slots__ = ("lambda_space", "rho1", "rho2", "response", "born_targets")
 
     @property
     def contextual(self) -> bool:
@@ -96,17 +131,12 @@ class OntologicalModel:
         return self.born_targets[context_index(context)][outcome - 1]
 
 
-@dataclass(frozen=True)
-class SupportOverlap:
-    disjoint: bool
-    overlap_mass: Fraction
+class SupportOverlap(Record):
+    __slots__ = ("disjoint", "overlap_mass")
 
 
-@dataclass(frozen=True)
-class OutcomeCounts:
-    counts: tuple  # 4 nonnegative ints
-    n: int
-    seed: int
+class OutcomeCounts(Record):
+    __slots__ = ("counts", "n", "seed")  # counts: 4 nonnegative ints
 
 
 def _show(x) -> str:

@@ -162,5 +162,26 @@ def dumps_canonical(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True)
 
 
-def digest(obj) -> str:
-    return hashlib.sha256(dumps_canonical(obj).encode()).hexdigest()
+# Stands in a report for a value already formatted, so a command formats its
+# model once; `splice` puts the text in. No report holds a NUL character.
+FORMATTED = "\0"
+_FORMATTED_JSON = json.dumps(FORMATTED)
+
+
+def splice(dumped: str, text: str) -> str:
+    """`dumped`, a dumps_canonical output, with its FORMATTED value, if any,
+    replaced by `text`, the dumps_canonical output of the value it stands
+    for, re-indented for the depth it lands at. JSON strings never hold a
+    raw newline, so every newline in `text` starts a line."""
+    at = dumped.find(_FORMATTED_JSON)
+    if at < 0:
+        return dumped
+    line = dumped[dumped.rfind("\n", 0, at) + 1:at]
+    indent = "\n" + " " * (len(line) - len(line.lstrip(" ")))
+    return (dumped[:at] + text.replace("\n", indent)
+            + dumped[at + len(_FORMATTED_JSON):])
+
+
+def digest(text: str) -> str:
+    """The SHA-256 of a dumps_canonical output."""
+    return hashlib.sha256(text.encode()).hexdigest()

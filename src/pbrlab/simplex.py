@@ -23,16 +23,16 @@ index. Ratios are compared by cross-multiplying, so no division is done.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
+from .ontology import Record
 
-@dataclass(frozen=True)
-class SimplexResult:
-    feasible: bool
-    witness: tuple | None      # x >= 0 with A x = b, when feasible
-    certificate: tuple | None  # Farkas y over the rows, when infeasible
+
+class SimplexResult(Record):
+    # witness: x >= 0 with A x = b, when feasible; certificate: a Farkas y
+    # over the rows, when infeasible; the other is None.
+    __slots__ = ("feasible", "witness", "certificate")
 
 
 def solve_equalities(A, b, n: int) -> SimplexResult:

@@ -7,7 +7,6 @@ lines as they complete.
 import json
 import random
 import time
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -23,6 +22,7 @@ from pbrlab.nogo import (ContradictionProof, NoOverlap, build_feasibility,
 from pbrlab.ontology import (EpistemicState, chi_square_statistic, predict,
                              sample, support_overlap)
 from pbrlab.serialize import dumps_canonical
+from records import replace
 
 PBR = born_targets()
 CHI2_999_3DOF = 16.27

@@ -1,18 +1,21 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
 import time
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from pbrlab import __version__
 from pbrlab.cli import INPUT_MAX_BYTES, main
 from pbrlab.contextual import build_interval_model
 from pbrlab.hilbert import born_targets
+from pbrlab.ontology import EpistemicState
 from pbrlab.serialize import dumps_canonical, model_to_json
+from records import replace
 
 
 def run(capsys, *argv):
@@ -128,7 +131,6 @@ def test_contradiction_proof(capsys, tmp_path):
 
 
 def test_contradiction_no_overlap(capsys, tmp_path):
-    from pbrlab.ontology import EpistemicState
     m = _noncontextual(build_interval_model(
         2, born_targets(),
         rho1=EpistemicState.point_mass(2, 0),
@@ -222,6 +224,95 @@ def test_json_outputs_roundtrip_and_stable(capsys):
         _, second, _ = run(capsys, *argv)
         assert first == second
         assert dumps_canonical(json.loads(first)) + "\n" == first
+
+
+def _plain_dumps(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True)
+
+
+def _plain_report(command, inputs, out, model=None) -> str:
+    """The report `out` must be, made with plain json.dumps: the inputs and
+    the model are dumped in place, and the digest is the SHA-256 of the
+    inputs' dump. The rest of the payload is taken from `out`."""
+    payload = {k: v for k, v in json.loads(out).items()
+               if k not in ("command", "version", "inputs")}
+    if model is not None:
+        payload["model"] = model
+    report = {"command": command, "version": __version__,
+              "inputs": {"digest": hashlib.sha256(
+                  _plain_dumps(inputs).encode()).hexdigest(), **inputs},
+              **payload}
+    return _plain_dumps(report) + "\n"
+
+
+def _assert_same_text(got: str, want: str):
+    """Name the first line that differs: pytest's own diff of two texts of
+    half a megabyte takes minutes."""
+    for n, (g, w) in enumerate(zip(got.splitlines(), want.splitlines()), 1):
+        assert g == w, f"line {n} differs"
+    assert got == want, "one text is a prefix of the other"
+
+
+@pytest.mark.parametrize("L", [1, 2, 3, 7, 40])
+def test_spliced_reports_equal_plain_json_dumps(capsys, tmp_path, L):
+    model = build_interval_model(L, born_targets())
+    model_json = model_to_json(model)
+    out_path = tmp_path / "refuted.json"
+    code, out, _ = run(capsys, "refute", "--lambda-size", str(L),
+                       "--out", str(out_path), "--json")
+    assert code == 0
+    _assert_same_text(out_path.read_text(), _plain_dumps(model_json) + "\n")
+    targets = [[str(q) for q in row] for row in born_targets()]
+    _assert_same_text(out, _plain_report(
+        "refute", {"lambda_size": L, "targets": targets}, out, model=model_json))
+
+    path = str(out_path)
+    code, out, _ = run(capsys, "check", "--model", path, "--json")
+    assert code == 0
+    _assert_same_text(out, _plain_report("check", {"model": model_json}, out))
+
+    code, out, _ = run(capsys, "sample", "--model", path, "--context", "21",
+                       "--n", "100", "--seed", "3", "--json")
+    assert code == 0
+    _assert_same_text(out, _plain_report(
+        "sample", {"model": model_json, "context": "21", "n": 100, "seed": 3},
+        out))
+
+    flat = [_noncontextual(model)]
+    if L > 1:
+        flat.append(_noncontextual(build_interval_model(
+            L, born_targets(), rho1=EpistemicState.point_mass(L, 0),
+            rho2=EpistemicState.point_mass(L, L - 1))))
+    for m, want in zip(flat, (0, 4)):
+        code, out, _ = run(capsys, "contradiction", "--model",
+                           _write_model(tmp_path, m), "--json")
+        assert code == want
+        _assert_same_text(out, _plain_report(
+            "contradiction", {"model": model_to_json(m)}, out))
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--model", "{model}"],
+    ["sample", "--model", "{model}", "--context", "11", "--n", "10",
+     "--seed", "1"],
+    ["contradiction", "--model", "{flat}"],
+    ["refute", "--lambda-size", "2"],
+], ids=["check", "sample", "contradiction", "refute"])
+def test_human_output_formats_no_model_and_no_digest(capsys, tmp_path,
+                                                     monkeypatch, argv):
+    paths = {"model": _write_model(tmp_path, build_interval_model(2, born_targets())),
+             "flat": _write_model(tmp_path, _noncontextual_overlap_model(),
+                                  "flat.json")}
+    argv = [a.format(**paths) for a in argv]
+
+    def refuse(*args):
+        raise AssertionError("human output formatted a report")
+    from pbrlab import cli
+    for name in ("model_to_json", "dumps_canonical", "digest"):
+        monkeypatch.setattr(cli, name, refuse)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert "elapsed:" in out
 
 
 def test_model_json_roundtrip(tmp_path):

@@ -1,5 +1,4 @@
 import json
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -11,6 +10,7 @@ from pbrlab.nogo import ContradictionProof, derive_contradiction
 from pbrlab.ontology import (EpistemicState, ModelError, predict,
                              support_overlap, validate_model)
 from pbrlab.serialize import dumps_canonical, model_from_json, model_to_json
+from records import replace
 
 PBR = born_targets()
 

@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -11,6 +10,7 @@ from pbrlab.ontology import (EpistemicState, LambdaSpace, ModelError,
                              OntologicalModel, OutcomeCounts, ResponseTable,
                              chi_square_statistic, predict, sample,
                              support_overlap, validate_model)
+from records import replace
 
 
 def _uniform_response(L):
