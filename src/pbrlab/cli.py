@@ -3,6 +3,11 @@
 Exit codes are stable: 0 expected result, 2 invalid input, 3 a verdict
 contradicting the theorem (a bug signal for CI), 4 argument inapplicable
 (disjoint supports where an overlap was needed).
+
+Commands raise ModelError for every invalid input they find; `main` alone
+reports it, as one `error: ...` line on stderr with nothing on stdout, and
+exits 2. `check` prints its verdict on an invalid model as a report and
+exits 2; argparse reports malformed arguments itself.
 """
 
 from __future__ import annotations
@@ -15,9 +20,9 @@ import time
 
 from . import __version__, ontology
 from .ontology import ModelError
-from .serialize import (FORMATTED, digest, dumps_canonical, fmt_frac,
-                        model_from_json, model_to_json, rho_pair_from_json,
-                        splice)
+from .serialize import (FORMATTED, _targets_to_json, digest, dumps_canonical,
+                        fmt_frac, model_from_json, model_to_json,
+                        rho_pair_from_json, splice)
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
@@ -56,7 +61,7 @@ def _emit(args, command: str, inputs: dict, payload: dict, human_lines,
     the input digest is the SHA-256 of the inputs' canonical dump, so it
     covers the model."""
     # Timings stay out of --json output so reports are byte-stable.
-    if getattr(args, "json", False):
+    if args.json:
         def dump(obj):
             text = dumps_canonical(obj)
             return text if model_text is None else splice(text, model_text)
@@ -71,18 +76,28 @@ def _emit(args, command: str, inputs: dict, payload: dict, human_lines,
 
 
 def _load_json_file(path: str):
-    """The parsed file. A file over INPUT_MAX_BYTES, not UTF-8 JSON, holding
-    an integer of more than 4300 digits or nesting too deep raises
-    ModelError."""
-    with open(path) as fh:
-        size = os.fstat(fh.fileno()).st_size
-        if size > INPUT_MAX_BYTES:
-            raise ModelError(f"{path} holds {size} bytes; input files are "
-                             f"capped at {INPUT_MAX_BYTES}")
-        try:
-            return json.load(fh)
-        except (ValueError, RecursionError) as e:
-            raise ModelError(str(e)) from e
+    """The parsed file. A file that cannot be read, is over INPUT_MAX_BYTES,
+    is not UTF-8 JSON, holds an integer of more than 4300 digits or nests
+    too deep raises ModelError."""
+    try:
+        with open(path) as fh:
+            size = os.fstat(fh.fileno()).st_size
+            if size <= INPUT_MAX_BYTES:
+                return json.load(fh)
+    except (OSError, ValueError, RecursionError) as e:
+        raise ModelError(str(e)) from e
+    raise ModelError(f"{path} holds {size} bytes; input files are capped at "
+                     f"{INPUT_MAX_BYTES}")
+
+
+def _in_range(name: str, value: int, low: int, high: int,
+              suffix: str = "") -> int:
+    """`value`, or ModelError if it lies outside [low, high]."""
+    if value < low:
+        raise ModelError(f"{name} must be >= {low}")
+    if value > high:
+        raise ModelError(f"{name} must be <= {high}{suffix}")
+    return value
 
 
 # Each command imports the layers it runs, so `check` and `sample` never
@@ -102,7 +117,7 @@ def cmd_basis(args) -> int:
         "gram": [[hilbert.amplitude_json(e) for e in row] for row in g],
         "anchors": anchors,
         "contexts": [f"{j}{k}" for (j, k) in hilbert.CONTEXTS],
-        "targets": [[fmt_frac(q) for q in row] for row in targets],
+        "targets": _targets_to_json(targets),
     }
     lines = ["measurement basis (4 effects, dim 4):"]
     for i, e in enumerate(basis.effects):
@@ -121,32 +136,17 @@ def cmd_basis(args) -> int:
 def cmd_nogo(args) -> int:
     from . import hilbert, nogo
     t0 = time.perf_counter()
-    L = args.lambda_size
-    if L < 1:
-        print("lambda_size must be >= 1", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    if L > NOGO_MAX_LAMBDA:
-        print(f"lambda_size must be <= {NOGO_MAX_LAMBDA} for nogo",
-              file=sys.stderr)
-        return EXIT_BAD_INPUT
+    L = _in_range("lambda_size", args.lambda_size, 1, NOGO_MAX_LAMBDA,
+                  " for nogo")
     if args.rho:
-        try:
-            r1, r2 = rho_pair_from_json(_load_json_file(args.rho))
-        except (OSError, ModelError) as e:
-            print(f"error: {e}", file=sys.stderr)
-            return EXIT_BAD_INPUT
+        r1, r2 = rho_pair_from_json(_load_json_file(args.rho))
         if r1.size != L:
-            print(f"error: rho file is over L={r1.size}, not {L}", file=sys.stderr)
-            return EXIT_BAD_INPUT
+            raise ModelError(f"rho file is over L={r1.size}, not {L}")
     else:
         r1 = r2 = ontology.EpistemicState.uniform(L)
 
     targets = hilbert.born_targets()
-    try:
-        problem = nogo.build_feasibility(r1, r2, targets)
-    except ModelError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    problem = nogo.build_feasibility(r1, r2, targets)
     outcome = nogo.solve_feasibility(problem)
     overlap = ontology.support_overlap(r1, r2)
     expect_feasible = nogo.theorem_expected_verdict(r1, r2)
@@ -154,7 +154,7 @@ def cmd_nogo(args) -> int:
     inputs = {"lambda_size": L,
               "rho1": [fmt_frac(w) for w in r1.weights],
               "rho2": [fmt_frac(w) for w in r2.weights],
-              "targets": [[fmt_frac(q) for q in row] for row in targets]}
+              "targets": _targets_to_json(targets)}
     payload = {"arithmetic": "exact",
                "row_order": nogo.ROW_ORDER_NOTE,
                "overlap": {"disjoint": overlap.disjoint,
@@ -196,24 +196,12 @@ def cmd_nogo(args) -> int:
 def cmd_contradiction(args) -> int:
     from . import nogo
     t0 = time.perf_counter()
-    try:
-        model = model_from_json(_load_json_file(args.model))
-    except (OSError, ModelError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    model = model_from_json(_load_json_file(args.model))
     # A contextual model goes straight to derive_contradiction, which
     # refuses it whether or not it is valid.
-    violations = [] if model.contextual else ontology.validate_model(model)
-    if violations:
-        print("invalid model:", file=sys.stderr)
-        for v in violations:
-            print(f"  {v}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    try:
-        result = nogo.derive_contradiction(model)
-    except ModelError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    if not model.contextual:
+        ontology._require_valid(model)
+    result = nogo.derive_contradiction(model)
 
     inputs = {"model": FORMATTED}
     model_text = _model_text(model) if args.json else None
@@ -247,14 +235,8 @@ def cmd_contradiction(args) -> int:
 def cmd_refute(args) -> int:
     from . import contextual, hilbert
     t0 = time.perf_counter()
-    L = args.lambda_size
-    if L < 1:
-        print("lambda_size must be >= 1", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    if L > REFUTE_MAX_LAMBDA:
-        print(f"lambda_size must be <= {REFUTE_MAX_LAMBDA} for refute",
-              file=sys.stderr)
-        return EXIT_BAD_INPUT
+    L = _in_range("lambda_size", args.lambda_size, 1, REFUTE_MAX_LAMBDA,
+                  " for refute")
     model = contextual.build_interval_model(L, hilbert.born_targets())
     report_data = contextual.refutation_report(model)
     model_text = _model_text(model) if args.out or args.json else None
@@ -263,12 +245,10 @@ def cmd_refute(args) -> int:
             with open(args.out, "w") as fh:
                 fh.write(model_text + "\n")
         except OSError as e:
-            print(f"error: {e}", file=sys.stderr)
-            return EXIT_BAD_INPUT
+            raise ModelError(str(e)) from e
 
     inputs = {"lambda_size": L,
-              "targets": [[fmt_frac(q) for q in row]
-                          for row in hilbert.born_targets()]}
+              "targets": _targets_to_json(hilbert.born_targets())}
     payload = {"arithmetic": "exact",
                "born_reproduced": report_data.born_reproduced,
                "overlap_mass": fmt_frac(report_data.overlap_mass),
@@ -290,11 +270,7 @@ def cmd_refute(args) -> int:
 
 def cmd_check(args) -> int:
     t0 = time.perf_counter()
-    try:
-        model = model_from_json(_load_json_file(args.model))
-    except (OSError, ModelError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    model = model_from_json(_load_json_file(args.model))
     violations = ontology.validate_model(model)
     lines = (["model is valid"] if not violations
              else ["model is invalid:"] + [f"  {v}" for v in violations])
@@ -313,22 +289,10 @@ def _parse_context(s: str):
 
 def cmd_sample(args) -> int:
     t0 = time.perf_counter()
-    try:
-        model = model_from_json(_load_json_file(args.model))
-        context = _parse_context(args.context)
-    except (OSError, ModelError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    if args.n < 0:
-        print("error: n must be >= 0", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    if args.n > SAMPLE_MAX_N:
-        print(f"error: n must be <= {SAMPLE_MAX_N}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    violations = ontology.validate_model(model)
-    if violations:
-        print("error: invalid model: " + "; ".join(violations), file=sys.stderr)
-        return EXIT_BAD_INPUT
+    model = model_from_json(_load_json_file(args.model))
+    context = _parse_context(args.context)
+    _in_range("n", args.n, 0, SAMPLE_MAX_N)
+    ontology._require_valid(model)
     counts = ontology._sample(model, context, args.n, args.seed)
     predicted = ontology._predict(model, context)
     stat = ontology.chi_square_statistic(counts, predicted)
@@ -404,8 +368,6 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ModelError as e:
-        # Invalid input found past a command's own checks, e.g. an exact
-        # result too long to print (serialize.fmt_frac).
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

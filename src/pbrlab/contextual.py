@@ -13,7 +13,7 @@ from fractions import Fraction
 from .ontology import (CONTEXTS, EpistemicState, LambdaSpace, ModelError,
                        OntologicalModel, Record, ResponseTable,
                        _over_common_denominator, _predict, _require_inputs,
-                       support_overlap, validate_model)
+                       _require_valid, support_overlap)
 
 
 class RefutationReport(Record):
@@ -92,9 +92,7 @@ def build_interval_model(L: int, targets, rho1: EpistemicState = None,
 
 
 def refutation_report(m: OntologicalModel) -> RefutationReport:
-    report = validate_model(m)
-    if report:
-        raise ModelError("invalid model: " + "; ".join(report))
+    _require_valid(m)
     reproduced = all(_predict(m, context) == m.born_targets[c]
                      for c, context in enumerate(CONTEXTS))
     overlap = support_overlap(m.rho1, m.rho2)

@@ -2,9 +2,10 @@
 response tables, the product-form prediction rule, support overlap,
 and seeded Monte Carlo sampling.
 
-Every number is exact: weights, response entries and targets are
+Every number is exact: weights, response entries and targets are ints or
 Fractions, compared with no tolerance, since the no-go argument turns on
-probabilities that are exactly 0.
+probabilities that are exactly 0. `validate_model` reports any other value,
+a float or a bool included.
 """
 
 from __future__ import annotations
@@ -150,30 +151,46 @@ def _show(x) -> str:
                 f"{x.denominator.bit_length()} bits, too long to print>")
 
 
+def _exact(x) -> bool:
+    """Whether x is an exact number: an int or a Fraction, but not a bool.
+    A value that is not is reported as such and checked no further, and a
+    sum over it is not checked."""
+    return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
+
+
+def _not_exact(x) -> str:
+    return f"{x!r} is not an exact number"
+
+
 def _check_distribution(name, weights, size, report):
     if len(weights) != size:
         report.append(f"{name} has {len(weights)} weights, lambda space has {size}")
         return
     for i, w in enumerate(weights):
-        if w < 0:
+        if not _exact(w):
+            report.append(f"{name}[{i}] = {_not_exact(w)}")
+        elif w < 0:
             report.append(f"{name}[{i}] is negative: {_show(w)}")
-    total = sum(weights)
-    if total != 1:
-        report.append(f"{name} sums to {_show(total)}, not 1")
+    if all(map(_exact, weights)):
+        total = sum(weights)
+        if total != 1:
+            report.append(f"{name} sums to {_show(total)}, not 1")
 
 
 def _cell_complaints(cell) -> tuple:
     """What is wrong with one cell's 4 outcome probabilities, as (1-based
     outcome, text) pairs; outcome 0 stands for the row sum."""
     out = []
-    row_sum = 0
     for i, v in enumerate(cell):
-        if v < 0 or v > 1:
+        if not _exact(v):
+            out.append((i + 1, f"= {_not_exact(v)}"))
+        elif v < 0 or v > 1:
             out.append((i + 1, f"= {_show(v)} outside [0, 1]"))
-        row_sum += v
-    if row_sum != 1:
-        out.append((0, f"sum to {_show(row_sum)}, "
-                       f"deficit {_show(1 - row_sum)}"))
+    if all(map(_exact, cell)):
+        row_sum = sum(cell)
+        if row_sum != 1:
+            out.append((0, f"sum to {_show(row_sum)}, "
+                           f"deficit {_show(1 - row_sum)}"))
     return tuple(out)
 
 
@@ -210,13 +227,16 @@ def _target_complaints(targets) -> list:
     report = []
     for c, row in enumerate(targets):
         for i, q in enumerate(row):
-            if q < 0 or q > 1:
-                report.append(f"born_targets[{CONTEXTS[c]}][outcome {i + 1}] = {_show(q)} "
-                              "outside [0, 1]")
-        total = sum(row)
-        if total != 1:
-            report.append(f"born_targets row for context {CONTEXTS[c]} "
-                          f"sums to {_show(total)}")
+            where = f"born_targets[{CONTEXTS[c]}][outcome {i + 1}] ="
+            if not _exact(q):
+                report.append(f"{where} {_not_exact(q)}")
+            elif q < 0 or q > 1:
+                report.append(f"{where} {_show(q)} outside [0, 1]")
+        if all(map(_exact, row)):
+            total = sum(row)
+            if total != 1:
+                report.append(f"born_targets row for context {CONTEXTS[c]} "
+                              f"sums to {_show(total)}")
     return report
 
 

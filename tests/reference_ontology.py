@@ -6,6 +6,10 @@ prediction term added as a Fraction; and the validation of a contextual
 model as first written, one slice at a time with the repeated complaints
 dropped by their text. Tests require pbrlab's versions to return exactly
 the same reports, counts, tables and predictions.
+
+Validation takes a number as exact only if its type is int or Fraction
+(so not bool); any other value is reported with its repr and compared
+with nothing, and a sum that would include it is not checked.
 """
 
 import math
@@ -15,6 +19,8 @@ from fractions import Fraction
 
 from pbrlab.hilbert import CONTEXTS, context_index
 from pbrlab.ontology import OutcomeCounts, ResponseTable
+
+EXACT_TYPES = (int, Fraction)
 
 
 @dataclass(frozen=True)
@@ -37,12 +43,16 @@ def _check_distribution(name, weights, size, report):
     if len(weights) != size:
         report.append(f"{name} has {len(weights)} weights, lambda space has {size}")
         return
+    inexact = [type(w) not in EXACT_TYPES for w in weights]
     for i, w in enumerate(weights):
-        if w < 0:
+        if inexact[i]:
+            report.append(f"{name}[{i}] = {w!r} is not an exact number")
+        elif w < 0:
             report.append(f"{name}[{i}] is negative: {w}")
-    total = sum(weights)
-    if total != 1:
-        report.append(f"{name} sums to {total}, not 1")
+    if not any(inexact):
+        total = sum(weights)
+        if total != 1:
+            report.append(f"{name} sums to {total}, not 1")
 
 
 def validate_model(m) -> list:
@@ -64,11 +74,17 @@ def validate_model(m) -> list:
             row_sum = 0
             for i in range(4):
                 v = p[i][lam][lamp]
+                if type(v) not in EXACT_TYPES:
+                    report.append(f"response[{i + 1}][{lam}][{lamp}] = {v!r} "
+                                  "is not an exact number")
+                    row_sum = None
+                    continue
                 if v < 0 or v > 1:
                     report.append(
                         f"response[{i + 1}][{lam}][{lamp}] = {v} outside [0, 1]")
-                row_sum += p[i][lam][lamp]
-            if row_sum != 1:
+                if row_sum is not None:
+                    row_sum += v
+            if row_sum is not None and row_sum != 1:
                 report.append(
                     f"response rows at (lambda={lam}, lambda'={lamp}) "
                     f"sum to {row_sum}, deficit {1 - row_sum}")
@@ -77,13 +93,19 @@ def validate_model(m) -> list:
         report.append("born_targets is not 4 x 4")
     else:
         for c, row in enumerate(m.born_targets):
+            exact = True
             for i, q in enumerate(row):
-                if q < 0 or q > 1:
+                if type(q) not in EXACT_TYPES:
+                    exact = False
+                    report.append(
+                        f"born_targets[{CONTEXTS[c]}][outcome {i + 1}] = {q!r} "
+                        "is not an exact number")
+                elif q < 0 or q > 1:
                     report.append(
                         f"born_targets[{CONTEXTS[c]}][outcome {i + 1}] = {q} "
                         "outside [0, 1]")
-            total = sum(row)
-            if total != 1:
+            total = sum(row) if exact else None
+            if exact and total != 1:
                 report.append(
                     f"born_targets row for context {CONTEXTS[c]} sums to {total}")
     return report

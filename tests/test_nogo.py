@@ -205,6 +205,10 @@ BAD_INPUTS = {
         (Fraction(-1, 4), Fraction(1, 4), Fraction(1, 2), Fraction(1, 2)),
         *PBR[1:])),
     "targets-not-4x4": (_HALVES, _HALVES, PBR[:3]),
+    "float-rho1": (EpistemicState((0.5, 0.5)), _HALVES, PBR),
+    "bool-rho2": (_HALVES, EpistemicState((True, False)), PBR),
+    "float-target": (_HALVES, _HALVES, (
+        (0.0, Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)), *PBR[1:])),
 }
 
 
@@ -275,10 +279,10 @@ def test_sparse_rows_skip_zero_weights():
 
 
 @st.composite
-def _rho_pairs(draw):
-    """Epistemic states over L <= 4 with small integer weights, zeros
+def _rho_pairs(draw, max_size=4):
+    """Epistemic states over L <= max_size with small integer weights, zeros
     included; for L > 1 about half of the pairs have disjoint supports."""
-    L = draw(st.integers(1, 4))
+    L = draw(st.integers(1, max_size))
     weights = st.lists(st.integers(0, 6), min_size=L, max_size=L)
     w1 = draw(weights.filter(any))
     w2 = draw(weights.filter(any))
@@ -321,3 +325,31 @@ def test_audit_matches_dense_audit(pair, index, sign):
         assert verify_certificate(p, y) == dense_verify_certificate(dense, p.b, y)
     if not out.feasible:
         assert verify_certificate(p, found)
+
+
+def _forcing_certificate(p, proof):
+    """The Farkas certificate the forcing proof spells out: 1 on the norm
+    row of (lambda*, lambda*), and -1 / (rho_j(lambda*) rho_k(lambda*)) on
+    the Born row of each outcome's zero-target context (j, k). Column
+    (i, lambda*, lambda*) then sums to 1 - 1 = 0, every other column to
+    -rho_j rho_k / weight <= 0, and y^T b = 1 - 0."""
+    L = p.lambda_size
+    y = [Fraction(0)] * len(p.A)
+    y[proof.lambda_star * L + proof.lambda_star] = Fraction(1)
+    for step in proof.steps:
+        c = CONTEXTS.index(step.context)
+        y[L * L + 4 * (step.outcome - 1) + c] = -1 / step.weight
+    return y
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_rho_pairs(max_size=6))
+def test_forcing_proof_is_a_farkas_certificate(pair):
+    """The two halves of the no-go argument agree: the LP is infeasible
+    exactly when the forcing proof finds an overlap, and the proof then
+    yields a certificate the audit accepts, built with no solver code."""
+    p = build_feasibility(*pair, PBR)
+    proof = derive_contradiction(_model(*pair))
+    assert solve_feasibility(p).feasible == isinstance(proof, NoOverlap)
+    if isinstance(proof, ContradictionProof):
+        assert verify_certificate(p, _forcing_certificate(p, proof))

@@ -54,6 +54,27 @@ def test_validate_bad_targets():
     assert any("born_targets" in line for line in report)
 
 
+@pytest.mark.parametrize("weight, cell, target_row", [
+    (1.0, (0.0, 0.25, 0.25, 0.5), (0.0, 0.25, 0.25, 0.5)),
+    (True, (True, False, False, False), (True, False, False, False)),
+], ids=["float", "bool"])
+def test_validate_reports_values_that_are_not_exact(weight, cell, target_row):
+    m = OntologicalModel(
+        lambda_space=LambdaSpace(1), rho1=EpistemicState((weight,)),
+        rho2=EpistemicState((weight,)),
+        response=(ResponseTable(tuple(((v,),) for v in cell)),),
+        born_targets=(target_row,) + born_targets()[1:])
+    assert validate_model(m) == (
+        [f"{rho}[0] = {weight!r} is not an exact number"
+         for rho in ("rho1", "rho2")]
+        + [f"response[{i + 1}][0][0] = {v!r} is not an exact number"
+           for i, v in enumerate(cell)]
+        + [f"born_targets[(1, 1)][outcome {i + 1}] = {q!r} is not an exact "
+           "number" for i, q in enumerate(target_row)])
+    with pytest.raises(ModelError, match="is not an exact number"):
+        predict(m, (1, 1))
+
+
 def test_predict_single_lambda_copies_targets():
     # L=1: the response column must equal the targets for each context,
     # but a single table cannot match 4 different target rows; use equal rows

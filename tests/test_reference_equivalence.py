@@ -17,13 +17,14 @@ from pbrlab.ontology import (EpistemicState, LambdaSpace, OntologicalModel,
                              ResponseTable, _cdf, _predict, sample,
                              validate_model)
 
-# Equal values of different types (1/2, 0.5), entries a hair inside and
-# outside [0, 1], and entries well outside it. Models built in Python can
-# hold floats, so both validations must judge them alike.
+# Equal values of different types (1/2, 0.5, 1, True), entries a hair
+# inside and outside [0, 1], and entries well outside it. Models built in
+# Python can hold floats and bools, which both validations must report as
+# not exact, alike.
 ENTRIES = (Fraction(0), Fraction(1), Fraction(1, 2), Fraction(1, 4),
            Fraction(1, 3), Fraction(-1, 4), Fraction(3, 2), 0, 1,
            0.0, 1.0, 0.5, 0.25, -0.0, 1 + 5e-10, -5e-10, 1 + 2e-9, -2e-9,
-           0.1, 0.2, 0.7, 1.5)
+           0.1, 0.2, 0.7, 1.5, True, False)
 
 
 def _table(cells, L):
