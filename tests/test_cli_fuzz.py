@@ -8,7 +8,8 @@ mutations at random places in its JSON tree: a key or element dropped, a
 value replaced by "1/0", a boolean, a huge integer, a float, a string (an
 exponent such as "1e999999999" among them), null or an empty container, a
 list wrapped, emptied, cut short or grown, or the mode switched. The
-example count keeps the test to a few seconds.
+example count keeps the test to a few seconds. A `nogo --rho` run that
+exits 0 must also pass the independent checker on the file's ρ pair.
 """
 
 import contextlib
@@ -21,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from independent_checker import nogo_errors, rho_pair
 from pbrlab.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -75,8 +77,8 @@ def _mutate(doc, data):
     return doc
 
 
-def _run(argv):
-    with contextlib.redirect_stdout(io.StringIO()), \
+def _run(argv, out=None):
+    with contextlib.redirect_stdout(out or io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
         return main(argv)
 
@@ -110,5 +112,9 @@ def test_mutated_rho_files_keep_the_exit_codes(scratch, data):
     path = scratch / "rho.json"
     path.write_text(json.dumps(doc))
     L = data.draw(st.sampled_from(["2", "3"]))
-    assert _run(["nogo", "--lambda-size", L, "--rho", str(path),
-                 "--json"]) in CONTRACT
+    out = io.StringIO()
+    code = _run(["nogo", "--lambda-size", L, "--rho", str(path), "--json"],
+                out)
+    assert code in CONTRACT
+    if code == 0:
+        assert nogo_errors(out.getvalue(), rho_pair(doc), int(L)) == []

@@ -30,18 +30,24 @@ rho2 = (0, 0, 1), a valid noncontextual model with disjoint supports.
 `contradiction` proves the clash on the overlapping model (exit 0),
 refuses the contextual model (exit 2, empty stdout) and reports NoOverlap
 on the disjoint one (exit 4).
+Every `nogo` golden must also pass the benchmark's independent checker
+(`perfbench/checker.py`, which shares no code with pbrlab), so a wrong
+certificate or witness cannot be pinned by regenerating it.
 To regenerate after an intended change of output, run
-`PYTHONPATH=src python tests/test_golden.py` and review the diff.
+`PYTHONPATH=src python tests/test_golden.py` and review the diff; it
+writes nothing if any `nogo` output fails the checker.
 """
 
 import contextlib
 import io
 import json
+import sys
 import tempfile
 from pathlib import Path
 
 import pytest
 
+from independent_checker import nogo_errors, rho_pair
 from pbrlab.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -105,6 +111,15 @@ def _run_case(name, scratch: Path):
     return code, out.getvalue(), written
 
 
+def _checker_errors(name, out: str) -> list:
+    """The independent checker's complaints about a `nogo` case's stdout."""
+    argv = CASES[name]
+    L = int(argv[argv.index("--lambda-size") + 1])
+    rho = (rho_pair(json.loads(Path(argv[argv.index("--rho") + 1]).read_text()))
+           if "--rho" in argv else None)
+    return nogo_errors(out, rho, L)
+
+
 def _check(name, scratch: Path):
     code, out, written = _run_case(name, scratch)
     expected_codes = json.loads((GOLDEN / "exit_codes.json").read_text())
@@ -117,6 +132,11 @@ def _check(name, scratch: Path):
 @pytest.mark.parametrize("name", sorted(NOGO_CASES))
 def test_nogo_matches_golden(name, tmp_path):
     _check(name, tmp_path)
+
+
+@pytest.mark.parametrize("name", sorted(NOGO_CASES))
+def test_nogo_golden_passes_independent_checker(name):
+    assert _checker_errors(name, (GOLDEN / f"{name}.json").read_text()) == []
 
 
 @pytest.mark.parametrize("name", sorted(CONTEXTUAL_CASES))
@@ -148,6 +168,11 @@ def test_basis_human_matches_golden():
 if __name__ == "__main__":
     codes = {}
     with tempfile.TemporaryDirectory() as scratch:
+        for name in sorted(NOGO_CASES):
+            errors = _checker_errors(name, _run_case(name, Path(scratch))[1])
+            if errors:
+                sys.exit(f"{name}: the independent checker rejects it, "
+                         f"nothing written: {errors}")
         # refute first: the L=7 check and sample cases read its model.
         for name in sorted(CASES, key=lambda n: (CASES[n][0] != "refute", n)):
             codes[name], out, written = _run_case(name, Path(scratch))
