@@ -9,7 +9,7 @@ or one command of its command line, loads only the modules that need it.
 
 import importlib
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 _SUBMODULES = ("contextual", "hilbert", "nogo", "ontology", "scalar", "simplex")
 _SOURCES = {  # public name -> the submodule defining it

@@ -29,14 +29,15 @@ EXIT_BAD_INPUT = 2
 EXIT_THEOREM_VIOLATED = 3
 EXIT_NOT_APPLICABLE = 4
 
-# nogo builds an exact LP of L^2 + 16 rows over 4L^2 columns with at most
-# 20 L^2 nonzeros (4 per normalization row, L^2 per Born row): 1040 rows,
-# 4096 columns and 20480 nonzeros at L = 32, decided in under 0.1 s for
-# uniform rho. The witness path on random disjoint rho grows much faster
-# with L (0.4 s at L = 14, 2 s at L = 20), so the cap stays until a
-# symmetry reduction shrinks the LP. Larger sizes are refused before
-# building.
-NOGO_MAX_LAMBDA = 32
+# nogo decides its LP on the quotient lambda-space (nogo.quotient): one
+# class per projective point [rho1 : rho2], so the solved LP has K^2 + 16
+# rows for K <= L classes, and only the unreduced audit of a certificate or
+# the witness check grows as L^2. The worst case is K = L, distinct
+# overlapping weights: about 1.1 s from process start to exit at L = 64,
+# where disjoint or partly overlapping rho take under 0.7 s (Python 3.11,
+# 2 vCPUs). The quotient solve alone takes 7.6 s at K = L = 128, so the cap
+# stays at 64. Larger sizes are refused before building.
+NOGO_MAX_LAMBDA = 64
 # refute builds, checks and prints an exact model of 16 L^2 entries: about
 # 4.5 MB of JSON at L = 128, where `refute --out` takes 0.6-0.8 s from
 # process start to exit and peaks at 53 MB RSS (Python 3.11, 2 vCPUs).

@@ -5,6 +5,28 @@ reproduce the Born targets for these epistemic states?" as an exact LP
 feasibility problem, solves it, audits infeasibility via Farkas
 certificates, and derives the direct normalization contradiction for
 overlapping supports.
+
+The LP is solved on the quotient lambda-space. Cell (lambda, lambda')
+carries the context weights (rho1(lambda), rho2(lambda)) tensor
+(rho1(lambda'), rho2(lambda')), so cells whose lambdas lie on the same
+projective points [rho1 : rho2] are parallel columns; merging them keeps
+feasibility (the parallel-column step of LP presolve, Andersen & Andersen,
+Math. Programming 71, 1995). `quotient` classes each lambda by that point,
+with one class for the lambdas outside both supports, and builds the same
+LP on the K class masses: K^2 + 16 rows. Disjoint supports give K = 2,
+uniform rho K = 1, and distinct overlapping weights K = L, where the
+quotient is the problem itself. `solve_feasibility` lifts the answer back:
+
+* a witness: each cell copies the response of its class pair;
+* a certificate (the tight lift): the 16 Born duals y_B are kept, and each
+  cell's normalization dual is -max_i sum_c y_B[i, c] w_cell(c), so every
+  column of y^T A is <= 0 by construction; within a class pair the cell
+  weights are proportional with factors summing to 1, so y^T b is never
+  below the quotient's.
+
+Certificates are therefore over the unreduced rows of ROW_ORDER_NOTE, and
+`verify_certificate` audits them on the unreduced problem, which shares no
+code with the reduction.
 """
 
 from __future__ import annotations
@@ -106,21 +128,87 @@ def build_feasibility(r1: EpistemicState, r2: EpistemicState,
                               A=tuple(A), b=tuple(b), row_labels=tuple(labels))
 
 
+def lambda_classes(r1: EpistemicState, r2: EpistemicState) -> tuple:
+    """The class of each lambda, numbered in order of first appearance:
+    lambdas share a class when (rho1, rho2) at them are proportional, i.e.
+    lie on one projective point [a : b], keyed a / (a + b); every lambda
+    outside both supports falls in one class, keyed None."""
+    index = {}
+    return tuple(index.setdefault(Fraction(a, a + b) if a + b else None,
+                                  len(index))
+                 for a, b in zip(r1.weights, r2.weights))
+
+
+def quotient(p: FeasibilityProblem) -> tuple:
+    """(classes, q): the class of each lambda, and the LP built on the
+    class masses. With one lambda per class the classes are the identity
+    and q is p itself."""
+    classes = lambda_classes(p.rho1, p.rho2)
+    K = max(classes) + 1
+    if K == p.lambda_size:
+        return classes, p
+    masses = ([Fraction(0)] * K, [Fraction(0)] * K)
+    for kappa, a, b in zip(classes, p.rho1.weights, p.rho2.weights):
+        masses[0][kappa] += a
+        masses[1][kappa] += b
+    return classes, build_feasibility(EpistemicState(tuple(masses[0])),
+                                      EpistemicState(tuple(masses[1])),
+                                      p.targets)
+
+
 def solve_feasibility(p: FeasibilityProblem) -> FeasibilityOutcome:
-    result = solve_equalities(p.A, p.b, p.num_vars)
+    """Decide p on its quotient and lift the witness or certificate to p."""
+    classes, q = quotient(p)
+    result = solve_equalities(q.A, q.b, q.num_vars)
     if not result.feasible:
-        return FeasibilityOutcome(feasible=False, witness=None,
-                                  certificate=result.certificate)
-    L = p.lambda_size
+        y = result.certificate
+        if q is not p:
+            y = _tight_lift(p, y[len(y) - 16:])
+        return FeasibilityOutcome(feasible=False, witness=None, certificate=y)
+    K = q.lambda_size
     # One object per distinct value, so validate_model's cell memo, keyed
     # on entry identity, checks each distinct cell once.
     shared = {}
     x = [shared.setdefault(v, v) for v in result.witness]
-    table = tuple(tuple(tuple(x[_var(i, lam, lamp, L)] for lamp in range(L))
-                        for lam in range(L))
+    table = tuple(tuple(tuple(x[_var(i, kappa, kappa_p, K)] for kappa_p in classes)
+                        for kappa in classes)
                   for i in range(4))
     return FeasibilityOutcome(feasible=True, witness=ResponseTable(table),
                               certificate=None)
+
+
+def _tight_lift(p: FeasibilityProblem, born_duals) -> tuple:
+    """A certificate for p from the 16 Born duals of one for its quotient:
+    the same Born duals, and on cell (lambda, lambda') the normalization
+    dual -max_i sum_c y_B[i, c] rho_j(lambda) rho_k(lambda').
+
+    With rho over one denominator d (a(lambda) = d (rho1, rho2)(lambda))
+    and y_B over another, e (Y_i[j][k] = e y_B[i, (j, k)]), that sum is
+    a(lambda)^T Y_i a(lambda') / (d^2 e); v_i(lambda) = a(lambda)^T Y_i is
+    computed once per lambda, so a cell costs four 2-term dot products."""
+    weights = p.rho1.weights + p.rho2.weights
+    d = lcm(*(w.denominator for w in weights))
+    scaled = [w.numerator * (d // w.denominator) for w in weights]
+    L = p.lambda_size
+    a = list(zip(scaled[:L], scaled[L:]))
+    e = lcm(*(y.denominator for y in born_duals))
+    Y = [[[0, 0], [0, 0]] for _ in range(4)]
+    for i in range(4):
+        for c, (j, k) in enumerate(CONTEXTS):
+            y = born_duals[4 * i + c]
+            Y[i][j - 1][k - 1] = y.numerator * (e // y.denominator)
+    den = d * d * e
+    zero = Fraction(0)
+    norm = []
+    for a1, a2 in a:
+        if not (a1 or a2):
+            norm.extend([zero] * L)
+            continue
+        v = [(a1 * Yi[0][0] + a2 * Yi[1][0], a1 * Yi[0][1] + a2 * Yi[1][1])
+             for Yi in Y]
+        norm.extend(Fraction(-max(v1 * b1 + v2 * b2 for v1, v2 in v), den)
+                    if b1 or b2 else zero for b1, b2 in a)
+    return tuple(norm) + tuple(born_duals)
 
 
 def verify_certificate(p: FeasibilityProblem, y) -> bool:

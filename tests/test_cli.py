@@ -102,7 +102,7 @@ def test_nogo_rejects_huge_lambda_before_building(capsys):
     code, out, err = run(capsys, "nogo", "--lambda-size", "100000")
     assert code == 2
     assert out == ""
-    assert "lambda_size must be <= 32" in err
+    assert "lambda_size must be <= 64" in err
     assert time.perf_counter() - t0 < 1.0
 
 
@@ -391,7 +391,7 @@ SRC = str(Path(__file__).parents[1] / "src")
 
 @pytest.mark.parametrize("argv", [
     ["nogo", "--lambda-size", "0"],
-    ["nogo", "--lambda-size", "33"],
+    ["nogo", "--lambda-size", "65"],
     ["refute", "--lambda-size", "0"],
     ["refute", "--lambda-size", "129"],
     ["sample", "--model", "{valid}", "--context", "11", "--n", "-1",
@@ -401,7 +401,7 @@ SRC = str(Path(__file__).parents[1] / "src")
     ["sample", "--model", "{invalid}", "--context", "11", "--n", "10",
      "--seed", "1"],
     ["refute", "--lambda-size", "2", "--out", "{unwritable}"],
-], ids=["nogo-L0", "nogo-L33", "refute-L0", "refute-L129", "sample-n-1",
+], ids=["nogo-L0", "nogo-L65", "refute-L0", "refute-L129", "sample-n-1",
         "missing-model", "contradiction-invalid", "sample-invalid",
         "refute-unwritable-out"])
 def test_bad_input_prints_one_error_line(capsys, tmp_path, argv):

@@ -13,6 +13,13 @@ rho2 on lambdas 1 and 2. The L=7 rho files hold distinct integer weights
 in 1..1000 drawn with random.Random(7), normalised: the overlapping one
 gives full support to both states (a certificate after many pivots), the
 disjoint one puts rho1 on 3 points and rho2 on the other 4 (a witness).
+The partial-overlap L=7 file takes 9 distinct weights in 1..1000 from
+random.Random(7): rho1 gets the first 5 on lambdas 0-4, rho2 the last 4
+on lambdas 3-6, so lambdas 3 and 4 are shared and the quotient LP has
+K = 4 classes. The L=5 file takes weights a, b, c, d, e in 1..1000 from
+random.Random(5) and sets rho1 = (a, b, 2a, 0, c), rho2 = (d, 0, 2d, 0, e),
+normalised: lambdas 0 and 2 lie on one projective point and lambda 3 is
+outside both supports (K = 4). Both take the tight certificate lift.
 
 The L=7 `refute --out` model, whose cell widths of 1/49 straddle every
 Born boundary, is also read back by `check` and by `sample` in contexts 11
@@ -67,7 +74,8 @@ NOGO_CASES = {
                        str(GOLDEN / f"rho_{rho}.json"), "--json"]
        for rho, L in (("L2_point_masses", "2"), ("L3_seed3_overlap", "3"),
                       ("L3_seed3_disjoint", "3"), ("L7_seed7_overlap", "7"),
-                      ("L7_seed7_disjoint", "7"))},
+                      ("L7_seed7_disjoint", "7"), ("L7_seed7_partial", "7"),
+                      ("L5_seed5_classes", "5"))},
 }
 CONTEXTUAL_CASES = {
     **{f"refute_L{L}": ["refute", "--lambda-size", str(L), "--out", OUT,

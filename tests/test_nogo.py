@@ -9,9 +9,9 @@ from dense_simplex import (densify, dense_solve_equalities,
 from pbrlab.contextual import build_interval_model
 from pbrlab.hilbert import CONTEXTS, born_targets
 from pbrlab.nogo import (ContradictionProof, NoOverlap, build_feasibility,
-                         derive_contradiction, solve_feasibility,
-                         theorem_expected_verdict, verify_certificate,
-                         witness_model)
+                         derive_contradiction, lambda_classes, quotient,
+                         solve_feasibility, theorem_expected_verdict,
+                         verify_certificate, witness_model)
 from pbrlab.ontology import (EpistemicState, LambdaSpace, ModelError,
                              OntologicalModel, ResponseTable, predict,
                              validate_model)
@@ -299,15 +299,113 @@ def _rho_pairs(draw, max_size=4):
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(_rho_pairs())
 def test_solve_feasibility_matches_dense_reference(pair):
+    """The sparse solver makes the dense reference's pivots on the quotient
+    LP, and solve_feasibility returns the lift of that answer: each cell's
+    response is its class pair's, and the 16 Born duals are kept."""
     p = build_feasibility(*pair, PBR)
-    ref = dense_solve_equalities(densify(p.A, p.num_vars), p.b)
+    classes, q = quotient(p)
+    ref = dense_solve_equalities(densify(q.A, q.num_vars), q.b)
     out = solve_feasibility(p)
     assert out.feasible == ref.feasible == theorem_expected_verdict(*pair)
+    K = q.lambda_size
     if out.feasible:
-        assert tuple(v for plane in out.witness.p for row in plane
-                     for v in row) == ref.witness
+        assert out.witness.p == tuple(
+            tuple(tuple(ref.witness[(i * K + kappa) * K + kappa_p]
+                        for kappa_p in classes) for kappa in classes)
+            for i in range(4))
     else:
-        assert out.certificate == ref.certificate
+        assert out.certificate[len(p.A) - 16:] == ref.certificate[K * K:]
+        if q is p:
+            assert out.certificate == ref.certificate
+
+
+def _state(*weights):
+    total = sum(weights)
+    return EpistemicState(tuple(Fraction(w, total) for w in weights))
+
+
+K_CASES = {  # (rho1, rho2, K)
+    "disjoint": (_state(1, 2, 0, 0), _state(0, 0, 3, 4), 2),
+    "one-shared": (_state(1, 2, 3, 0), _state(0, 0, 5, 4), 3),
+    "two-shared": (_state(1, 2, 3, 4, 0, 0), _state(0, 0, 5, 7, 6, 2), 4),
+    "uniform": (EpistemicState.uniform(5), EpistemicState.uniform(5), 1),
+    "distinct-overlap": (_state(1, 2, 3, 4), _state(4, 3, 2, 9), 4),
+    "point-masses": (EpistemicState.point_mass(3, 0),
+                     EpistemicState.point_mass(3, 2), 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(K_CASES))
+def test_class_count(case):
+    """K is 2 for disjoint supports, s + 2 for s shared lambdas with
+    distinct ratios, 1 for uniform rho and L for distinct overlapping
+    weights; a lambda outside both supports adds one class."""
+    r1, r2, K = K_CASES[case]
+    assert len(set(lambda_classes(r1, r2))) == K
+    padded = (EpistemicState(r1.weights + (Fraction(0),)),
+              EpistemicState(r2.weights + (Fraction(0),)))
+    if case == "point-masses":  # lambda 1 is already outside both supports
+        K -= 1
+    assert len(set(lambda_classes(*padded))) == K + 1
+
+
+def test_classes_are_numbered_by_first_appearance():
+    # lambdas 1 and 3 share [2 : 1], lambda 2 is outside both supports
+    r1, r2 = _state(1, 4, 0, 2, 3), _state(3, 2, 0, 1, 0)
+    assert lambda_classes(r1, r2) == (0, 1, 2, 1, 3)
+    classes, q = quotient(build_feasibility(r1, r2, PBR))
+    assert q.lambda_size == 4
+    assert q.rho1.weights == (Fraction(1, 10), Fraction(6, 10), Fraction(0),
+                              Fraction(3, 10))
+    assert q.rho2.weights == (Fraction(1, 2), Fraction(1, 2), Fraction(0),
+                              Fraction(0))
+
+
+def test_quotient_with_one_lambda_per_class_is_the_problem():
+    p = build_feasibility(*K_CASES["distinct-overlap"][:2], PBR)
+    assert quotient(p) == (tuple(range(4)), p)
+    assert quotient(p)[1] is p
+
+
+@st.composite
+def _shaped_rho_pairs(draw, max_size=7):
+    """rho pairs over L <= max_size of a drawn shape: disjoint supports,
+    partial overlap or full overlap, optionally with lambdas outside both
+    supports, with weights from 1..2 (many duplicated ratios, so several
+    lambdas share a class) or 1..1000 (mostly distinct)."""
+    L = draw(st.integers(1, max_size))
+    shape = draw(st.sampled_from(["disjoint", "partial", "full"]))
+    roles = {"disjoint": "12", "partial": "123", "full": "3"}[shape]
+    if draw(st.booleans()):
+        roles += "0"  # outside both supports
+    role = draw(st.lists(st.sampled_from(roles), min_size=L, max_size=L))
+    assume("1" in role or "3" in role)
+    assume("2" in role or "3" in role)
+    assume(shape != "partial" or ("3" in role and set(role) - {"0", "3"}))
+    weight = st.integers(1, draw(st.sampled_from([2, 1000])))
+    w1 = [draw(weight) if r in "13" else 0 for r in role]
+    w2 = [draw(weight) if r in "23" else 0 for r in role]
+    return _state(*w1), _state(*w2)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_shaped_rho_pairs())
+def test_lifted_answers_hold_on_the_unreduced_problem(pair):
+    """Whatever the shape, the verdict is the theorem's, a lifted
+    certificate passes both audits of the unreduced LP, and a lifted
+    witness is a valid model reproducing every target."""
+    p = build_feasibility(*pair, PBR)
+    out = solve_feasibility(p)
+    assert out.feasible == theorem_expected_verdict(*pair)
+    if out.feasible:
+        m = witness_model(p, out)
+        assert validate_model(m) == []
+        for c, ctx in enumerate(CONTEXTS):
+            assert predict(m, ctx) == PBR[c]
+    else:
+        assert verify_certificate(p, out.certificate)
+        assert dense_verify_certificate(densify(p.A, p.num_vars), p.b,
+                                        out.certificate)
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
