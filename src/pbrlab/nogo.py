@@ -163,14 +163,15 @@ def solve_feasibility(p: FeasibilityProblem) -> FeasibilityOutcome:
     if not result.feasible:
         y = result.certificate
         if q is not p:
-            y = _tight_lift(p, y[len(y) - 16:])
+            y = _tight_lift(p, y[-16:])
         return FeasibilityOutcome(feasible=False, witness=None, certificate=y)
     K = q.lambda_size
     # One object per distinct value, so validate_model's cell memo, keyed
     # on entry identity, checks each distinct cell once.
     shared = {}
     x = [shared.setdefault(v, v) for v in result.witness]
-    table = tuple(tuple(tuple(x[_var(i, kappa, kappa_p, K)] for kappa_p in classes)
+    table = tuple(tuple(tuple(x[_var(i, kappa, kappa_p, K)]
+                              for kappa_p in classes)
                         for kappa in classes)
                   for i in range(4))
     return FeasibilityOutcome(feasible=True, witness=ResponseTable(table),
@@ -190,22 +191,19 @@ def _tight_lift(p: FeasibilityProblem, born_duals) -> tuple:
     d = lcm(*(w.denominator for w in weights))
     scaled = [w.numerator * (d // w.denominator) for w in weights]
     L = p.lambda_size
-    a = list(zip(scaled[:L], scaled[L:]))
     e = lcm(*(y.denominator for y in born_duals))
-    Y = [[[0, 0], [0, 0]] for _ in range(4)]
-    for i in range(4):
-        for c, (j, k) in enumerate(CONTEXTS):
-            y = born_duals[4 * i + c]
-            Y[i][j - 1][k - 1] = y.numerator * (e // y.denominator)
+    # Born row 4 i + c holds outcome i in context c: 11, 12, 21, 22.
+    Y = [y.numerator * (e // y.denominator) for y in born_duals]
     den = d * d * e
     zero = Fraction(0)
+    a = list(zip(scaled[:L], scaled[L:]))
     norm = []
     for a1, a2 in a:
         if not (a1 or a2):
             norm.extend([zero] * L)
             continue
-        v = [(a1 * Yi[0][0] + a2 * Yi[1][0], a1 * Yi[0][1] + a2 * Yi[1][1])
-             for Yi in Y]
+        v = [(a1 * Y[r] + a2 * Y[r + 2], a1 * Y[r + 1] + a2 * Y[r + 3])
+             for r in range(0, 16, 4)]
         norm.extend(Fraction(-max(v1 * b1 + v2 * b2 for v1, v2 in v), den)
                     if b1 or b2 else zero for b1, b2 in a)
     return tuple(norm) + tuple(born_duals)

@@ -123,8 +123,10 @@ def _checker_errors(name, out: str) -> list:
     """The independent checker's complaints about a `nogo` case's stdout."""
     argv = CASES[name]
     L = int(argv[argv.index("--lambda-size") + 1])
-    rho = (rho_pair(json.loads(Path(argv[argv.index("--rho") + 1]).read_text()))
-           if "--rho" in argv else None)
+    rho = None
+    if "--rho" in argv:
+        rho_file = Path(argv[argv.index("--rho") + 1])
+        rho = rho_pair(json.loads(rho_file.read_text()))
     return nogo_errors(out, rho, L)
 
 
