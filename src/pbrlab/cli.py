@@ -33,10 +33,10 @@ EXIT_NOT_APPLICABLE = 4
 # class per projective point [rho1 : rho2], so the solved LP has K^2 + 16
 # rows for K <= L classes, and only the unreduced audit of a certificate or
 # the witness check grows as L^2. The worst case is K = L, distinct
-# overlapping weights: about 1.1 s from process start to exit at L = 64,
-# where disjoint or partly overlapping rho take under 0.7 s (Python 3.11,
-# 2 vCPUs). The quotient solve alone takes 7.6 s at K = L = 128, so the cap
-# stays at 64. Larger sizes are refused before building.
+# overlapping weights: 0.5-1.3 s from process start to exit at L = 64,
+# where uniform, disjoint or partly overlapping rho take under 0.5 s
+# (Python 3.11, 2 vCPUs). At K = L = 128 the solve alone takes 1.1-3.5 s,
+# so the cap stays at 64. Larger sizes are refused before building.
 NOGO_MAX_LAMBDA = 64
 # refute builds, checks and prints an exact model of 16 L^2 entries: about
 # 4.5 MB of JSON at L = 128, where `refute --out` takes 0.6-0.8 s from
