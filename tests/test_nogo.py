@@ -363,8 +363,8 @@ def test_classes_are_numbered_by_first_appearance():
 
 def test_quotient_with_one_lambda_per_class_is_the_problem():
     p = build_feasibility(*K_CASES["distinct-overlap"][:2], PBR)
-    assert quotient(p) == (tuple(range(4)), p)
-    assert quotient(p)[1] is p
+    classes, q = quotient(p)
+    assert classes == (0, 1, 2, 3) and q is p
 
 
 @st.composite
