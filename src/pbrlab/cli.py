@@ -6,8 +6,9 @@ contradicting the theorem (a bug signal for CI), 4 argument inapplicable
 
 Commands raise ModelError for every invalid input they find; `main` alone
 reports it, as one `error: ...` line on stderr with nothing on stdout, and
-exits 2. `check` prints its verdict on an invalid model as a report and
-exits 2; argparse reports malformed arguments itself.
+exits 2. A stdout that cannot be written is reported the same way.
+`check` prints its verdict on an invalid model as a report and exits 2;
+argparse reports malformed arguments itself.
 """
 
 from __future__ import annotations
@@ -39,12 +40,13 @@ EXIT_NOT_APPLICABLE = 4
 # so the cap stays at 64. Larger sizes are refused before building.
 NOGO_MAX_LAMBDA = 64
 # refute builds, checks and prints an exact model of 16 L^2 entries: about
-# 4.5 MB of JSON at L = 128, where `refute --out` takes 0.6-0.8 s from
-# process start to exit and peaks at 53 MB RSS (Python 3.11, 2 vCPUs).
+# 4.5 MB of JSON at L = 128, where `refute --out` takes 0.3-0.5 s from
+# process start to exit and peaks at 36 MB RSS (Python 3.11, 2 vCPUs).
 # Larger sizes are refused before building.
 REFUTE_MAX_LAMBDA = 128
 # sample draws exactly, at a few microseconds per trial: 10^7 trials take
-# about 17 s. Larger counts are refused before sampling.
+# 18-25 s (the L = 3 and L = 40 interval models, Python 3.11, 2 vCPUs).
+# Larger counts are refused before sampling.
 SAMPLE_MAX_N = 10 ** 7
 # The largest file pbr writes, `refute --lambda-size 128 --out`, holds about
 # 4.5 MB. Larger model and rho files are refused before parsing.
@@ -60,7 +62,7 @@ def _emit(args, command: str, inputs: dict, payload: dict, human_lines,
     """Print the --json report, or else the human lines. With model_text,
     the FORMATTED value in inputs or payload stands for that model text;
     the input digest is the SHA-256 of the inputs' canonical dump, so it
-    covers the model."""
+    covers the model. A failed write or flush of stdout raises ModelError."""
     # Timings stay out of --json output so reports are byte-stable.
     if args.json:
         def dump(obj):
@@ -69,11 +71,19 @@ def _emit(args, command: str, inputs: dict, payload: dict, human_lines,
         report = {"command": command, "version": __version__,
                   "inputs": {"digest": digest(dump(inputs)), **inputs}}
         report.update(payload)
-        print(dump(report))
+        text = dump(report)
     else:
-        for line in human_lines:
-            print(line)
-        print(f"elapsed: {elapsed:.3f}s")
+        text = "\n".join([*human_lines, f"elapsed: {elapsed:.3f}s"])
+    try:
+        print(text)
+        sys.stdout.flush()
+    except OSError as e:
+        # What is left in the buffer would fail again, with a traceback, at
+        # interpreter exit; send it to the null device instead.
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+        raise ModelError(f"cannot write to stdout: {e}") from e
 
 
 def _load_json_file(path: str):

@@ -2,7 +2,8 @@
 by path. It imports nothing from pbrlab and rebuilds the no-go LP from the
 documented row and column order, so a `nogo` verdict it accepts has been
 judged by code that shares none of the solver's, the reduction's or the
-audit's."""
+audit's. It recomputes the Born predictions of `refute` models and the
+outcome distributions of `sample` the same way."""
 
 import importlib.util
 import json
@@ -29,3 +30,32 @@ def nogo_errors(stdout: str, rho, L: int) -> list:
     if rho is None:
         rho = [[Fraction(1, L)] * L for _ in range(2)]
     return checker.check_nogo(json.loads(stdout), rho, L)
+
+
+def refute_errors(stdout: str, model_text: str, L: int) -> list:
+    """The checker's complaints about one `pbr refute --json --out FILE`
+    stdout, with `model_text` the text of FILE."""
+    return checker.check_refute(json.loads(stdout), json.loads(model_text), L)
+
+
+def check_errors(stdout: str, model: dict) -> list:
+    """The checker's complaints about one `pbr check --json` stdout for a
+    model file known to be valid."""
+    return checker.check_check(json.loads(stdout), model)
+
+
+def sample_errors(stdout: str, model: dict, context: str, n: int,
+                  seed: int) -> list:
+    """The checker's complaints about one `pbr sample --json` stdout, with
+    the outcome distribution computed by `checker.predictions`. A
+    noncontextual model's one table serves every context."""
+    if model["response"]["kind"] == "contextual":
+        L, rho, tables = checker.parse_model(model)
+    else:
+        L = model["lambda_size"]
+        rho = [checker.fracs(model["rho1"]), checker.fracs(model["rho2"])]
+        tables = [[[checker.fracs(row) for row in plane]
+                   for plane in model["response"]["p"]]] * 4
+    predicted = checker.predictions(rho, tables.__getitem__, L)
+    return checker.check_sample(json.loads(stdout), model, context, n, seed,
+                                predicted[checker.CONTEXTS.index(context)])

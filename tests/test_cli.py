@@ -223,7 +223,7 @@ def test_json_outputs_roundtrip_and_stable(capsys):
         _, first, _ = run(capsys, *argv)
         _, second, _ = run(capsys, *argv)
         assert first == second
-        assert dumps_canonical(json.loads(first)) + "\n" == first
+        assert _plain_dumps(json.loads(first)) + "\n" == first
 
 
 def _plain_dumps(obj) -> str:
@@ -571,3 +571,43 @@ def test_non_fraction_strings_exit_2_at_once(capsys, tmp_path, command,
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and repr(literal) in err
+
+
+def _large_model(tmp_path) -> str:
+    """An L = 24 model: its `check --json` report, about 160 KB, overflows
+    a pipe's buffer, so the write itself fails, not only the final flush."""
+    path = tmp_path / "large.json"
+    path.write_text(dumps_canonical(model_to_json(
+        build_interval_model(24, born_targets()))))
+    return str(path)
+
+
+@pytest.mark.parametrize("sink", [
+    pytest.param("full", marks=pytest.mark.skipif(
+        not os.path.exists("/dev/full"), reason="no /dev/full")),
+    "closed-pipe"])
+@pytest.mark.parametrize("command", ["check-large", "nogo-small"])
+def test_unwritable_stdout_exits_2(tmp_path, sink, command):
+    argv = (["check", "--model", _large_model(tmp_path), "--json"]
+            if command == "check-large"
+            else ["nogo", "--lambda-size", "2", "--json"])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    if sink == "full":
+        with open("/dev/full", "w") as out:
+            proc = subprocess.run([sys.executable, "-m", "pbrlab.cli", *argv],
+                                  stdout=out, stderr=subprocess.PIPE,
+                                  text=True, env=env, timeout=60)
+    else:
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "pbrlab.cli", *argv],
+                                  stdout=write_end, stderr=subprocess.PIPE,
+                                  text=True, env=env, timeout=60)
+        finally:
+            os.close(write_end)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: cannot write to stdout: ")
+    assert proc.stderr.count("\n") == 1

@@ -23,7 +23,8 @@ outside both supports (K = 4). Both take the tight certificate lift.
 
 The L=7 `refute --out` model, whose cell widths of 1/49 straddle every
 Born boundary, is also read back by `check` and by `sample` in contexts 11
-and 22 (`python tests/test_golden.py` writes it before those cases run).
+and 22 (`python tests/test_golden.py` has them read the model it has just
+made).
 The other input models are tests/golden/model_*.json: the L=3 interval model
 (`refute --lambda-size 3 --out`); a copy of it with rho1 summing to 7/6,
 entries 3/2 and -1/4, a short row in context 22 and a target row summing
@@ -37,12 +38,15 @@ rho2 = (0, 0, 1), a valid noncontextual model with disjoint supports.
 `contradiction` proves the clash on the overlapping model (exit 0),
 refuses the contextual model (exit 2, empty stdout) and reports NoOverlap
 on the disjoint one (exit 4).
-Every `nogo` golden must also pass the benchmark's independent checker
+Every `nogo`, `refute` and `sample` golden, and every `check` golden of a
+valid model, must also pass the benchmark's independent checker
 (`perfbench/checker.py`, which shares no code with pbrlab), so a wrong
-certificate or witness cannot be pinned by regenerating it.
+certificate, witness, model or sample cannot be pinned by regenerating it.
+The checker has no verdict for `basis`, `contradiction` or a `check` of an
+invalid model.
 To regenerate after an intended change of output, run
 `PYTHONPATH=src python tests/test_golden.py` and review the diff; it
-writes nothing if any `nogo` output fails the checker.
+writes nothing if any of those outputs fails the checker.
 """
 
 import contextlib
@@ -54,18 +58,21 @@ from pathlib import Path
 
 import pytest
 
-from independent_checker import nogo_errors, rho_pair
+from independent_checker import (check_errors, nogo_errors, refute_errors,
+                                 rho_pair, sample_errors)
 from pbrlab.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 OUT = "{out}"  # replaced by a scratch path; the file is compared too
+# The L=7 `refute --out` model: the golden file, or, when regenerating, the
+# model just made.
+REFUTE_L7 = "{refute_L7_out}"
+GOLDEN_REFUTE_L7 = GOLDEN / "refute_L7_out.json"
 
 
 def _model(name):
     return str(GOLDEN / f"model_{name}.json")
 
-
-REFUTE_L7 = GOLDEN / "refute_L7_out.json"
 
 NOGO_CASES = {
     **{f"nogo_uniform_L{L}": ["nogo", "--lambda-size", str(L), "--json"]
@@ -94,8 +101,8 @@ CONTEXTUAL_CASES = {
                                    "--json"],
     # The L=7 model read back from the golden `refute --out` file: widths of
     # 1/49 straddle every Born boundary, so every slice splits cells.
-    "check_L7_contextual": ["check", "--model", str(REFUTE_L7), "--json"],
-    **{f"sample_L7_contextual_{c}": ["sample", "--model", str(REFUTE_L7),
+    "check_L7_contextual": ["check", "--model", REFUTE_L7, "--json"],
+    **{f"sample_L7_contextual_{c}": ["sample", "--model", REFUTE_L7,
                                      "--context", c, "--n", "2000",
                                      "--seed", "11", "--json"]
        for c in ("11", "22")},
@@ -107,27 +114,51 @@ OTHER_CASES = {
        for name in ("noncontextual", "contextual", "disjoint")},
 }
 CASES = {**NOGO_CASES, **CONTEXTUAL_CASES, **OTHER_CASES}
+# The contextual cases the independent checker judges: every refute and
+# sample, and check on the valid models.
+JUDGED_CONTEXTUAL = sorted(
+    [n for n in CONTEXTUAL_CASES if CASES[n][0] in ("refute", "sample")]
+    + ["check_L3_contextual", "check_L3_noncontextual",
+       "check_L7_contextual"])
 
 
-def _run_case(name, scratch: Path):
-    argv = CASES[name]
-    out_path = scratch / f"{name}_out.json"
+def _argv(name, scratch: Path, refute_l7: Path = GOLDEN_REFUTE_L7):
+    places = {OUT: str(scratch / f"{name}_out.json"),
+              REFUTE_L7: str(refute_l7)}
+    return [places.get(a, a) for a in CASES[name]]
+
+
+def _run_case(name, scratch: Path, refute_l7: Path = GOLDEN_REFUTE_L7):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main([str(out_path) if a == OUT else a for a in argv])
-    written = out_path.read_text() if OUT in argv else None
+        code = main(_argv(name, scratch, refute_l7))
+    written = None
+    if OUT in CASES[name]:
+        written = (scratch / f"{name}_out.json").read_text()
     return code, out.getvalue(), written
 
 
-def _checker_errors(name, out: str) -> list:
-    """The independent checker's complaints about a `nogo` case's stdout."""
-    argv = CASES[name]
-    L = int(argv[argv.index("--lambda-size") + 1])
-    rho = None
-    if "--rho" in argv:
-        rho_file = Path(argv[argv.index("--rho") + 1])
-        rho = rho_pair(json.loads(rho_file.read_text()))
-    return nogo_errors(out, rho, L)
+def _checker_errors(argv, out: str, written=None) -> list:
+    """The independent checker's complaints about the stdout `out` of the
+    command `argv`, and the model `written` that a `refute` wrote."""
+    def arg(flag):
+        return argv[argv.index(flag) + 1]
+    if argv[0] == "nogo":
+        rho = None
+        if "--rho" in argv:
+            rho = rho_pair(json.loads(Path(arg("--rho")).read_text()))
+        return nogo_errors(out, rho, int(arg("--lambda-size")))
+    if argv[0] == "refute":
+        return refute_errors(out, written, int(arg("--lambda-size")))
+    model = json.loads(Path(arg("--model")).read_text())
+    if argv[0] == "check":
+        return check_errors(out, model)
+    return sample_errors(out, model, arg("--context"), int(arg("--n")),
+                         int(arg("--seed")))
+
+
+def _golden(name) -> str:
+    return (GOLDEN / f"{name}.json").read_text()
 
 
 def _check(name, scratch: Path):
@@ -145,13 +176,20 @@ def test_nogo_matches_golden(name, tmp_path):
 
 
 @pytest.mark.parametrize("name", sorted(NOGO_CASES))
-def test_nogo_golden_passes_independent_checker(name):
-    assert _checker_errors(name, (GOLDEN / f"{name}.json").read_text()) == []
+def test_nogo_golden_passes_independent_checker(name, tmp_path):
+    assert _checker_errors(_argv(name, tmp_path), _golden(name)) == []
 
 
 @pytest.mark.parametrize("name", sorted(CONTEXTUAL_CASES))
 def test_contextual_matches_golden(name, tmp_path):
     _check(name, tmp_path)
+
+
+@pytest.mark.parametrize("name", JUDGED_CONTEXTUAL)
+def test_contextual_golden_passes_independent_checker(name, tmp_path):
+    written = _golden(f"{name}_out") if CASES[name][0] == "refute" else None
+    assert _checker_errors(_argv(name, tmp_path), _golden(name),
+                           written) == []
 
 
 @pytest.mark.parametrize("name", sorted(OTHER_CASES))
@@ -176,19 +214,25 @@ def test_basis_human_matches_golden():
 
 
 if __name__ == "__main__":
-    codes = {}
+    runs = {}
     with tempfile.TemporaryDirectory() as scratch:
-        for name in sorted(NOGO_CASES):
-            errors = _checker_errors(name, _run_case(name, Path(scratch))[1])
+        scratch = Path(scratch)
+        fresh = scratch / "refute_L7_out.json"
+        # refute first: the L=7 check and sample cases read its model.
+        for name in sorted(CASES, key=lambda n: (CASES[n][0] != "refute", n)):
+            runs[name] = _run_case(name, scratch, fresh)
+        for name in sorted(NOGO_CASES) + JUDGED_CONTEXTUAL:
+            _, out, written = runs[name]
+            errors = _checker_errors(_argv(name, scratch, fresh), out,
+                                     written)
             if errors:
                 sys.exit(f"{name}: the independent checker rejects it, "
                          f"nothing written: {errors}")
-        # refute first: the L=7 check and sample cases read its model.
-        for name in sorted(CASES, key=lambda n: (CASES[n][0] != "refute", n)):
-            codes[name], out, written = _run_case(name, Path(scratch))
-            (GOLDEN / f"{name}.json").write_text(out)
-            if written is not None:
-                (GOLDEN / f"{name}_out.json").write_text(written)
+    codes = {}
+    for name, (codes[name], out, written) in runs.items():
+        (GOLDEN / f"{name}.json").write_text(out)
+        if written is not None:
+            (GOLDEN / f"{name}_out.json").write_text(written)
     (GOLDEN / "basis_human.txt").write_text(_basis_human()[1])
     (GOLDEN / "exit_codes.json").write_text(
         json.dumps(codes, indent=2, sort_keys=True) + "\n")
