@@ -503,11 +503,12 @@ _LONG_A = "1/" + "7" * 4000
 _LONG_B = "1/" + "3" * 3999 + "1"
 
 
-def _run_cli(*argv):
+def _run_cli(*argv, stdout=subprocess.PIPE):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
     return subprocess.run([sys.executable, "-m", "pbrlab.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=60)
+                          stdout=stdout, stderr=subprocess.PIPE, text=True,
+                          env=env, timeout=60)
 
 
 @pytest.mark.parametrize("command", ["check", "sample", "contradiction"])
@@ -591,20 +592,14 @@ def test_unwritable_stdout_exits_2(tmp_path, sink, command):
     argv = (["check", "--model", _large_model(tmp_path), "--json"]
             if command == "check-large"
             else ["nogo", "--lambda-size", "2", "--json"])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
     if sink == "full":
         with open("/dev/full", "w") as out:
-            proc = subprocess.run([sys.executable, "-m", "pbrlab.cli", *argv],
-                                  stdout=out, stderr=subprocess.PIPE,
-                                  text=True, env=env, timeout=60)
+            proc = _run_cli(*argv, stdout=out)
     else:
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
-            proc = subprocess.run([sys.executable, "-m", "pbrlab.cli", *argv],
-                                  stdout=write_end, stderr=subprocess.PIPE,
-                                  text=True, env=env, timeout=60)
+            proc = _run_cli(*argv, stdout=write_end)
         finally:
             os.close(write_end)
     assert proc.returncode == 2
