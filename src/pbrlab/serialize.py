@@ -159,11 +159,11 @@ def rho_pair_from_json(d: dict):
 
 
 def dumps_canonical(obj) -> str:
-    """The text of `json.dumps(obj, indent=2, sort_keys=True)`, byte for
-    byte. With `indent` set, json before Python 3.13 runs its pure-Python
-    encoder, which took 10-14 ms for an L = 40 model. Here each list of
-    strings is quoted by the C function json itself uses and joined in one
-    call, and the pieces are joined once at the end."""
+    """The text `json.dumps` writes for `obj` with an indent of 2 and
+    sorted keys, byte for byte. With an indent, json before Python 3.13
+    runs its pure-Python encoder, which took 10-14 ms for an L = 40 model.
+    Here each list of strings is quoted by the C function json itself uses
+    and joined in one call, and the pieces are joined once at the end."""
     out = []
     _write(obj, "\n", out)
     return "".join(out)
