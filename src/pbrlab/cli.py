@@ -6,7 +6,9 @@ contradicting the theorem (a bug signal for CI), 4 argument inapplicable
 
 Commands raise ModelError for every invalid input they find; `main` alone
 reports it, as one `error: ...` line on stderr with nothing on stdout, and
-exits 2. A stdout that cannot be written is reported the same way.
+exits 2. A stdout that cannot be written, under --help and --version
+too, is reported the same way; a stderr that cannot be written still
+exits 2, silently.
 `check` prints its verdict on an invalid model as a report and exits 2;
 argparse reports malformed arguments itself.
 """
@@ -74,16 +76,23 @@ def _emit(args, command: str, inputs: dict, payload: dict, human_lines,
         text = dump(report)
     else:
         text = "\n".join([*human_lines, f"elapsed: {elapsed:.3f}s"])
+    _write(sys.stdout, text + "\n")
+
+
+def _write(stream, text: str = "") -> None:
+    """Write `text` to `stream` and flush it. If that fails, the stream's
+    descriptor is pointed at the null device, so what is left in the buffer
+    cannot fail again at exit, and stdout raises ModelError, stderr OSError."""
     try:
-        print(text)
-        sys.stdout.flush()
+        stream.write(text)
+        stream.flush()
     except OSError as e:
-        # What is left in the buffer would fail again, with a traceback, at
-        # interpreter exit; send it to the null device instead.
         null = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(null, sys.stdout.fileno())
+        os.dup2(null, stream.fileno())
         os.close(null)
-        raise ModelError(f"cannot write to stdout: {e}") from e
+        if stream is sys.stdout:
+            raise ModelError(f"cannot write to stdout: {e}") from e
+        raise
 
 
 def _load_json_file(path: str):
@@ -375,11 +384,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as e:
+            if e.code == 0:  # --help or --version, which argparse prints
+                _write(sys.stdout)  # without reporting a failed write
+            raise
         return args.func(args)
     except ModelError as e:
-        print(f"error: {e}", file=sys.stderr)
+        try:
+            _write(sys.stderr, f"error: {e}\n")
+        except OSError:
+            pass  # stderr cannot be written either: the exit code tells
         return EXIT_BAD_INPUT
 
 

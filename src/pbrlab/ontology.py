@@ -196,25 +196,23 @@ def _cell_complaints(cell) -> tuple:
 
 def _table_complaints(p, L, checked) -> list:
     """What is wrong with one response table, or None if it is not shaped
-    4 x L x L. `checked` maps each cell already seen, keyed by the
-    identities of its 4 entries, to its complaints: tables repeat a few
-    distinct cells (an interval model holds only unit rows and the cells
-    straddling a boundary, and a model read from JSON shares one entry
-    object per distinct literal), so each is checked once without hashing
-    or comparing a single Fraction. The entries stay alive while the model
-    does, so their ids are not reused during one validation, and the same
-    objects have the same types: 1/2 and 0.5 never share a key."""
+    4 x L x L. `checked` maps each cell seen, keyed by its 4 entries' ids
+    (which live as long as the model; 1/2 and 0.5 never share one), to its
+    complaints: a table repeats a few cells, so each is checked once, and
+    only a row holding a new cell or a complaint is walked cell by cell."""
     if len(p) != 4 or any(len(p[i]) != L or any(len(row) != L for row in p[i])
                           for i in range(len(p))):
         return None
     report = []
     for lam, rows in enumerate(zip(*p)):
+        keys = set(zip(*(map(id, r) for r in rows)))
+        if keys <= checked.keys() and not any(map(checked.__getitem__, keys)):
+            continue
         for lamp, cell in enumerate(zip(*rows)):
             key = tuple(map(id, cell))
-            complaints = checked.get(key)
-            if complaints is None:
-                complaints = checked[key] = _cell_complaints(cell)
-            for outcome, text in complaints:
+            if key not in checked:
+                checked[key] = _cell_complaints(cell)
+            for outcome, text in checked[key]:
                 where = (f"response[{outcome}][{lam}][{lamp}]" if outcome else
                          f"response rows at (lambda={lam}, lambda'={lamp})")
                 report.append(f"{where} {text}")
@@ -362,11 +360,10 @@ def sample(m: OntologicalModel, context, n: int, seed: int) -> OutcomeCounts:
 
 def _sample(m: OntologicalModel, context, n: int, seed: int) -> OutcomeCounts:
     """`sample` for a model the caller has validated. Each trial draws three
-    random() values: lambda, lambda', then the outcome; each draw picks the
-    first index whose cumulative weight exceeds the value. A valid
-    distribution has no negative weight and sums to 1, so its thresholds
-    are sorted and the last one is 2**53: every draw lands on an index of
-    positive weight."""
+    random() values, for lambda, lambda' and the outcome, and takes the
+    first index whose cumulative weight exceeds each: a valid distribution's
+    thresholds are sorted and end at 2**53, so that index has positive
+    weight. A cell's CDF depends only on its entries: one per entry tuple."""
     p = m.table(context).p
     j, k = context
     rng = random.Random(seed)
@@ -375,14 +372,16 @@ def _sample(m: OntologicalModel, context, n: int, seed: int) -> OutcomeCounts:
         return bisect_right(cdf, int(rng.random() * _RANDOM_SCALE))
     cdf_j = _cdf((m.rho1 if j == 1 else m.rho2).weights)
     cdf_k = _cdf((m.rho1 if k == 1 else m.rho2).weights)
-    cells = {}  # (lambda, lambda') -> the cell's outcome CDF, built on first visit
+    cells, shared = {}, {}  # outcome CDFs by (lambda, lambda'), by entry ids
     counts = [0, 0, 0, 0]
     for _ in range(n):
         lam = pick(cdf_j)
         lamp = pick(cdf_k)
         cdf = cells.get((lam, lamp))
         if cdf is None:
-            cdf = cells[lam, lamp] = _cdf([plane[lam][lamp] for plane in p])
+            cell = [plane[lam][lamp] for plane in p]
+            ids = tuple(map(id, cell))
+            cdf = cells[lam, lamp] = shared[ids] = shared.get(ids) or _cdf(cell)
         counts[pick(cdf)] += 1
     return OutcomeCounts(counts=tuple(counts), n=n, seed=seed)
 

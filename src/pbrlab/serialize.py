@@ -54,23 +54,24 @@ def parse_size(x) -> int:
     raise ModelError(f"lambda_size must be a JSON integer, got {x!r}")
 
 
-def _number_parser():
-    """`parse_frac` for one model load, memoised by JSON string and integer
-    literal, since a refute model spells out "0" and "1" 25,600 times at
-    L = 40: each distinct literal becomes one shared Fraction, which
-    validation then checks once per distinct cell. Other values (true, 0.5,
-    lists) are never looked up, since true == 1 and 1.0 == 1; a literal that
-    fails to parse raises every time."""
-    parsed = {}
+class _Literals(dict):
+    """One shared Fraction per exact literal of one model file, looked up by
+    `map` in C. Keys are JSON strings and (numerator, denominator) pairs,
+    not numbers, as true == 1.0 == 1: an integer finds its value's pair on
+    each visit. So "1", 1 and "2/2" load as one object, validated once."""
 
-    def parse(x):
-        if type(x) is not str and type(x) is not int:
-            return parse_frac(x)
-        v = parsed.get(x)
-        if v is None:
-            v = parsed[x] = parse_frac(x)
-        return v
-    return parse
+    def __missing__(self, literal):
+        if type(literal) is int and (literal, 1) in self:
+            return self[literal, 1]
+        value = parse_frac(literal)
+        value = self.setdefault(value.as_integer_ratio(), value)
+        return self.setdefault(literal, value) if type(literal) is str else value
+
+    def row(self, values) -> tuple:
+        try:
+            return tuple(map(self.__getitem__, values))
+        except TypeError:  # an unhashable value, named by parse_frac
+            return tuple(map(parse_frac, values))
 
 
 def _targets_to_json(targets):
@@ -95,9 +96,8 @@ def _table_to_json(t: ResponseTable, shown: dict):
             for plane in t.p]
 
 
-def _table_from_json(p, parse) -> ResponseTable:
-    return ResponseTable(tuple(tuple(tuple(parse(v) for v in row)
-                                     for row in plane) for plane in p))
+def _table_from_json(p, literals) -> ResponseTable:
+    return ResponseTable(tuple(tuple(map(literals.row, plane)) for plane in p))
 
 
 def model_to_json(m) -> dict:
@@ -123,17 +123,17 @@ def model_from_json(d: dict):
     try:
         if d["mode"] != "exact":
             raise ModelError(f"unknown mode {d['mode']!r}; models are exact")
-        parse = _number_parser()
+        literals = _Literals()
         L = parse_size(d["lambda_size"])
-        rho1 = EpistemicState(tuple(parse(w) for w in d["rho1"]))
-        rho2 = EpistemicState(tuple(parse(w) for w in d["rho2"]))
+        rho1 = EpistemicState(literals.row(d["rho1"]))
+        rho2 = EpistemicState(literals.row(d["rho2"]))
         targets = _targets_from_json(d["born_targets"])
         resp = d["response"]
         kind = resp["kind"]
         if kind == "noncontextual":
-            response = (_table_from_json(resp["p"], parse),)
+            response = (_table_from_json(resp["p"], literals),)
         elif kind == "contextual":
-            response = tuple(_table_from_json(resp["p"][f"{j}{k}"], parse)
+            response = tuple(_table_from_json(resp["p"][f"{j}{k}"], literals)
                              for (j, k) in CONTEXTS)
         else:
             raise ModelError(f"unknown response kind {kind!r}")

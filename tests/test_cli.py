@@ -503,11 +503,11 @@ _LONG_A = "1/" + "7" * 4000
 _LONG_B = "1/" + "3" * 3999 + "1"
 
 
-def _run_cli(*argv, stdout=subprocess.PIPE):
+def _run_cli(*argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
     return subprocess.run([sys.executable, "-m", "pbrlab.cli", *argv],
-                          stdout=stdout, stderr=subprocess.PIPE, text=True,
+                          stdout=stdout, stderr=stderr, text=True,
                           env=env, timeout=60)
 
 
@@ -574,6 +574,48 @@ def test_non_fraction_strings_exit_2_at_once(capsys, tmp_path, command,
     assert err.startswith("error: ") and repr(literal) in err
 
 
+@pytest.mark.parametrize("command", ["check", "sample", "contradiction"])
+@pytest.mark.parametrize("entry", [True, 1.0, [1]], ids=["true", "1.0", "list"])
+def test_non_string_entries_exit_2(capsys, tmp_path, command, entry):
+    # true and 1.0 compare and hash as 1, so they must not be read as the
+    # 1 of an earlier cell; a list cannot even be looked up.
+    doc = json.loads((GOLDEN / "model_L3_noncontextual.json").read_text())
+    assert doc["response"]["p"][0][0][0] == doc["response"]["p"][3][2][2] == "1"
+    doc["response"]["p"][0][0][0] = 1
+    doc["response"]["p"][3][2][2] = entry
+    path = tmp_path / "entry.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, *_argv(command, str(path)), "--json")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert repr(entry) in err
+
+
+def test_integer_entries_read_as_their_strings(capsys, tmp_path):
+    golden = str(GOLDEN / "model_L3_noncontextual.json")
+    doc = json.loads(Path(golden).read_text())
+    doc["response"]["p"][0][0][0] = doc["response"]["p"][3][2][2] = 1
+    doc["response"]["p"][1][0][0] = 0
+    path = tmp_path / "integers.json"
+    path.write_text(json.dumps(doc))
+    assert (run(capsys, "check", "--model", str(path), "--json")
+            == run(capsys, "check", "--model", golden, "--json"))
+
+
+def test_literals_load_as_one_object_per_value():
+    from pbrlab.serialize import model_from_json
+    doc = json.loads((GOLDEN / "model_L3_noncontextual.json").read_text())
+    doc["rho2"] = ["2/4", "+1/4", "1/4"]
+    doc["response"]["p"][3][2][2] = 1
+    m = model_from_json(doc)
+    assert m.rho2.weights[0] is m.rho1.weights[0] == Fraction(1, 2)
+    assert m.rho2.weights[1] is m.rho2.weights[2]
+    p = m.response[0].p
+    assert p[3][2][2] is p[0][0][0]
+    assert type(p[3][2][2]) is Fraction
+
+
 def _large_model(tmp_path) -> str:
     """An L = 24 model: its `check --json` report, about 160 KB, overflows
     a pipe's buffer, so the write itself fails, not only the final flush."""
@@ -606,3 +648,32 @@ def test_unwritable_stdout_exits_2(tmp_path, sink, command):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: cannot write to stdout: ")
     assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv", [["--version"], ["--help"],
+                                  ["check", "--help"]],
+                         ids=["version", "help", "check-help"])
+def test_unwritable_help_and_version_exit_2(argv):
+    # argparse prints these and exits 0 without looking at the write
+    with open("/dev/full", "w") as out:
+        proc = _run_cli(*argv, stdout=out)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: cannot write to stdout: ")
+    assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("stdout", ["pipe", "full"])
+def test_unwritable_stderr_exits_2(tmp_path, stdout):
+    # The error line cannot be written, for a missing model or for a stdout
+    # that cannot be written either: no traceback's exit 1, but 2.
+    with open("/dev/full", "w") as full:
+        if stdout == "full":
+            proc = _run_cli("nogo", "--lambda-size", "2", "--json",
+                            stdout=full, stderr=full)
+        else:
+            proc = _run_cli("check", "--model", str(tmp_path / "missing.json"),
+                            stderr=full)
+    assert proc.returncode == 2
+    assert not proc.stdout

@@ -16,6 +16,7 @@ from pbrlab.nogo import build_feasibility, solve_feasibility, witness_model
 from pbrlab.ontology import (EpistemicState, LambdaSpace, OntologicalModel,
                              ResponseTable, _cdf, _predict, sample,
                              validate_model)
+from pbrlab.serialize import model_from_json, model_to_json
 
 # Equal values of different types (1/2, 0.5, 1, True), entries a hair
 # inside and outside [0, 1], and entries well outside it. Models built in
@@ -123,6 +124,47 @@ def test_sample_counts_match_reference(data):
     n = data.draw(st.integers(0, 300))
     assert sample(m, context, n, seed) == ref.sample(ref.slice_model(m, 0),
                                                      context, n, seed)
+
+
+QUARTERS = tuple(Fraction(k, 4) for k in range(5))
+
+
+@st.composite
+def _quarter_cell(draw):
+    """4 of the shared entry objects in QUARTERS, summing to 1."""
+    a = draw(st.integers(0, 4))
+    b = draw(st.integers(0, 4 - a))
+    c = draw(st.integers(0, 4 - a - b))
+    return tuple(QUARTERS[k] for k in (a, b, c, 4 - a - b - c))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.data())
+def test_sample_counts_match_reference_on_shared_entries(data):
+    """Tables whose cells share entry objects, as a built or loaded model's
+    do: four contextual tables drawn from one small pool of cells made of
+    shared entries, a copy of a pooled cell with equal values in distinct
+    objects, and sometimes the model written and read back, which shares
+    one object per distinct literal."""
+    L = data.draw(st.integers(1, 5))
+    pool = data.draw(st.lists(_quarter_cell(), min_size=2, max_size=5))
+    pool.append(tuple(Fraction(v.numerator, v.denominator) for v in pool[0]))
+    tables = tuple(_table(data.draw(st.lists(st.sampled_from(pool),
+                                             min_size=L * L, max_size=L * L)), L)
+                   for _ in CONTEXTS)
+    m = OntologicalModel(
+        lambda_space=LambdaSpace(L),
+        rho1=EpistemicState(data.draw(_exact_distribution(L))),
+        rho2=EpistemicState(data.draw(_exact_distribution(L))),
+        response=tables, born_targets=born_targets())
+    if data.draw(st.booleans()):
+        m = model_from_json(model_to_json(m))
+    assert validate_model(m) == []
+    c = data.draw(st.integers(0, 3))
+    seed = data.draw(st.integers(0, 2 ** 32))
+    n = data.draw(st.integers(0, 400))
+    assert sample(m, CONTEXTS[c], n, seed) == ref.sample(
+        ref.slice_model(m, c), CONTEXTS[c], n, seed)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
