@@ -388,8 +388,10 @@ def main(argv=None) -> int:
         try:
             args = build_parser().parse_args(argv)
         except SystemExit as e:
-            if e.code == 0:  # --help or --version, which argparse prints
-                _write(sys.stdout)  # without reporting a failed write
+            # --help and --version: argparse prints them and exits 0 without
+            # looking at whether the write failed
+            if e.code == 0:
+                _write(sys.stdout)
             raise
         return args.func(args)
     except ModelError as e:
