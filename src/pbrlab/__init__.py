@@ -11,7 +11,7 @@ import importlib
 
 __version__ = "0.2.0"
 
-_SUBMODULES = ("contextual", "hilbert", "nogo", "ontology", "scalar", "simplex")
+_SUBMODULES = ("contextual", "hilbert", "nogo", "ontology", "simplex")
 _SOURCES = {  # public name -> the submodule defining it
     **dict.fromkeys(("MeasurementBasis", "PureState", "born", "born_targets",
                      "inner", "make_state", "pbr_basis", "product_state",
@@ -26,7 +26,6 @@ _SOURCES = {  # public name -> the submodule defining it
                      "verify_certificate", "witness_model"), "nogo"),
     **dict.fromkeys(("RefutationReport", "build_interval_model",
                      "refutation_report"), "contextual"),
-    "RootTwo": "scalar",
 }
 
 __all__ = sorted([*_SOURCES, *_SUBMODULES])

@@ -134,17 +134,18 @@ def cmd_basis(args) -> int:
     payload = {
         "arithmetic": "exact",
         "effects": basis.to_json(),
-        "gram": [[hilbert.amplitude_json(e) for e in row] for row in g],
+        "gram": [[hilbert.amplitude_json(e, 1) for e in row] for row in g],
         "anchors": anchors,
         "contexts": [f"{j}{k}" for (j, k) in hilbert.CONTEXTS],
         "targets": _targets_to_json(targets),
     }
     lines = ["measurement basis (4 effects, dim 4):"]
     for i, e in enumerate(basis.effects):
-        lines.append(f"  xi_{i + 1}: " + ", ".join(str(a) for a in e.amplitudes))
-    lines.append("gram matrix: exact identity" if all(
-        g[r][c] == (1 if r == c else 0) for r in range(4) for c in range(4))
-        else "gram matrix: NOT identity")
+        n = e.norm_sq()
+        lines.append(f"  xi_{i + 1}: "
+                     + ", ".join(hilbert.amplitude_str(u, n) for u in e.ray))
+    # pbr_basis raises unless its effects are orthogonal.
+    lines.append("gram matrix: exact identity")
     lines.append("zero anchors born(xi_i, context_i): " + " ".join(anchors))
     lines.append("born targets (rows = contexts 11,12,21,22):")
     for (j, k), row in zip(hilbert.CONTEXTS, targets):

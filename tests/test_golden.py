@@ -42,11 +42,13 @@ Every `nogo`, `refute` and `sample` golden, and every `check` golden of a
 valid model, must also pass the benchmark's independent checker
 (`perfbench/checker.py`, which shares no code with pbrlab), so a wrong
 certificate, witness, model or sample cannot be pinned by regenerating it.
-The checker has no verdict for `basis`, `contradiction` or a `check` of an
-invalid model.
+The `basis` golden and the `contradiction` goldens of exit 0 and 4 must
+pass the oracles of tests/exact_oracle.py, which share no code with pbrlab
+either. Nothing judges a `check` of an invalid model or the refused
+contextual `contradiction`.
 To regenerate after an intended change of output, run
 `PYTHONPATH=src python tests/test_golden.py` and review the diff; it
-writes nothing if any of those outputs fails the checker.
+writes nothing if any of those outputs fails its checker or oracle.
 """
 
 import contextlib
@@ -58,6 +60,7 @@ from pathlib import Path
 
 import pytest
 
+from exact_oracle import basis_errors, contradiction_errors
 from independent_checker import (check_errors, nogo_errors, refute_errors,
                                  rho_pair, sample_errors)
 from pbrlab.cli import main
@@ -120,6 +123,9 @@ JUDGED_CONTEXTUAL = sorted(
     [n for n in CONTEXTUAL_CASES if CASES[n][0] in ("refute", "sample")]
     + ["check_L3_contextual", "check_L3_noncontextual",
        "check_L7_contextual"])
+# The other cases the oracles judge: basis, and contradiction of exit 0 and 4.
+JUDGED_OTHER = ["basis", "contradiction_L3_disjoint",
+                "contradiction_L3_noncontextual"]
 
 
 def _argv(name, scratch: Path, refute_l7: Path = GOLDEN_REFUTE_L7):
@@ -139,10 +145,15 @@ def _run_case(name, scratch: Path, refute_l7: Path = GOLDEN_REFUTE_L7):
 
 
 def _checker_errors(argv, out: str, written=None) -> list:
-    """The independent checker's complaints about the stdout `out` of the
-    command `argv`, and the model `written` that a `refute` wrote."""
+    """The independent checker's or oracle's complaints about the stdout
+    `out` of the command `argv`, and the model `written` that a `refute`
+    wrote."""
     def arg(flag):
         return argv[argv.index(flag) + 1]
+    if argv[0] == "basis":
+        return basis_errors(json.loads(out))
+    if argv[0] == "contradiction":
+        return contradiction_errors(json.loads(out))
     if argv[0] == "nogo":
         rho = None
         if "--rho" in argv:
@@ -197,9 +208,20 @@ def test_basis_and_contradiction_match_golden(name, tmp_path):
     _check(name, tmp_path)
 
 
+@pytest.mark.parametrize("name", JUDGED_OTHER)
+def test_basis_and_contradiction_golden_pass_oracle(name, tmp_path):
+    assert _checker_errors(_argv(name, tmp_path), _golden(name)) == []
+
+
+def test_fresh_basis_passes_oracle(tmp_path):
+    code, out, _ = _run_case("basis", tmp_path)
+    assert code == 0
+    assert basis_errors(json.loads(out)) == []
+
+
 def _basis_human():
-    """Human `pbr basis` stdout without its timing line: it pins str() of
-    the amplitudes, e.g. 1/2*sqrt2."""
+    """Human `pbr basis` stdout without its timing line: it pins the
+    printed amplitudes, e.g. 1/2*sqrt2."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(["basis"])
@@ -221,13 +243,13 @@ if __name__ == "__main__":
         # refute first: the L=7 check and sample cases read its model.
         for name in sorted(CASES, key=lambda n: (CASES[n][0] != "refute", n)):
             runs[name] = _run_case(name, scratch, fresh)
-        for name in sorted(NOGO_CASES) + JUDGED_CONTEXTUAL:
+        for name in sorted(NOGO_CASES) + JUDGED_CONTEXTUAL + JUDGED_OTHER:
             _, out, written = runs[name]
             errors = _checker_errors(_argv(name, scratch, fresh), out,
                                      written)
             if errors:
-                sys.exit(f"{name}: the independent checker rejects it, "
-                         f"nothing written: {errors}")
+                sys.exit(f"{name}: the independent checker or oracle "
+                         f"rejects it, nothing written: {errors}")
     codes = {}
     for name, (codes[name], out, written) in runs.items():
         (GOLDEN / f"{name}.json").write_text(out)

@@ -5,14 +5,14 @@ from fractions import Fraction
 import pytest
 
 from pbrlab import hilbert
-from pbrlab.hilbert import (CONTEXTS, StateError, born, born_targets, inner,
-                            ket0, ket1, ket_minus, ket_plus, make_state,
-                            pbr_basis, product_state, psi, tensor)
-from pbrlab.scalar import INV_SQRT2
+from pbrlab.hilbert import (CONTEXTS, StateError, amplitude_json, born,
+                            born_targets, inner, ket0, ket1, ket_minus,
+                            ket_plus, make_state, pbr_basis, product_state,
+                            psi, tensor)
 
 # ---------------------------------------------------------------------------
 # Float oracle: the same vectors built with plain floats, for the exact/float
-# agreement checks. Kept free of the exact RootTwo machinery on purpose.
+# agreement checks. Kept free of the exact integer rays on purpose.
 
 _S = 1 / math.sqrt(2.0)
 _F0, _F1 = [1.0, 0.0], [0.0, 1.0]
@@ -47,33 +47,31 @@ def _fborn(effect, state):
 def test_make_state_basis_vector():
     s = make_state([1, 0])
     assert s.dim == 2
-    assert s.amplitudes[0] == 1 and not s.amplitudes[1]
-
-
-def test_make_state_superposition():
-    s = make_state([INV_SQRT2, INV_SQRT2])
+    assert s.ray == (1, 0)
     assert s.norm_sq() == 1
 
 
-def test_make_state_rejects_unnormalized():
-    with pytest.raises(StateError, match="squared norm is 2"):
-        make_state([1, 1])
+def test_make_state_superposition():
+    s = make_state([1, 1])
+    assert s.ray == (1, 1)
+    assert s.norm_sq() == 2
+    assert born(s, s) == 1
+
+
+@pytest.mark.parametrize("ray", [[0, 0], [], [True, 0], [0.5, 0]],
+                         ids=["zero", "empty", "bool", "float"])
+def test_make_state_rejects_non_rays(ray):
     with pytest.raises(StateError):
-        make_state([0, 0])
-    with pytest.raises(StateError):
-        make_state([])
+        make_state(ray)
 
 
 def test_tensor_basis_product():
-    t = tensor(ket0(), ket1())
-    assert [float(a) for a in t.amplitudes] == [0, 1, 0, 0]
+    assert tensor(ket0(), ket1()).ray == (0, 1, 0, 0)
 
 
 def test_tensor_with_superposition():
-    t = tensor(ket0(), psi(2))
-    assert t.amplitudes[0] == INV_SQRT2
-    assert t.amplitudes[1] == INV_SQRT2
-    assert not t.amplitudes[2] and not t.amplitudes[3]
+    assert tensor(ket0(), psi(2)).ray == (1, 1, 0, 0)
+    assert tensor(ket_plus(), ket_minus()).ray == (1, -1, 1, -1)
 
 
 def _state_pool():
@@ -84,13 +82,25 @@ def test_tensor_norm_multiplicative():
     for a, b in itertools.product(_state_pool(), repeat=2):
         t = tensor(a, b)
         assert t.dim == a.dim * b.dim
-        assert t.norm_sq() == 1
+        assert t.norm_sq() == a.norm_sq() * b.norm_sq()
+        assert born(t, t) == 1
 
 
 def test_inner_examples():
-    assert not inner(ket0(), ket1())
-    assert inner(psi(1), psi(2)) == INV_SQRT2
-    assert inner(psi(2), psi(2)) == 1
+    assert inner(ket0(), ket1()) == 0
+    assert inner(psi(1), psi(2)) == 1
+    assert type(inner(psi(1), psi(2))) is int
+    assert inner(psi(2), psi(2)) == 2
+    assert born(psi(1), psi(2)) == Fraction(1, 2)
+
+
+def test_amplitude_json_needs_a_norm_in_q_sqrt2():
+    assert amplitude_json(1, 4)["re"] == {"num": "1", "den": "2",
+                                          "snum": "0", "sden": "1"}
+    assert amplitude_json(-2, 8)["re"] == {"num": "0", "den": "1",
+                                           "snum": "-1", "sden": "2"}
+    with pytest.raises(StateError, match="sqrt"):
+        amplitude_json(1, make_state([1, 1, 1]).norm_sq())
 
 
 def test_inner_conjugate_symmetry():
@@ -135,6 +145,13 @@ def test_pbr_basis_gram_identity():
     for r in range(4):
         for c in range(4):
             assert g[r][c] == (1 if r == c else 0)
+            assert type(g[r][c]) is Fraction
+
+
+def test_gram_refuses_an_irrational_entry():
+    basis = hilbert.MeasurementBasis((ket0(), ket_plus()))
+    with pytest.raises(StateError, match="not rational"):
+        hilbert.gram(basis)
 
 
 def test_pbr_basis_four_anchors():
@@ -157,6 +174,16 @@ def test_exact_float_agreement():
         for i in range(4):
             f = _fborn(_FLOAT_EFFECTS[i], _FLOAT_PREPS[(j, k)])
             assert abs(float(targets[c][i]) - f) < 1e-12
+
+
+def test_born_targets_exact_table():
+    q = Fraction(1, 4)
+    h = Fraction(1, 2)
+    assert born_targets() == ((0, q, q, h),
+                              (q, 0, h, q),
+                              (q, h, 0, q),
+                              (h, q, q, 0))
+    assert all(type(v) is Fraction for row in born_targets() for v in row)
 
 
 def test_born_targets_rows_are_distributions():

@@ -11,7 +11,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 GOLDEN = Path(__file__).parent / "golden"
-HEAVY = {"pbrlab.hilbert", "pbrlab.scalar", "pbrlab.nogo", "pbrlab.simplex",
+HEAVY = {"pbrlab.hilbert", "pbrlab.nogo", "pbrlab.simplex",
          "pbrlab.contextual"}
 
 
@@ -78,9 +78,16 @@ def test_public_names_resolve_lazily():
         "                  'unbound': unbound, 'unknown': unknown}))")
     assert result["missing"] == [] and result["unbound"] == []
     assert result["unknown"] == "AttributeError"
-    assert "Scalar" not in result["all"]
-    assert {"RootTwo", "born_targets", "CONTEXTS", "OntologicalModel",
+    assert not {"Scalar", "RootTwo", "scalar"} & set(result["all"])
+    assert {"born_targets", "CONTEXTS", "OntologicalModel",
             "solve_feasibility", "build_interval_model"} <= set(result["all"])
+
+
+def test_checker_and_oracles_load_no_pbrlab_module():
+    tests = str(Path(__file__).resolve().parent)
+    loaded = _fresh(f"import sys; sys.path.insert(0, {tests!r})\n"
+                    "import exact_oracle, independent_checker\n" + _LOADED)
+    assert loaded == []
 
 
 # Modules a value-record layer built on dataclasses would load: 11-13 ms of
