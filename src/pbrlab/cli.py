@@ -4,11 +4,12 @@ Exit codes are stable: 0 expected result, 2 invalid input, 3 a verdict
 contradicting the theorem (a bug signal for CI), 4 argument inapplicable
 (disjoint supports where an overlap was needed).
 
-Commands raise ModelError for every invalid input they find; `main` alone
-reports it, as one `error: ...` line on stderr with nothing on stdout, and
-exits 2. A stdout that cannot be written, under --help and --version
-too, is reported the same way; a stderr that cannot be written still
-exits 2, silently.
+Commands compute and return their report; `main` alone times and prints
+it, as --json or as human lines. Commands raise ModelError for every
+invalid input they find, and `main` alone reports that too, as one
+`error: ...` line on stderr with nothing on stdout, and exits 2. A stdout
+that cannot be written, under --help and --version too, is reported the
+same way; a stderr that cannot be written still exits 2, silently.
 `check` prints its verdict on an invalid model as a report and exits 2;
 argparse reports malformed arguments itself.
 """
@@ -23,9 +24,9 @@ import time
 
 from . import __version__, ontology
 from .ontology import ModelError
-from .serialize import (FORMATTED, _targets_to_json, digest, dumps_canonical,
-                        fmt_frac, model_from_json, model_to_json,
-                        rho_pair_from_json, splice)
+from .serialize import (Formatted, _table_to_json, _targets_to_json, digest,
+                        dumps_canonical, fmt_frac, model_from_json,
+                        model_to_json, rho_pair_from_json)
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
@@ -55,25 +56,20 @@ SAMPLE_MAX_N = 10 ** 7
 INPUT_MAX_BYTES = 16 * 2 ** 20
 
 
-def _model_text(model) -> str:
-    return dumps_canonical(model_to_json(model))
+def _model_text(model) -> Formatted:
+    """The model's JSON text, formatted once and written in place."""
+    return Formatted(dumps_canonical(model_to_json(model)))
 
 
-def _emit(args, command: str, inputs: dict, payload: dict, human_lines,
-          elapsed: float, model_text: str = None) -> None:
-    """Print the --json report, or else the human lines. With model_text,
-    the FORMATTED value in inputs or payload stands for that model text;
-    the input digest is the SHA-256 of the inputs' canonical dump, so it
-    covers the model. A failed write or flush of stdout raises ModelError."""
+def _emit(args, inputs: dict, payload: dict, human_lines, elapsed) -> None:
+    """Print the --json report, or else the human lines. The input digest
+    is the SHA-256 of the inputs' canonical dump, so it covers a model they
+    hold. A failed write or flush of stdout raises ModelError."""
     # Timings stay out of --json output so reports are byte-stable.
     if args.json:
-        def dump(obj):
-            text = dumps_canonical(obj)
-            return text if model_text is None else splice(text, model_text)
-        report = {"command": command, "version": __version__,
-                  "inputs": {"digest": digest(dump(inputs)), **inputs}}
-        report.update(payload)
-        text = dump(report)
+        inputs = {"digest": digest(dumps_canonical(inputs)), **inputs}
+        text = dumps_canonical({"command": args.command, "inputs": inputs,
+                                "version": __version__, **payload})
     else:
         text = "\n".join([*human_lines, f"elapsed: {elapsed:.3f}s"])
     _write(sys.stdout, text + "\n")
@@ -120,12 +116,13 @@ def _in_range(name: str, value: int, low: int, high: int,
     return value
 
 
-# Each command imports the layers it runs, so `check` and `sample` never
-# load the Born table, the LP or the interval model.
+# Each command returns (exit code, inputs, payload, human lines) for `main`
+# to print, with its model formatted only for --json (or refute --out). It
+# imports the layers it runs: `check` and `sample` never load the Born
+# table, the LP or the interval model.
 
-def cmd_basis(args) -> int:
+def cmd_basis(args) -> tuple:
     from . import hilbert
-    t0 = time.perf_counter()
     basis = hilbert.pbr_basis()
     g = hilbert.gram(basis)
     targets = hilbert.born_targets()
@@ -150,13 +147,11 @@ def cmd_basis(args) -> int:
     lines.append("born targets (rows = contexts 11,12,21,22):")
     for (j, k), row in zip(hilbert.CONTEXTS, targets):
         lines.append(f"  {j}{k}: " + " ".join(fmt_frac(q) for q in row))
-    _emit(args, "basis", {}, payload, lines, time.perf_counter() - t0)
-    return EXIT_OK
+    return EXIT_OK, {}, payload, lines
 
 
-def cmd_nogo(args) -> int:
+def cmd_nogo(args) -> tuple:
     from . import hilbert, nogo
-    t0 = time.perf_counter()
     L = _in_range("lambda_size", args.lambda_size, 1, NOGO_MAX_LAMBDA,
                   " for nogo")
     if args.rho:
@@ -193,10 +188,8 @@ def cmd_nogo(args) -> int:
         reproduced = not ontology.validate_model(model) and all(
             ontology._predict(model, ctx) == targets[c]
             for c, ctx in enumerate(ontology.CONTEXTS))
-        payload["witness"] = {
-            "p": [[[fmt_frac(v) for v in row] for row in plane]
-                  for plane in outcome.witness.p],
-            "reproduces_targets": reproduced}
+        payload["witness"] = {"p": _table_to_json(outcome.witness, {}),
+                              "reproduces_targets": reproduced}
         lines.append(f"witness reproduces targets exactly: {reproduced}")
         consistent = consistent and reproduced
     else:
@@ -210,13 +203,12 @@ def cmd_nogo(args) -> int:
 
     payload["theorem_consistent"] = consistent
     lines.append(f"consistent with the no-go theorem: {consistent}")
-    _emit(args, "nogo", inputs, payload, lines, time.perf_counter() - t0)
-    return EXIT_OK if consistent else EXIT_THEOREM_VIOLATED
+    code = EXIT_OK if consistent else EXIT_THEOREM_VIOLATED
+    return code, inputs, payload, lines
 
 
-def cmd_contradiction(args) -> int:
+def cmd_contradiction(args) -> tuple:
     from . import nogo
-    t0 = time.perf_counter()
     model = model_from_json(_load_json_file(args.model))
     # A contextual model goes straight to derive_contradiction, which
     # refuses it whether or not it is valid.
@@ -224,13 +216,11 @@ def cmd_contradiction(args) -> int:
         ontology._require_valid(model)
     result = nogo.derive_contradiction(model)
 
-    inputs = {"model": FORMATTED}
-    model_text = _model_text(model) if args.json else None
+    inputs = {"model": _model_text(model) if args.json else None}
     if isinstance(result, nogo.NoOverlap):
-        _emit(args, "contradiction", inputs, {"no_overlap": True},
-              ["supports are disjoint: the forcing argument does not apply "
-               "(NoOverlap)"], time.perf_counter() - t0, model_text)
-        return EXIT_NOT_APPLICABLE
+        return EXIT_NOT_APPLICABLE, inputs, {"no_overlap": True}, [
+            "supports are disjoint: the forcing argument does not apply "
+            "(NoOverlap)"]
 
     payload = {
         "no_overlap": False,
@@ -248,14 +238,11 @@ def cmd_contradiction(args) -> int:
             f"{s.context[0]}{s.context[1]} with weight {fmt_frac(s.weight)} > 0 "
             f"forces P(xi_{s.outcome}|lambda*,lambda*) = 0")
     lines.append(result.conclusion)
-    _emit(args, "contradiction", inputs, payload, lines,
-          time.perf_counter() - t0, model_text)
-    return EXIT_OK
+    return EXIT_OK, inputs, payload, lines
 
 
-def cmd_refute(args) -> int:
+def cmd_refute(args) -> tuple:
     from . import contextual, hilbert
-    t0 = time.perf_counter()
     L = _in_range("lambda_size", args.lambda_size, 1, REFUTE_MAX_LAMBDA,
                   " for refute")
     model = contextual.build_interval_model(L, hilbert.born_targets())
@@ -276,7 +263,7 @@ def cmd_refute(args) -> int:
                "eq2_violated": report_data.eq2_violated,
                "collapse": report_data.collapse,
                "verdict": report_data.verdict,
-               "model": FORMATTED}
+               "model": model_text}
     lines = [f"interval model over L = {L} (uniform epistemic states)",
              f"Born targets reproduced exactly: {report_data.born_reproduced}",
              f"overlap mass: {fmt_frac(report_data.overlap_mass)}",
@@ -284,21 +271,18 @@ def cmd_refute(args) -> int:
              f"verdict: {report_data.verdict}"]
     if args.out:
         lines.append(f"model written to {args.out}")
-    _emit(args, "refute", inputs, payload, lines, time.perf_counter() - t0,
-          model_text)
-    return EXIT_OK if report_data.collapse else EXIT_THEOREM_VIOLATED
+    code = EXIT_OK if report_data.collapse else EXIT_THEOREM_VIOLATED
+    return code, inputs, payload, lines
 
 
-def cmd_check(args) -> int:
-    t0 = time.perf_counter()
+def cmd_check(args) -> tuple:
     model = model_from_json(_load_json_file(args.model))
     violations = ontology.validate_model(model)
     lines = (["model is valid"] if not violations
              else ["model is invalid:"] + [f"  {v}" for v in violations])
-    _emit(args, "check", {"model": FORMATTED},
-          {"valid": not violations, "violations": violations}, lines,
-          time.perf_counter() - t0, _model_text(model) if args.json else None)
-    return EXIT_OK if not violations else EXIT_BAD_INPUT
+    return (EXIT_OK if not violations else EXIT_BAD_INPUT,
+            {"model": _model_text(model) if args.json else None},
+            {"valid": not violations, "violations": violations}, lines)
 
 
 def _parse_context(s: str):
@@ -308,8 +292,7 @@ def _parse_context(s: str):
     raise ModelError(f"context must be one of 11, 12, 21, 22; got {s!r}")
 
 
-def cmd_sample(args) -> int:
-    t0 = time.perf_counter()
+def cmd_sample(args) -> tuple:
     model = model_from_json(_load_json_file(args.model))
     context = _parse_context(args.context)
     _in_range("n", args.n, 0, SAMPLE_MAX_N)
@@ -318,7 +301,7 @@ def cmd_sample(args) -> int:
     predicted = ontology._predict(model, context)
     stat = ontology.chi_square_statistic(counts, predicted)
 
-    inputs = {"model": FORMATTED,
+    inputs = {"model": _model_text(model) if args.json else None,
               "context": f"{context[0]}{context[1]}",
               "n": args.n, "seed": args.seed}
     payload = {
@@ -334,9 +317,7 @@ def cmd_sample(args) -> int:
              "counts:    " + " ".join(str(c) for c in counts.counts),
              "predicted: " + " ".join(fmt_frac(p) for p in predicted),
              f"chi-square: {stat:.6g}"]
-    _emit(args, "sample", inputs, payload, lines, time.perf_counter() - t0,
-          _model_text(model) if args.json else None)
-    return EXIT_OK
+    return EXIT_OK, inputs, payload, lines
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -394,7 +375,10 @@ def main(argv=None) -> int:
             if e.code == 0:
                 _write(sys.stdout)
             raise
-        return args.func(args)
+        t0 = time.perf_counter()
+        code, inputs, payload, lines = args.func(args)
+        _emit(args, inputs, payload, lines, time.perf_counter() - t0)
+        return code
     except ModelError as e:
         try:
             _write(sys.stderr, f"error: {e}\n")

@@ -78,10 +78,10 @@ def _targets_to_json(targets):
     return [[fmt_frac(q) for q in row] for row in targets]
 
 
-def _targets_from_json(rows):
+def _targets_from_json(rows, literals):
     if len(rows) != 4 or any(len(r) != 4 for r in rows):
         raise ModelError("born_targets must be 4x4")
-    return tuple(tuple(parse_frac(q) for q in row) for row in rows)
+    return tuple(map(literals.row, rows))
 
 
 def _table_to_json(t: ResponseTable, shown: dict):
@@ -127,7 +127,7 @@ def model_from_json(d: dict):
         L = parse_size(d["lambda_size"])
         rho1 = EpistemicState(literals.row(d["rho1"]))
         rho2 = EpistemicState(literals.row(d["rho2"]))
-        targets = _targets_from_json(d["born_targets"])
+        targets = _targets_from_json(d["born_targets"], literals)
         resp = d["response"]
         kind = resp["kind"]
         if kind == "noncontextual":
@@ -148,9 +148,10 @@ def model_from_json(d: dict):
 def rho_pair_from_json(d: dict):
     """Side file for the no-go command: two exact distributions."""
     try:
+        literals = _Literals()
         L = parse_size(d["lambda_size"])
-        r1 = EpistemicState(tuple(parse_frac(w) for w in d["rho1"]))
-        r2 = EpistemicState(tuple(parse_frac(w) for w in d["rho2"]))
+        r1 = EpistemicState(literals.row(d["rho1"]))
+        r2 = EpistemicState(literals.row(d["rho2"]))
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
         raise ModelError(f"malformed rho file: {e}") from e
     if r1.size != L or r2.size != L:
@@ -170,6 +171,15 @@ def dumps_canonical(obj) -> str:
 
 
 _quote = json.encoder.encode_basestring_ascii
+
+
+class Formatted(str):
+    """A dumps_canonical output, which dumps_canonical writes in place,
+    re-indented for the depth it lands at, so a report holds its model's
+    text without formatting it again. JSON strings hold no raw newline, so
+    every newline in it starts a line. It may stand only as a dict value or
+    as the whole document: in a list of strings the joined path quotes it."""
+    __slots__ = ()
 
 
 def _write(obj, nl: str, out: list) -> None:
@@ -204,6 +214,8 @@ def _write(obj, nl: str, out: list) -> None:
                 _write(x, inner, out)
                 sep = ","
             out.append(nl + "]")
+    elif type(obj) is Formatted:
+        out.append(obj.replace("\n", nl))
     else:
         out.append(json.dumps(obj))
 
@@ -217,26 +229,6 @@ def _key(k) -> str:
         return _quote(json.dumps(k))
     raise TypeError(f"keys must be str, int, float, bool or None, "
                     f"not {k.__class__.__name__}")
-
-
-# Stands in a report for a value already formatted, so a command formats its
-# model once; `splice` puts the text in. No report holds a NUL character.
-FORMATTED = "\0"
-_FORMATTED_JSON = json.dumps(FORMATTED)
-
-
-def splice(dumped: str, text: str) -> str:
-    """`dumped`, a dumps_canonical output, with its FORMATTED value, if any,
-    replaced by `text`, the dumps_canonical output of the value it stands
-    for, re-indented for the depth it lands at. JSON strings never hold a
-    raw newline, so every newline in `text` starts a line."""
-    at = dumped.find(_FORMATTED_JSON)
-    if at < 0:
-        return dumped
-    line = dumped[dumped.rfind("\n", 0, at) + 1:at]
-    indent = "\n" + " " * (len(line) - len(line.lstrip(" ")))
-    return (dumped[:at] + text.replace("\n", indent)
-            + dumped[at + len(_FORMATTED_JSON):])
 
 
 def digest(text: str) -> str:

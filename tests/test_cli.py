@@ -297,7 +297,9 @@ def test_spliced_reports_equal_plain_json_dumps(capsys, tmp_path, L):
      "--seed", "1"],
     ["contradiction", "--model", "{flat}"],
     ["refute", "--lambda-size", "2"],
-], ids=["check", "sample", "contradiction", "refute"])
+    ["basis"],
+    ["nogo", "--lambda-size", "2"],
+], ids=["check", "sample", "contradiction", "refute", "basis", "nogo"])
 def test_human_output_formats_no_model_and_no_digest(capsys, tmp_path,
                                                      monkeypatch, argv):
     paths = {"model": _write_model(tmp_path, build_interval_model(2, born_targets())),

@@ -1,4 +1,5 @@
-"""`dumps_canonical` writes the bytes of `json.dumps(indent=2, sort_keys=True)`."""
+"""`dumps_canonical` writes the bytes of `json.dumps(indent=2, sort_keys=True)`;
+a `Formatted` dump is written as the value it was dumped from."""
 
 import json
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pbrlab.serialize import dumps_canonical
+from pbrlab.serialize import Formatted, dumps_canonical
 
 
 def _plain(obj) -> str:
@@ -41,6 +42,17 @@ _DOCS = st.recursive(
 @given(_DOCS)
 def test_dumps_canonical_is_json_dumps(doc):
     assert dumps_canonical(doc) == _plain(doc)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_DOCS)
+def test_formatted_is_written_in_place(doc):
+    text = Formatted(dumps_canonical(doc))
+    assert dumps_canonical(text) == _plain(doc)
+    assert (dumps_canonical({"a": text, "b": [1]})
+            == _plain({"a": doc, "b": [1]}))
+    assert (dumps_canonical({"a": {"b": {"c": text}}, "d": [{"e": text}]})
+            == _plain({"a": {"b": {"c": doc}}, "d": [{"e": doc}]}))
 
 
 @pytest.mark.parametrize("doc", [
