@@ -52,7 +52,7 @@ REFUTE_MAX_LAMBDA = 128
 # Larger counts are refused before sampling.
 SAMPLE_MAX_N = 10 ** 7
 # The largest file pbr writes, `refute --lambda-size 128 --out`, holds about
-# 4.5 MB. Larger model and rho files are refused before parsing.
+# 4.5 MB. Larger model and rho files are refused once one byte more is read.
 INPUT_MAX_BYTES = 16 * 2 ** 20
 
 
@@ -92,18 +92,19 @@ def _write(stream, text: str = "") -> None:
 
 
 def _load_json_file(path: str):
-    """The parsed file. A file that cannot be read, is over INPUT_MAX_BYTES,
+    """The parsed file, of which at most INPUT_MAX_BYTES + 1 bytes are read,
+    be it regular, a pipe or a device. A file that cannot be read, is longer,
     is not UTF-8 JSON, holds an integer of more than 4300 digits or nests
     too deep raises ModelError."""
     try:
-        with open(path) as fh:
-            size = os.fstat(fh.fileno()).st_size
-            if size <= INPUT_MAX_BYTES:
-                return json.load(fh)
+        with open(path, "rb") as fh:
+            data = fh.read(INPUT_MAX_BYTES + 1)
+        if len(data) <= INPUT_MAX_BYTES:
+            return json.loads(data.decode())
     except (OSError, ValueError, RecursionError) as e:
         raise ModelError(str(e)) from e
-    raise ModelError(f"{path} holds {size} bytes; input files are capped at "
-                     f"{INPUT_MAX_BYTES}")
+    raise ModelError(f"{path} holds more than {INPUT_MAX_BYTES} bytes, the "
+                     "cap on input files")
 
 
 def _in_range(name: str, value: int, low: int, high: int,

@@ -36,7 +36,8 @@ from math import lcm
 
 from .ontology import (CONTEXTS, EpistemicState, LambdaSpace, ModelError,
                        OntologicalModel, Record, ResponseTable,
-                       _require_inputs, support_overlap)
+                       _over_common_denominator, _require_inputs,
+                       support_overlap)
 from .simplex import solve_equalities
 
 _ONE = Fraction(1)
@@ -187,13 +188,10 @@ def _tight_lift(p: FeasibilityProblem, born_duals) -> tuple:
     and y_B over another, e (Y_i[j][k] = e y_B[i, (j, k)]), that sum is
     a(lambda)^T Y_i a(lambda') / (d^2 e); v_i(lambda) = a(lambda)^T Y_i is
     computed once per lambda, so a cell costs four 2-term dot products."""
-    weights = p.rho1.weights + p.rho2.weights
-    d = lcm(*(w.denominator for w in weights))
-    scaled = [w.numerator * (d // w.denominator) for w in weights]
+    scaled, d = _over_common_denominator(p.rho1.weights + p.rho2.weights)
     L = p.lambda_size
-    e = lcm(*(y.denominator for y in born_duals))
     # Born row 4 i + c holds outcome i in context c: 11, 12, 21, 22.
-    Y = [y.numerator * (e // y.denominator) for y in born_duals]
+    Y, e = _over_common_denominator(born_duals)
     den = d * d * e
     zero = Fraction(0)
     a = list(zip(scaled[:L], scaled[L:]))

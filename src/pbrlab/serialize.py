@@ -68,6 +68,9 @@ class _Literals(dict):
         return self.setdefault(literal, value) if type(literal) is str else value
 
     def row(self, values) -> tuple:
+        # map would read a string's characters and an object's keys
+        if not isinstance(values, list):
+            raise ModelError(f"expected a JSON list, got {values!r}")
         try:
             return tuple(map(self.__getitem__, values))
         except TypeError:  # an unhashable value, named by parse_frac
@@ -119,14 +122,23 @@ def model_to_json(m) -> dict:
     return d
 
 
+# What reading a malformed model or rho file raises (ModelError included).
+_MALFORMED = (KeyError, TypeError, ValueError, ArithmeticError)
+
+
+def _states(d: dict, literals: _Literals) -> tuple:
+    """(lambda_size, rho1, rho2) of a model or rho file."""
+    return (parse_size(d["lambda_size"]),
+            EpistemicState(literals.row(d["rho1"])),
+            EpistemicState(literals.row(d["rho2"])))
+
+
 def model_from_json(d: dict):
     try:
         if d["mode"] != "exact":
             raise ModelError(f"unknown mode {d['mode']!r}; models are exact")
         literals = _Literals()
-        L = parse_size(d["lambda_size"])
-        rho1 = EpistemicState(literals.row(d["rho1"]))
-        rho2 = EpistemicState(literals.row(d["rho2"]))
+        L, rho1, rho2 = _states(d, literals)
         targets = _targets_from_json(d["born_targets"], literals)
         resp = d["response"]
         kind = resp["kind"]
@@ -137,8 +149,7 @@ def model_from_json(d: dict):
                              for (j, k) in CONTEXTS)
         else:
             raise ModelError(f"unknown response kind {kind!r}")
-    except (KeyError, TypeError, ValueError, ZeroDivisionError,
-            OverflowError) as e:
+    except _MALFORMED as e:
         raise ModelError(f"malformed model: {e}") from e
 
     return OntologicalModel(lambda_space=LambdaSpace(L), rho1=rho1, rho2=rho2,
@@ -148,11 +159,8 @@ def model_from_json(d: dict):
 def rho_pair_from_json(d: dict):
     """Side file for the no-go command: two exact distributions."""
     try:
-        literals = _Literals()
-        L = parse_size(d["lambda_size"])
-        r1 = EpistemicState(literals.row(d["rho1"]))
-        r2 = EpistemicState(literals.row(d["rho2"]))
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
+        L, r1, r2 = _states(d, _Literals())
+    except _MALFORMED as e:
         raise ModelError(f"malformed rho file: {e}") from e
     if r1.size != L or r2.size != L:
         raise ModelError("rho lengths disagree with lambda_size")
@@ -160,9 +168,10 @@ def rho_pair_from_json(d: dict):
 
 
 def dumps_canonical(obj) -> str:
-    """The text `json.dumps` writes for `obj` with an indent of 2 and
-    sorted keys, byte for byte. With an indent, json before Python 3.13
-    runs its pure-Python encoder, which took 10-14 ms for an L = 40 model.
+    """The text `json.dumps` writes for the JSON document `obj` with an
+    indent of 2 and sorted keys, byte for byte; a key that is not a str
+    raises TypeError. With an indent, json before Python 3.13 runs its
+    pure-Python encoder, which took 10-14 ms for an L = 40 model.
     Here each list of strings is quoted by the C function json itself uses
     and joined in one call, and the pieces are joined once at the end."""
     out = []
@@ -193,10 +202,10 @@ def _write(obj, nl: str, out: list) -> None:
             return
         inner = nl + "  "
         sep = "{"
-        # sorted() on the items, as json does, so mixed key types order
-        # alike or raise alike.
+        # sorted() on the items, as json does, so mixed key types raise
+        # alike; _quote raises TypeError on any key that is not a str.
         for k, v in sorted(obj.items()):
-            out.append(f"{sep}{inner}{_key(k)}: ")
+            out.append(f"{sep}{inner}{_quote(k)}: ")
             _write(v, inner, out)
             sep = ","
         out.append(nl + "}")
@@ -218,17 +227,6 @@ def _write(obj, nl: str, out: list) -> None:
         out.append(obj.replace("\n", nl))
     else:
         out.append(json.dumps(obj))
-
-
-def _key(k) -> str:
-    """A dict key as json writes it: a str quoted, a number, bool or None
-    quoted in its JSON spelling; any other key raises TypeError."""
-    if isinstance(k, str):
-        return _quote(k)
-    if isinstance(k, (int, float)) or k is None:
-        return _quote(json.dumps(k))
-    raise TypeError(f"keys must be str, int, float, bool or None, "
-                    f"not {k.__class__.__name__}")
 
 
 def digest(text: str) -> str:

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -451,19 +452,85 @@ def test_hostile_json_exits_2(tmp_path, command, content):
     assert proc.stderr.startswith("error: ")
 
 
-@pytest.mark.parametrize("command", ["check", "sample", "contradiction",
-                                     "nogo --rho"])
-def test_oversized_input_exits_2_before_parsing(capsys, tmp_path, command):
-    # a sparse file one byte over the cap: refused on its size, unread
-    path = tmp_path / "oversized.json"
-    with open(path, "wb") as fh:
-        fh.truncate(INPUT_MAX_BYTES + 1)
+def _feed_fifo(path, size: int) -> threading.Thread:
+    """Make a FIFO at `path` and start a thread that writes `size` spaces to
+    it, or fewer if its reader closes it first."""
+    os.mkfifo(path)
+
+    def feed():
+        try:
+            with open(path, "wb") as fh:
+                for _ in range(0, size, 2 ** 20):
+                    fh.write(b" " * 2 ** 20)
+        except BrokenPipeError:
+            pass
+    thread = threading.Thread(target=feed, daemon=True)
+    thread.start()
+    return thread
+
+
+@pytest.mark.parametrize("command, source", [
+    pytest.param(command, source,
+                 id=command if source == "sparse" else f"{command}-{source}")
+    for source in ("sparse", "dev-zero", "fifo")
+    for command in ("check", "sample", "contradiction", "nogo --rho")])
+def test_oversized_input_exits_2_before_parsing(capsys, tmp_path, command,
+                                                source):
+    # A sparse file one byte over the cap, /dev/zero, and a FIFO fed more
+    # than the cap, which fstat would size as 0: each is read to one byte
+    # past the cap and refused unparsed.
+    feeder = None
+    if source == "sparse":
+        path = tmp_path / "oversized.json"
+        with open(path, "wb") as fh:
+            fh.truncate(INPUT_MAX_BYTES + 1)
+    elif source == "dev-zero":
+        if not os.path.exists("/dev/zero"):
+            pytest.skip("no /dev/zero")
+        path = "/dev/zero"
+    else:
+        path = tmp_path / "oversized.fifo"
+        feeder = _feed_fifo(path, INPUT_MAX_BYTES + 2 ** 20)
     t0 = time.perf_counter()
     code, out, err = run(capsys, *_argv(command, str(path)), "--json")
-    assert time.perf_counter() - t0 < 1.0
+    elapsed = time.perf_counter() - t0
+    if feeder:
+        feeder.join(timeout=10)
+        assert not feeder.is_alive()
+    assert elapsed < 1.0
     assert code == 2
     assert out == ""
-    assert err.startswith("error: ") and str(INPUT_MAX_BYTES) in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(INPUT_MAX_BYTES) in err
+
+
+def _unlisted(row: list, shape: str):
+    """`row` as a string of its items or an object keyed by them: `map`
+    reads their characters or keys as the items of `row` itself."""
+    return "".join(row) if shape == "string" else dict.fromkeys(row, 0)
+
+
+@pytest.mark.parametrize("command", ["check", "sample", "contradiction",
+                                     "nogo --rho"])
+@pytest.mark.parametrize("shape", ["string", "object"])
+def test_rows_must_be_json_lists(capsys, tmp_path, command, shape):
+    if command == "nogo --rho":
+        doc = json.loads((GOLDEN / "rho_L2_point_masses.json").read_text())
+        # "10", or an object keyed by "1" and "0"
+        doc["rho1"] = _unlisted(doc["rho1"], shape)
+    else:
+        doc = json.loads((GOLDEN / "model_L3_noncontextual.json").read_text())
+        # "000", or an object keyed by "1", "3/4" and "0"
+        plane = doc["response"]["p"][0]
+        row = 1 if shape == "string" else 0
+        plane[row] = _unlisted(plane[row], shape)
+    path = tmp_path / "unlisted.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, *_argv(command, str(path)), "--json")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "expected a JSON list" in err
 
 
 @pytest.mark.parametrize("command", ["check", "sample", "contradiction"])

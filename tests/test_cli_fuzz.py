@@ -7,9 +7,10 @@ the float-mode model, which every command refuses) and applies one to three
 mutations at random places in its JSON tree: a key or element dropped, a
 value replaced by "1/0", a boolean, a huge integer, a float, a string (an
 exponent such as "1e999999999" among them), null or an empty container, a
-list wrapped, emptied, cut short or grown, or the mode switched. The
-example count keeps the test to a few seconds. A `nogo --rho` run that
-exits 0 must also pass the independent checker on the file's ρ pair.
+list wrapped, emptied, cut short, grown, or written as a string of its
+items or an object keyed by them, or the mode switched. The example count
+keeps the test to a few seconds. A `nogo --rho` run that exits 0 must also
+pass the independent checker on the file's ρ pair.
 """
 
 import contextlib
@@ -59,7 +60,7 @@ def _mutate(doc, data):
     key = path[-1]
     value = parent[key]
     kind = data.draw(st.sampled_from(
-        ["drop", "replace", "wrap", "empty", "cut", "grow", "mode"]))
+        ["drop", "replace", "wrap", "empty", "cut", "grow", "unlist", "mode"]))
     if kind == "drop":
         del parent[key]
     elif kind == "replace":
@@ -72,6 +73,10 @@ def _mutate(doc, data):
         parent[key] = value[:-1]
     elif kind == "grow" and isinstance(value, list) and value:
         parent[key] = value + value[-1:]
+    elif kind == "unlist" and isinstance(value, list):
+        items = [str(x) for x in value]
+        parent[key] = ("".join(items) if data.draw(st.booleans())
+                       else dict.fromkeys(items, 0))
     elif kind == "mode" and isinstance(doc, dict):
         doc["mode"] = "float" if doc.get("mode") == "exact" else "exact"
     return doc

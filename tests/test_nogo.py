@@ -121,8 +121,8 @@ def test_certificate_with_zero_objective_rejected():
 
 
 def test_audit_shares_no_code_with_simplex():
-    # the audit checks the solver's certificates, so it must not run any
-    # of the solver's code
+    # the audit checks the solver's certificates and their lift, so it must
+    # not run any of the solver's code, nor the lift's integer scaling
     import types
 
     import pbrlab.nogo as nogo
@@ -136,6 +136,7 @@ def test_audit_shares_no_code_with_simplex():
     for name in names(verify_certificate.__code__):
         used = getattr(nogo, name, None)
         assert getattr(used, "__module__", None) != "pbrlab.simplex", name
+        assert name != "_over_common_denominator", name
 
 
 def test_certificate_fails_on_feasible_problem():
