@@ -33,19 +33,38 @@ def _interval_slice(targets_row, rho_j, rho_k) -> ResponseTable:
 
     The walk runs on integers: with rho_j = a / dj, rho_k = b / dk and the
     targets t / e, every width a * b * e and bound (t_1 + ... + t_i) * dj * dk
-    is a multiple of 1 / (dj * dk * e)."""
+    is a multiple of 1 / (dj * dk * e).
+
+    A lambda whose cells all have positive width and lie inside outcome j's
+    interval gets, without a walk over its cells, the table's all-1 row in
+    plane j and its all-0 row in the others. Any other row is shared with
+    an earlier or a constant row of the same entry objects."""
     a, dj = _over_common_denominator(rho_j)
     b, dk = _over_common_denominator(rho_k)
     t, e = _over_common_denominator(targets_row)
     bounds = [0]
     for q in t:
         bounds.append(bounds[-1] + q * dj * dk)
-    units = [tuple(Fraction(int(i == j)) for i in range(4)) for j in range(4)]
+    zero, one = Fraction(0), Fraction(1)
+    units = [tuple((zero, one)[i == j] for i in range(4)) for j in range(4)]
+    constant = ((zero,) * len(b), (one,) * len(b))
+    unit_rows = [tuple(constant[i == j] for i in range(4)) for j in range(4)]
+    row_width = e * sum(b) if all(w > 0 for w in b) else 0
+    shared = {tuple(map(id, row)): row for row in constant}  # by entry ids
 
     planes = ([], [], [], [])
     pos = 0
     j = 0  # the first outcome whose interval ends after pos
     for a_lam in a:
+        if a_lam > 0 and row_width:
+            lo, hi = pos, pos + a_lam * row_width
+            while j < 3 and bounds[j + 1] <= lo:
+                j += 1
+            if bounds[j] <= lo and hi <= bounds[j + 1]:
+                for plane, row in zip(planes, unit_rows[j]):
+                    plane.append(row)
+                pos = hi
+                continue
         cells = []  # per cell of this lambda, the 4 outcome probabilities
         for w in [a_lam * e * b_lamp for b_lamp in b]:
             if w == 0:
@@ -57,12 +76,13 @@ def _interval_slice(targets_row, rho_j, rho_k) -> ResponseTable:
             if w > 0 and bounds[j] <= lo and hi <= bounds[j + 1]:
                 cells.append(units[j])
             else:
-                cells.append(tuple(
-                    Fraction(max(0, min(hi, bounds[i + 1]) - max(lo, bounds[i])),
-                             w) for i in range(4)))
+                overlaps = [max(0, min(hi, bounds[i + 1]) - max(lo, bounds[i]))
+                            for i in range(4)]
+                cells.append(tuple(Fraction(x, w) if x else zero
+                                   for x in overlaps))
             pos = hi
         for plane, row in zip(planes, zip(*cells)):
-            plane.append(row)
+            plane.append(shared.setdefault(tuple(map(id, row)), row))
     return ResponseTable(tuple(map(tuple, planes)))
 
 

@@ -194,20 +194,23 @@ def _cell_complaints(cell) -> tuple:
     return tuple(out)
 
 
-def _table_complaints(p, L, checked) -> list:
+def _table_complaints(p, L, checked, clean) -> list:
     """What is wrong with one response table, or None if it is not shaped
     4 x L x L. `checked` maps each cell seen, keyed by its 4 entries' ids
     (which live as long as the model; 1/2 and 0.5 never share one), to its
-    complaints: a table repeats a few cells, so each is checked once, and
-    only a row holding a new cell or a complaint is walked cell by cell."""
+    complaints: a table repeats a few cells, so each is checked once.
+    `clean` holds the ids of the 4 rows of each lambda found clean: a table
+    repeats a few rows, so only a lambda of new rows, or of rows holding a
+    complaint, is walked cell by cell."""
     if len(p) != 4 or any(len(p[i]) != L or any(len(row) != L for row in p[i])
                           for i in range(len(p))):
         return None
     report = []
     for lam, rows in enumerate(zip(*p)):
-        keys = set(zip(*(map(id, r) for r in rows)))
-        if keys <= checked.keys() and not any(map(checked.__getitem__, keys)):
+        row_ids = tuple(map(id, rows))
+        if row_ids in clean:
             continue
+        found = len(report)
         for lamp, cell in enumerate(zip(*rows)):
             key = tuple(map(id, cell))
             if key not in checked:
@@ -216,6 +219,8 @@ def _table_complaints(p, L, checked) -> list:
                 where = (f"response[{outcome}][{lam}][{lamp}]" if outcome else
                          f"response rows at (lambda={lam}, lambda'={lamp})")
                 report.append(f"{where} {text}")
+        if len(report) == found:
+            clean.add(row_ids)
     return report
 
 
@@ -257,9 +262,9 @@ def validate_model(m: OntologicalModel) -> list:
     _check_distribution("rho2", m.rho2.weights, L, shared)
     report = [prefixes[0] + line for line in shared]
     targets = _target_complaints(m.born_targets)
-    checked = {}
+    checked, clean = {}, set()
     for prefix, table in zip(prefixes, m.response):
-        lines = _table_complaints(table.p, L, checked)
+        lines = _table_complaints(table.p, L, checked, clean)
         if lines is None:
             report.append(f"{prefix}response table is not shaped 4 x L x L")
             continue
@@ -301,6 +306,16 @@ def _over_common_denominator(values):
     return [num * (d // den) for num, den in ratios], d
 
 
+def _row_sums(b, row) -> dict:
+    """Denominator of v -> sum of b * num(v) over the row's entries v."""
+    sums = {}
+    for b_lamp, v in zip(b, row):
+        num, den = v.as_integer_ratio()
+        if num and b_lamp:
+            sums[den] = sums.get(den, 0) + b_lamp * num
+    return sums
+
+
 def _predict(m: OntologicalModel, context) -> tuple:
     """`predict` for a model the caller has validated."""
     planes = m.table(context).p
@@ -310,18 +325,22 @@ def _predict(m: OntologicalModel, context) -> tuple:
     # With rho_j = a / dj and rho_k = b / dk, a component is
     # sum(a * b * v) / (dj * dk). The integer products a * b * num(v) are
     # summed per denominator of v, so a table of a few distinct entries
-    # costs a few Fraction additions per component.
+    # costs a few Fraction additions per component. Each distinct row's
+    # sums of b * num(v) are taken once, keyed by its id: the model keeps
+    # the row alive for the call.
     a, dj = _over_common_denominator(rj)
     b, dk = _over_common_denominator(rk)
+    row_sums = {}
     out = []
     for plane in planes:
         sums = {}  # denominator of v -> sum of a * b * num(v)
         for a_lam, row in zip(a, plane):
             if a_lam:
-                for b_lamp, v in zip(b, row):
-                    num, den = v.as_integer_ratio()
-                    if num and b_lamp:
-                        sums[den] = sums.get(den, 0) + a_lam * b_lamp * num
+                by_den = row_sums.get(id(row))
+                if by_den is None:
+                    by_den = row_sums[id(row)] = _row_sums(b, row)
+                for den, num in by_den.items():
+                    sums[den] = sums.get(den, 0) + a_lam * num
         total = Fraction(0)
         for den, num in sums.items():
             total += Fraction(num, den)

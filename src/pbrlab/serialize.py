@@ -37,6 +37,20 @@ def fmt_frac(x: Fraction) -> str:
 _EXACT_TEXT = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 
+# How much of a refused value an error message quotes: a file of up to
+# INPUT_MAX_BYTES may hold one value of nearly that length.
+_QUOTE_MAX = 60
+
+
+def _quoted(x) -> str:
+    """repr(x), or for a longer one its first _QUOTE_MAX characters and its
+    length, so an error line stays short whatever the value."""
+    text = repr(x)
+    if len(text) <= _QUOTE_MAX:
+        return text
+    return f"{text[:_QUOTE_MAX]}... ({len(text)} characters)"
+
+
 def parse_frac(s) -> Fraction:
     if isinstance(s, str):
         if _EXACT_TEXT.fullmatch(s):
@@ -44,21 +58,26 @@ def parse_frac(s) -> Fraction:
     # bool is a subclass of int; JSON true/false is not a number.
     elif isinstance(s, int) and not isinstance(s, bool):
         return Fraction(s)
-    raise ModelError(f"expected an exact 'num/den' string, got {s!r}")
+    raise ModelError(f"expected an exact 'num/den' string, got {_quoted(s)}")
 
 
 def parse_size(x) -> int:
     """A JSON integer, taken as is: 2.7, "2" and true are rejected."""
     if isinstance(x, int) and not isinstance(x, bool):
         return x
-    raise ModelError(f"lambda_size must be a JSON integer, got {x!r}")
+    raise ModelError(f"lambda_size must be a JSON integer, got {_quoted(x)}")
 
 
 class _Literals(dict):
     """One shared Fraction per exact literal of one model file, looked up by
-    `map` in C. Keys are JSON strings and (numerator, denominator) pairs,
-    not numbers, as true == 1.0 == 1: an integer finds its value's pair on
-    each visit. So "1", 1 and "2/2" load as one object, validated once."""
+    `map` in C, and one shared tuple per distinct row. Keys are JSON strings
+    and (numerator, denominator) pairs, not numbers, as true == 1.0 == 1: an
+    integer finds its value's pair in each new row. So "1", 1 and "2/2" load
+    as one object, validated once."""
+
+    def __init__(self):
+        super().__init__()
+        self.rows = {}  # row literals (and their types) -> the row
 
     def __missing__(self, literal):
         if type(literal) is int and (literal, 1) in self:
@@ -68,13 +87,26 @@ class _Literals(dict):
         return self.setdefault(literal, value) if type(literal) is str else value
 
     def row(self, values) -> tuple:
+        """The row of these JSON values. A row of strings is keyed by its
+        literals alone, as a string equals only a string; any other by its
+        literals and their JSON types, so [1], [1.0] and [true] stay apart
+        and the refused ones are refused."""
         # map would read a string's characters and an object's keys
         if not isinstance(values, list):
-            raise ModelError(f"expected a JSON list, got {values!r}")
+            raise ModelError(f"expected a JSON list, got {_quoted(values)}")
+        key = tuple(values)
         try:
-            return tuple(map(self.__getitem__, values))
+            row = self.rows.get(key)
         except TypeError:  # an unhashable value, named by parse_frac
             return tuple(map(parse_frac, values))
+        if row is None:
+            types = tuple(map(type, key))
+            if types.count(str) < len(types):
+                key = (types, key)
+                row = self.rows.get(key)
+            if row is None:
+                row = self.rows[key] = tuple(map(self.__getitem__, values))
+        return row
 
 
 def _targets_to_json(targets):
@@ -88,15 +120,21 @@ def _targets_from_json(rows, literals):
 
 
 def _table_to_json(t: ResponseTable, shown: dict):
-    """The table's JSON lists. `shown` maps the id of each entry object
-    already formatted, in this or an earlier table of the same model, to its
-    text, so a table of a few shared entries formats each of them once."""
+    """The table's JSON lists. `shown` maps the id of each row and each
+    entry object already formatted, in this or an earlier table of the same
+    model, to its JSON: a model of a few shared rows and entries formats
+    each of them once, and a repeated row is one list object, which
+    `dumps_canonical` writes once too. Rows are tuples and entries numbers,
+    so no object is both."""
     def fmt(v):
         text = shown[id(v)] = fmt_frac(v)
         return text
+
+    def fmt_row(row):
+        out = shown[id(row)] = [get(id(v)) or fmt(v) for v in row]
+        return out
     get = shown.get
-    return [[[get(id(v)) or fmt(v) for v in row] for row in plane]
-            for plane in t.p]
+    return [[get(id(row)) or fmt_row(row) for row in plane] for plane in t.p]
 
 
 def _table_from_json(p, literals) -> ResponseTable:
@@ -104,6 +142,8 @@ def _table_from_json(p, literals) -> ResponseTable:
 
 
 def model_to_json(m) -> dict:
+    """The model's JSON document. A row object that the model repeats is one
+    list in it, so copy a row before editing it."""
     d = {
         "mode": "exact",
         "lambda_size": m.lambda_space.size,
@@ -136,7 +176,8 @@ def _states(d: dict, literals: _Literals) -> tuple:
 def model_from_json(d: dict):
     try:
         if d["mode"] != "exact":
-            raise ModelError(f"unknown mode {d['mode']!r}; models are exact")
+            raise ModelError(f"unknown mode {_quoted(d['mode'])}; "
+                             "models are exact")
         literals = _Literals()
         L, rho1, rho2 = _states(d, literals)
         targets = _targets_from_json(d["born_targets"], literals)
@@ -148,7 +189,7 @@ def model_from_json(d: dict):
             response = tuple(_table_from_json(resp["p"][f"{j}{k}"], literals)
                              for (j, k) in CONTEXTS)
         else:
-            raise ModelError(f"unknown response kind {kind!r}")
+            raise ModelError(f"unknown response kind {_quoted(kind)}")
     except _MALFORMED as e:
         raise ModelError(f"malformed model: {e}") from e
 
@@ -173,9 +214,10 @@ def dumps_canonical(obj) -> str:
     raises TypeError. With an indent, json before Python 3.13 runs its
     pure-Python encoder, which took 10-14 ms for an L = 40 model.
     Here each list of strings is quoted by the C function json itself uses
-    and joined in one call, and the pieces are joined once at the end."""
+    and joined in one call, once per list object and indent, and the pieces
+    are joined once at the end."""
     out = []
-    _write(obj, "\n", out)
+    _write(obj, "\n", out, {})
     return "".join(out)
 
 
@@ -191,11 +233,12 @@ class Formatted(str):
     __slots__ = ()
 
 
-def _write(obj, nl: str, out: list) -> None:
+def _write(obj, nl: str, out: list, seen: dict) -> None:
     """Append the pieces of `obj`'s text to `out`, for a value on a line
-    that starts with `nl` (a newline and the line's indent). Calls itself,
-    not `dumps_canonical`, so a tracer that wraps `dumps_canonical` sees one
-    call per dump."""
+    that starts with `nl` (a newline and the line's indent). `seen` maps
+    (id, nl) of each list of strings written in this dump, which the
+    document keeps alive, to its text. Calls itself, not `dumps_canonical`,
+    so a tracer that wraps `dumps_canonical` sees one call per dump."""
     if isinstance(obj, dict):
         if not obj:
             out.append("{}")
@@ -206,23 +249,31 @@ def _write(obj, nl: str, out: list) -> None:
         # alike; _quote raises TypeError on any key that is not a str.
         for k, v in sorted(obj.items()):
             out.append(f"{sep}{inner}{_quote(k)}: ")
-            _write(v, inner, out)
+            _write(v, inner, out, seen)
             sep = ","
         out.append(nl + "}")
     elif isinstance(obj, (list, tuple)):
         if not obj:
             out.append("[]")
             return
+        key = (id(obj), nl)
+        text = seen.get(key)
+        if text is not None:
+            out.append(text)
+            return
         inner = nl + "  "
         try:
-            out.append(f"[{inner}{(',' + inner).join(map(_quote, obj))}{nl}]")
+            text = f"[{inner}{(',' + inner).join(map(_quote, obj))}{nl}]"
         except TypeError:  # an item that is not a str
             sep = "["
             for x in obj:
                 out.append(sep + inner)
-                _write(x, inner, out)
+                _write(x, inner, out, seen)
                 sep = ","
             out.append(nl + "]")
+        else:
+            out.append(text)
+            seen[key] = text
     elif type(obj) is Formatted:
         out.append(obj.replace("\n", nl))
     else:

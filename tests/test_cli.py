@@ -661,6 +661,63 @@ def test_non_string_entries_exit_2(capsys, tmp_path, command, entry):
     assert repr(entry) in err
 
 
+@pytest.mark.parametrize("later", [[0.0, 0.0, 0.0], [False, False, False],
+                                   [0, 0, 0.0], [0, False, 0], [0, 0, 0]],
+                         ids=["floats", "bools", "one-float", "one-bool",
+                              "integers"])
+def test_repeated_row_keeps_its_json_types(capsys, tmp_path, later):
+    # Rows are loaded once per distinct row, and [0, 0, 0] == [0.0, 0.0,
+    # 0.0] == [false, false, false]: a later row of the same values must be
+    # refused for its floats or booleans, not read as the integer row.
+    golden = str(GOLDEN / "model_L3_noncontextual.json")
+    doc = json.loads(Path(golden).read_text())
+    p = doc["response"]["p"]
+    assert p[0][1] == p[0][2] == p[1][0] == p[1][1] == ["0", "0", "0"]
+    p[0][1] = p[1][1] = [0, 0, 0]
+    p[1][0] = later
+    path = tmp_path / "typed_rows.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "check", "--model", str(path), "--json")
+    if all(type(v) is int for v in later):
+        assert (code, out, err) == run(capsys, "check", "--model", golden,
+                                       "--json")
+        return
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert repr(next(v for v in later if type(v) is not int)) in err
+
+
+_LONG_TEXT = "x" * 1_000_000
+
+
+@pytest.mark.parametrize("command, field, value", [
+    ("nogo --rho", "rho1", _LONG_TEXT),
+    ("nogo --rho", "rho1", [_LONG_TEXT, "0"]),
+    ("nogo --rho", "lambda_size", _LONG_TEXT),
+    ("check", "mode", _LONG_TEXT),
+    ("check", "kind", _LONG_TEXT),
+], ids=["rho1-string", "rho1-entry", "lambda_size", "mode", "kind"])
+def test_error_line_quotes_a_long_value_short(capsys, tmp_path, command,
+                                              field, value):
+    if command == "nogo --rho":
+        doc = json.loads((GOLDEN / "rho_L2_point_masses.json").read_text())
+        doc[field] = value
+    else:
+        doc = json.loads((GOLDEN / "model_L3_noncontextual.json").read_text())
+        (doc["response"] if field == "kind" else doc)[field] = value
+    path = tmp_path / "long_value.json"
+    path.write_text(json.dumps(doc))
+    argv = (["nogo", "--lambda-size", "2", "--rho", str(path)]
+            if command == "nogo --rho" else ["check", "--model", str(path)])
+    code, out, err = run(capsys, *argv, "--json")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert len(err.encode()) < 300
+    assert "'xxxx" in err and "1000002 characters" in err
+
+
 def test_integer_entries_read_as_their_strings(capsys, tmp_path):
     golden = str(GOLDEN / "model_L3_noncontextual.json")
     doc = json.loads(Path(golden).read_text())

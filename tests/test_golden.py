@@ -23,8 +23,9 @@ outside both supports (K = 4). Both take the tight certificate lift.
 
 The L=7 `refute --out` model, whose cell widths of 1/49 straddle every
 Born boundary, is also read back by `check` and by `sample` in contexts 11
-and 22 (`python tests/test_golden.py` has them read the model it has just
-made).
+and 22. The L=4 one, whose 64 response rows each lie inside one Born
+interval and so are all constant, is read back by `check`
+(`python tests/test_golden.py` has them read the models it has just made).
 The other input models are tests/golden/model_*.json: the L=3 interval model
 (`refute --lambda-size 3 --out`); a copy of it with rho1 summing to 7/6,
 entries 3/2 and -1/4, a short row in context 22 and a target row summing
@@ -67,10 +68,10 @@ from pbrlab.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 OUT = "{out}"  # replaced by a scratch path; the file is compared too
-# The L=7 `refute --out` model: the golden file, or, when regenerating, the
-# model just made.
-REFUTE_L7 = "{refute_L7_out}"
-GOLDEN_REFUTE_L7 = GOLDEN / "refute_L7_out.json"
+# The `refute --out` models read back by check and sample: the golden files,
+# or, when regenerating, the models just made.
+REFUTE_OUT = {L: f"{{refute_L{L}_out}}" for L in (4, 7)}
+GOLDEN_REFUTE = {L: GOLDEN / f"refute_L{L}_out.json" for L in REFUTE_OUT}
 
 
 def _model(name):
@@ -90,7 +91,7 @@ NOGO_CASES = {
 CONTEXTUAL_CASES = {
     **{f"refute_L{L}": ["refute", "--lambda-size", str(L), "--out", OUT,
                         "--json"]
-       for L in (2, 3, 7)},
+       for L in (2, 3, 4, 7)},
     **{f"check_L3_{name}": ["check", "--model", _model(f"L3_{name}"), "--json"]
        for name in ("contextual", "contextual_invalid", "noncontextual",
                     "float")},
@@ -102,10 +103,12 @@ CONTEXTUAL_CASES = {
                                    _model("L3_noncontextual"), "--context",
                                    "12", "--n", "2000", "--seed", "11",
                                    "--json"],
-    # The L=7 model read back from the golden `refute --out` file: widths of
-    # 1/49 straddle every Born boundary, so every slice splits cells.
-    "check_L7_contextual": ["check", "--model", REFUTE_L7, "--json"],
-    **{f"sample_L7_contextual_{c}": ["sample", "--model", REFUTE_L7,
+    # The models read back from the golden `refute --out` files. At L=4
+    # every row lies inside one Born interval and is constant; at L=7 widths
+    # of 1/49 straddle every Born boundary, so every slice splits cells.
+    **{f"check_L{L}_contextual": ["check", "--model", REFUTE_OUT[L], "--json"]
+       for L in REFUTE_OUT},
+    **{f"sample_L7_contextual_{c}": ["sample", "--model", REFUTE_OUT[7],
                                      "--context", c, "--n", "2000",
                                      "--seed", "11", "--json"]
        for c in ("11", "22")},
@@ -122,22 +125,22 @@ CASES = {**NOGO_CASES, **CONTEXTUAL_CASES, **OTHER_CASES}
 JUDGED_CONTEXTUAL = sorted(
     [n for n in CONTEXTUAL_CASES if CASES[n][0] in ("refute", "sample")]
     + ["check_L3_contextual", "check_L3_noncontextual",
-       "check_L7_contextual"])
+       "check_L4_contextual", "check_L7_contextual"])
 # The other cases the oracles judge: basis, and contradiction of exit 0 and 4.
 JUDGED_OTHER = ["basis", "contradiction_L3_disjoint",
                 "contradiction_L3_noncontextual"]
 
 
-def _argv(name, scratch: Path, refute_l7: Path = GOLDEN_REFUTE_L7):
+def _argv(name, scratch: Path, refute_out: dict = GOLDEN_REFUTE):
     places = {OUT: str(scratch / f"{name}_out.json"),
-              REFUTE_L7: str(refute_l7)}
+              **{REFUTE_OUT[L]: str(path) for L, path in refute_out.items()}}
     return [places.get(a, a) for a in CASES[name]]
 
 
-def _run_case(name, scratch: Path, refute_l7: Path = GOLDEN_REFUTE_L7):
+def _run_case(name, scratch: Path, refute_out: dict = GOLDEN_REFUTE):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main(_argv(name, scratch, refute_l7))
+        code = main(_argv(name, scratch, refute_out))
     written = None
     if OUT in CASES[name]:
         written = (scratch / f"{name}_out.json").read_text()
@@ -239,8 +242,9 @@ if __name__ == "__main__":
     runs = {}
     with tempfile.TemporaryDirectory() as scratch:
         scratch = Path(scratch)
-        fresh = scratch / "refute_L7_out.json"
-        # refute first: the L=7 check and sample cases read its model.
+        fresh = {L: scratch / f"refute_L{L}_out.json" for L in REFUTE_OUT}
+        # refute first: the L=4 and L=7 check and sample cases read the
+        # models it makes.
         for name in sorted(CASES, key=lambda n: (CASES[n][0] != "refute", n)):
             runs[name] = _run_case(name, scratch, fresh)
         for name in sorted(NOGO_CASES) + JUDGED_CONTEXTUAL + JUDGED_OTHER:

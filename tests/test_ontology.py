@@ -8,8 +8,9 @@ from pbrlab import contextual
 from pbrlab.hilbert import CONTEXTS, born_targets
 from pbrlab.ontology import (EpistemicState, LambdaSpace, ModelError,
                              OntologicalModel, OutcomeCounts, ResponseTable,
-                             chi_square_statistic, predict, sample,
+                             _predict, chi_square_statistic, predict, sample,
                              support_overlap, validate_model)
+from pbrlab.serialize import dumps_canonical, model_to_json
 from records import replace
 
 
@@ -230,3 +231,64 @@ def test_chi_square_statistic():
     counts = OutcomeCounts((1, 0, 0, 99), 100, 0)
     assert chi_square_statistic(
         counts, (0, 0, 0, 1)) == float("inf")
+
+
+# Row entries: in range, out of range, and not exact (a float, a bool).
+_ROW_ENTRIES = (Fraction(0), Fraction(1), Fraction(1, 2), Fraction(-1, 4),
+                Fraction(3, 2), 0, 0.5, True)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.data())
+def test_shared_rows_neither_merge_nor_hide(data):
+    """Validation, prediction and serialization work once per row object.
+    A model that reuses a few row objects, some of them holding complaints,
+    within a plane, across planes and across tables gives what the same
+    model gives with every row a fresh tuple."""
+    L = data.draw(st.integers(1, 4))
+    tables = data.draw(st.sampled_from((1, 4)))
+    codes = st.lists(st.integers(0, len(_ROW_ENTRIES) - 1), min_size=L,
+                     max_size=L)
+    pool = [tuple(_ROW_ENTRIES[c] for c in data.draw(codes))
+            for _ in range(data.draw(st.integers(1, 4)))]
+    picks = iter(data.draw(st.lists(st.integers(0, len(pool) - 1),
+                                    min_size=4 * L * tables,
+                                    max_size=4 * L * tables)))
+    response = tuple(ResponseTable(tuple(
+        tuple(pool[next(picks)] for _ in range(L)) for _ in range(4)))
+        for _ in range(tables))
+    weights = st.lists(st.integers(0, 3), min_size=L, max_size=L).map(
+        lambda w: _distribution([w[0] + 1] + w[1:]))
+    shared = OntologicalModel(
+        lambda_space=LambdaSpace(L), rho1=data.draw(weights),
+        rho2=data.draw(weights), response=response,
+        born_targets=born_targets())
+    fresh = replace(shared, response=tuple(
+        ResponseTable(tuple(tuple(tuple(list(row)) for row in plane)
+                            for plane in t.p)) for t in response))
+    assert fresh.response[0].p[0][0] is not shared.response[0].p[0][0]
+
+    assert validate_model(shared) == validate_model(fresh)
+    for context in CONTEXTS:
+        got, want = _predict(shared, context), _predict(fresh, context)
+        assert got == want
+        assert list(map(type, got)) == list(map(type, want))
+    doc = model_to_json(shared)
+    assert doc == model_to_json(fresh)
+    assert dumps_canonical(doc) == dumps_canonical(model_to_json(fresh))
+
+
+def test_validation_remembers_no_row_past_its_call():
+    """Validation remembers the rows it found clean by their ids for one
+    call only: once a model is gone, CPython hands its row's memory, and so
+    its id, to the next tuple of that size."""
+    L = 5
+    rho = EpistemicState.uniform(L)
+    for _ in range(10):
+        row = (Fraction(1, 4),) * L
+        assert validate_model(_model(L, rho, rho, ResponseTable(
+            [[row] * L for _ in range(4)]))) == []
+        del row
+        bad = (Fraction(3, 2),) * L
+        assert len(validate_model(_model(L, rho, rho, ResponseTable(
+            [[bad] * L for _ in range(4)])))) == 4 * L * L + L * L
