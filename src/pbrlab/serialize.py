@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+import sys
 from fractions import Fraction
 
 from .ontology import (CONTEXTS, EpistemicState, LambdaSpace, ModelError,
@@ -54,7 +55,14 @@ def _quoted(x) -> str:
 def parse_frac(s) -> Fraction:
     if isinstance(s, str):
         if _EXACT_TEXT.fullmatch(s):
-            return Fraction(s)
+            try:
+                return Fraction(s)
+            except ZeroDivisionError as e:
+                raise ModelError(f"{_quoted(s)} has a zero denominator") from e
+            except ValueError as e:  # a part longer than int() reads
+                raise ModelError(
+                    f"{_quoted(s)} has more than {sys.get_int_max_str_digits()}"
+                    " digits in its numerator or denominator") from e
     # bool is a subclass of int; JSON true/false is not a number.
     elif isinstance(s, int) and not isinstance(s, bool):
         return Fraction(s)

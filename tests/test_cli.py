@@ -718,6 +718,38 @@ def test_error_line_quotes_a_long_value_short(capsys, tmp_path, command,
     assert "'xxxx" in err and "1000002 characters" in err
 
 
+# More digits than int() reads by default (4300): neither Fraction nor json
+# may carry the interpreter's own advice into the error line.
+_DIGITS = "1" * 5001
+
+
+@pytest.mark.parametrize("file", ["rho", "model"])
+@pytest.mark.parametrize("weight, named", [
+    (json.dumps(_DIGITS), "'" + "1" * 59 + "... (5003 characters) has more "
+     "than 4300 digits in its numerator or denominator"),
+    ('"1/0"', "'1/0' has a zero denominator"),
+    (_DIGITS, "the JSON integer '" + "1" * 59 + "... (5003 characters) has "
+     "more than 4300 digits"),
+], ids=["long-string", "zero-denominator", "long-integer"])
+def test_error_line_names_a_refused_literal(capsys, tmp_path, file, weight,
+                                            named):
+    golden = {"rho": "rho_L2_point_masses.json",
+              "model": "model_L3_noncontextual.json"}[file]
+    doc = json.loads((GOLDEN / golden).read_text())
+    doc["rho1"][0] = "WEIGHT"
+    path = tmp_path / "literal.json"
+    # json.dumps itself refuses to write an integer of 5001 digits
+    path.write_text(json.dumps(doc).replace('"WEIGHT"', weight))
+    argv = (["nogo", "--lambda-size", "2", "--rho", str(path)] if file == "rho"
+            else ["check", "--model", str(path)])
+    code, out, err = run(capsys, *argv, "--json")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert named in err
+    assert "sys." not in err and "()" not in err
+
+
 def test_integer_entries_read_as_their_strings(capsys, tmp_path):
     golden = str(GOLDEN / "model_L3_noncontextual.json")
     doc = json.loads(Path(golden).read_text())

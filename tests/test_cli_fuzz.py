@@ -1,12 +1,14 @@
 """The exit-code contract under mutated input files: whatever a model or rho
 file holds, `check`, `sample`, `contradiction` and `nogo --rho` exit 0, 2,
-3 or 4 through `cli.main`, and no exception escapes.
+3 or 4 through `cli.main`, no exception escapes, and stderr holds at most
+one line.
 
 Each example takes a model or rho file from tests/golden/ (all valid but
 the float-mode model, which every command refuses) and applies one to three
 mutations at random places in its JSON tree: a key or element dropped, a
 value replaced by "1/0", a boolean, a huge integer, a float, a string (an
-exponent such as "1e999999999" among them), null or an empty container, a
+exponent such as "1e999999999" or a weight of more digits than int()
+reads among them), null or an empty container, a
 list wrapped, emptied, cut short, grown, or written as a string of its
 items or an object keyed by them, or the mode switched. The example count
 keeps the test to a few seconds. A `nogo --rho` run that exits 0 must also
@@ -37,7 +39,7 @@ REPLACEMENTS = ["1/0", "0/0", "1/2", "-1", "abc", "", True, False, None,
                 10 ** 4000, -(10 ** 30), 2 ** 64, 0.5, -0.0, 1e308, 7,
                 [], {}, ["1/2", "1/2"], {"kind": "contextual"},
                 "exact", "float", "contextual", "noncontextual",
-                "1e999999999", "-2E-9", "0.5"]
+                "1e999999999", "-2E-9", "0.5", "1" * 4301, "1/" + "3" * 4301]
 
 
 def _paths(node, path=()):
@@ -83,9 +85,13 @@ def _mutate(doc, data):
 
 
 def _run(argv, out=None):
+    err = io.StringIO()
     with contextlib.redirect_stdout(out or io.StringIO()), \
-            contextlib.redirect_stderr(io.StringIO()):
-        return main(argv)
+            contextlib.redirect_stderr(err):
+        code = main(argv)
+    # at most one error line, which never tells a user to call Python
+    assert err.getvalue().count("\n") <= 1 and "sys." not in err.getvalue()
+    return code
 
 
 @pytest.fixture(scope="module")

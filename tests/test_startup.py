@@ -1,6 +1,7 @@
 """What a `pbr` process loads: each check runs in a fresh interpreter, so
 modules imported by other tests cannot hide a heavy import."""
 
+import gc
 import json
 import os
 import subprocess
@@ -9,18 +10,25 @@ from pathlib import Path
 
 import pytest
 
+from pbrlab import __version__, cli
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 GOLDEN = Path(__file__).parent / "golden"
 HEAVY = {"pbrlab.hilbert", "pbrlab.nogo", "pbrlab.simplex",
          "pbrlab.contextual"}
 
 
-def _fresh(code: str):
+def _program(args, cwd=None):
+    """`python ARGS` in a fresh interpreter that finds `pbrlab` in src."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    done = subprocess.run([sys.executable, "-c", code], env=env,
+    return subprocess.run([sys.executable, *args], env=env, cwd=cwd,
                           capture_output=True, text=True, timeout=60)
+
+
+def _fresh(code: str):
+    done = _program(["-c", code])
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout.splitlines()[-1])
 
@@ -119,3 +127,56 @@ def test_no_command_loads_dataclasses_or_inspect(argv, bare_modules):
                     "print(json.dumps(sorted(sys.modules)))")
     assert "pbrlab.cli" in loaded
     assert not (RECORD_MACHINERY - bare_modules) & set(loaded)
+
+
+# The program entry: `run` freezes the heap on the way out, so the
+# interpreter's shutdown collections skip it; `main` leaves it alone.
+
+def test_main_leaves_the_heap_unfrozen():
+    before = gc.get_freeze_count()
+    assert cli.main(["nogo", "--lambda-size", "2", "--json"]) == 0
+    assert cli.main(["nogo", "--lambda-size", "0"]) == 2
+    assert gc.get_freeze_count() == before
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["check", "--model", str(GOLDEN / "model_L3_contextual.json")], 0),
+    (["nogo", "--lambda-size", "0"], 2),
+    (["--version"], 0),
+    (["nogo"], 2),
+], ids=["check", "refused", "version", "usage"])
+def test_run_exits_with_mains_code_frozen(monkeypatch, argv, code):
+    monkeypatch.setattr(sys, "argv", ["pbr", *argv])
+    try:
+        with pytest.raises(SystemExit) as exited:
+            cli.run()
+        assert exited.value.code == code
+        assert gc.get_freeze_count() > 0
+    finally:
+        gc.unfreeze()
+
+
+def test_program_runs_atexit_handlers_frozen(tmp_path):
+    done = _program(["-c", (
+        "import atexit, gc, runpy, sys\n"
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+        "sys.argv = ['pbr', 'refute', '--lambda-size', '3', '--out', "
+        "'m.json', '--json']\n"
+        "runpy.run_module('pbrlab.cli', run_name='__main__')\n")], tmp_path)
+    assert done.returncode == 0, done.stderr
+    report, tail = done.stdout.rsplit("}\n", 1)
+    assert report + "}\n" == (GOLDEN / "refute_L3.json").read_text()
+    assert tail == "frozen True\n"
+    assert ((tmp_path / "m.json").read_bytes()
+            == (GOLDEN / "refute_L3_out.json").read_bytes())
+
+
+@pytest.mark.parametrize("argv, first", [
+    (["--version"], __version__),
+    (["nogo", "--lambda-size", "1"], "lambda_size: 1"),
+], ids=["version", "nogo"])
+def test_cprofile_still_prints_its_profile(tmp_path, argv, first):
+    done = _program(["-m", "cProfile", "-m", "pbrlab.cli", *argv], tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split("\n", 1)[0] == first
+    assert "function calls" in done.stdout
