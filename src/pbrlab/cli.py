@@ -10,21 +10,20 @@ invalid input they find, and `main` alone reports that too, as one
 `error: ...` line on stderr with nothing on stdout, and exits 2. A stdout
 that cannot be written, under --help and --version too, is reported the
 same way; a stderr that cannot be written still exits 2, silently.
-`check` prints its verdict on an invalid model as a report and exits 2;
-argparse reports malformed arguments itself.
+`check` prints its verdict on an invalid model as a report and exits 2.
+A usage error, read against the table COMMANDS, is one more ModelError.
 
 `run` is the program entry, for `pbr` and `python -m pbrlab.cli`. `main`
 leaves the process as it found it, for callers in the same process.
 """
 
-from __future__ import annotations
-
-import argparse
 import gc
 import json
 import os
+import re
 import sys
 import time
+from types import SimpleNamespace
 
 from . import __version__, ontology
 from .ontology import ModelError
@@ -341,61 +340,115 @@ def cmd_sample(args) -> tuple:
     return EXIT_OK, inputs, payload, lines
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="pbr",
-        description="Hidden-variable model workbench for the two-state "
-                    "no-go argument and its contextual counterexample.")
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+# Each command: (function, help line, {option: (type, required)}). Every
+# command also takes the flags -h/--help and --json.
+COMMANDS = {
+    "basis": (cmd_basis, "print the measurement basis and Born targets", {}),
+    "nogo": (cmd_nogo, "exact LP feasibility for noncontextual models",
+             {"--lambda-size": (int, True), "--rho": (str, False)}),
+    "contradiction": (cmd_contradiction, "derive the normalization clash",
+                      {"--model": (str, True)}),
+    "refute": (cmd_refute, "build the contextual counterexample",
+               {"--lambda-size": (int, True), "--out": (str, False)}),
+    "check": (cmd_check, "validate a model file", {"--model": (str, True)}),
+    "sample": (cmd_sample, "seeded Monte Carlo for one context",
+               {"--model": (str, True), "--context": (str, True),
+                "--n": (int, True), "--seed": (int, True)}),
+}
 
-    p = sub.add_parser("basis", help="print the measurement basis and Born targets")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_basis)
 
-    p = sub.add_parser("nogo", help="exact LP feasibility for noncontextual models")
-    p.add_argument("--lambda-size", type=int, required=True)
-    p.add_argument("--rho", help="JSON file with rho1/rho2 (default: uniform)")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_nogo)
+def _help(command=None) -> str:
+    """The usage line, then the help text."""
+    if command is None:
+        return "pbr [-h] [--version] {%s} ...\n\ncommands:\n" % ",".join(
+            COMMANDS) + "".join(f"  {c:<15}{e[1]}\n" for c, e in COMMANDS.items())
+    words = [f"{o} {o[2:].upper()}" if need else f"[{o} {o[2:].upper()}]"
+             for o, (_, need) in COMMANDS[command][2].items()]
+    return " ".join(["pbr", command, "[-h]", *words, "[--json]\n\n"]
+                    ) + COMMANDS[command][1] + "\n"
 
-    p = sub.add_parser("contradiction", help="derive the normalization clash")
-    p.add_argument("--model", required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_contradiction)
 
-    p = sub.add_parser("refute", help="build the contextual counterexample")
-    p.add_argument("--lambda-size", type=int, required=True)
-    p.add_argument("--out", help="write the model JSON here")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_refute)
+def _kinds(argv, names):
+    """(option, text after its "=" or None) for each token before "--", as
+    argparse reads it against `names`: option "" for an unknown option, None
+    for a value. A unique prefix names a long option; an ambiguous one raises."""
+    for token in argv[:argv.index("--")] if "--" in argv else argv:
+        head, eq, value = token.partition("=")
+        found = ([head] if head in names else [
+            n for n in names if n.startswith(head)] if head[:2] == "--" else [])
+        if len(found) > 1:
+            raise ModelError(f"ambiguous option: {_quoted(token)} could match "
+                             + ", ".join(found))
+        if found:
+            yield found[0], value if eq else None
+        elif token[:2] in names:  # -h with more characters
+            yield token[:2], token[2:]
+        else:  # "-", a negative number and a token with a space are values
+            yield ("" if token[:1] == "-" != token and " " not in token
+                   and not re.match(r"-\d+$|-\d*\.\d+$", token) else None), None
 
-    p = sub.add_parser("check", help="validate a model file")
-    p.add_argument("--model", required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("sample", help="seeded Monte Carlo for one context")
-    p.add_argument("--model", required=True)
-    p.add_argument("--context", required=True, help="11, 12, 21 or 22")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_sample)
-
-    return parser
+def _parse(argv):
+    """The command's arguments, or the text --help or --version asks for.
+    Options come in any order, the last repeat wins, and a value is the next
+    token or the text after "=". A usage error raises ModelError."""
+    command, options, values, unknown = None, {}, {}, []
+    try:
+        kinds = list(_kinds(argv, ("-h", "--help", "--version")))
+        tokens = iter(range(len(kinds)))
+        for i in tokens:
+            option, value = kinds[i]
+            if option is None and command is None:
+                if argv[i] not in COMMANDS:
+                    raise ModelError(f"unknown command {_quoted(argv[i])}")
+                command = argv[i]
+                func, _, options = COMMANDS[command]
+                kinds[i + 1:] = _kinds(argv[i + 1:],
+                                       ("-h", "--help", "--json", *options))
+            elif not option:
+                unknown.append(argv[i])
+            elif option not in options:  # a flag; -hh reads as -h -h
+                if value is not None and (option != "-h" or set(value) != {"h"}):
+                    raise ModelError(f"argument {option}: ignored explicit "
+                                     f"argument {_quoted(value)}")
+                if option == "--version":
+                    return __version__ + "\n"
+                if option != "--json":
+                    return "usage: " + _help(command)
+                values[option] = True
+            else:
+                if value is None:
+                    if kinds[i + 1:i + 2] != [(None, None)]:
+                        raise ModelError(f"argument {option}: expected one "
+                                         "argument")
+                    value = argv[next(tokens)]
+                try:
+                    values[option] = options[option][0](value)
+                except ValueError:
+                    raise ModelError(f"argument {option}: invalid int value: "
+                                     f"{_quoted(value)}") from None
+        if command is None:
+            raise ModelError("a command is required")
+        missing = [o for o, (_, need) in options.items() if need and o not in values]
+        unknown += argv[len(kinds):]  # "--" and all after it
+        if missing or unknown:
+            raise ModelError("the following arguments are required: "
+                             + ", ".join(missing) if missing else
+                             "unrecognized arguments: " + _quoted(" ".join(unknown)))
+    except ModelError as e:
+        usage = _help(command).partition("\n")[0]
+        raise ModelError(f"{e} (usage: {usage})") from None
+    return SimpleNamespace(command=command, func=func, json="--json" in values,
+                           **{o[2:].replace("-", "_"): values.get(o)
+                              for o in options})
 
 
 def main(argv=None) -> int:
     try:
-        try:
-            args = build_parser().parse_args(argv)
-        except SystemExit as e:
-            # --help and --version: argparse prints them and exits 0 without
-            # looking at whether the write failed
-            if e.code == 0:
-                _write(sys.stdout)
-            raise
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
+        if isinstance(args, str):  # --help or --version
+            _write(sys.stdout, args)
+            return EXIT_OK
         t0 = time.perf_counter()
         code, inputs, payload, lines = args.func(args)
         _emit(args, inputs, payload, lines, time.perf_counter() - t0)

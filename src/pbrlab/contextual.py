@@ -6,8 +6,6 @@ possible witness: identical (maximally overlapping) epistemic states that
 still reproduce every Born target exactly.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 
 from .ontology import (CONTEXTS, EpistemicState, LambdaSpace, ModelError,

@@ -12,8 +12,6 @@ Tensor index convention is row-major throughout:
 index = (first-factor index) * (second-factor dim) + (second-factor index).
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt

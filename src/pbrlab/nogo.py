@@ -29,8 +29,6 @@ Certificates are therefore over the unreduced rows of ROW_ORDER_NOTE, and
 code with the reduction.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from math import lcm
 

@@ -8,11 +8,7 @@ probabilities that are exactly 0. `validate_model` reports any other value,
 a float or a bool included.
 """
 
-from __future__ import annotations
-
 import math
-import random
-from bisect import bisect_right
 from fractions import Fraction
 
 # random.random() returns k / 2**53 for an integer k in [0, 2**53).
@@ -382,7 +378,10 @@ def _sample(m: OntologicalModel, context, n: int, seed: int) -> OutcomeCounts:
     random() values, for lambda, lambda' and the outcome, and takes the
     first index whose cumulative weight exceeds each: a valid distribution's
     thresholds are sorted and end at 2**53, so that index has positive
-    weight. A cell's CDF depends only on its entries: one per entry tuple."""
+    weight. A cell's CDF depends only on its entries: one per entry tuple.
+    Of the commands, only `sample` loads `random`."""
+    import random
+    from bisect import bisect_right
     p = m.table(context).p
     j, k = context
     rng = random.Random(seed)

@@ -6,8 +6,6 @@ sampling statistics. Canonical dumps sort keys so golden-file comparisons
 are byte-stable.
 """
 
-from __future__ import annotations
-
 import hashlib
 import json
 import re

@@ -21,8 +21,6 @@ and the leaving row has the smallest ratio, ties to the smallest basis
 index. Ratios are compared by cross-multiplying, so no division is done.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from math import gcd, lcm
 

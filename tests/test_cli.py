@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -9,12 +11,14 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pbrlab import __version__
+from pbrlab import __version__, cli
 from pbrlab.cli import INPUT_MAX_BYTES, main
 from pbrlab.contextual import build_interval_model
 from pbrlab.hilbert import born_targets
-from pbrlab.ontology import EpistemicState
+from pbrlab.ontology import EpistemicState, ModelError
 from pbrlab.serialize import dumps_canonical, model_to_json
 from records import replace
 
@@ -813,7 +817,7 @@ def test_unwritable_stdout_exits_2(tmp_path, sink, command):
                                   ["check", "--help"]],
                          ids=["version", "help", "check-help"])
 def test_unwritable_help_and_version_exit_2(argv):
-    # argparse prints these and exits 0 without looking at the write
+    # main writes their text with _write, which reports a failed write
     with open("/dev/full", "w") as out:
         proc = _run_cli(*argv, stdout=out)
     assert proc.returncode == 2
@@ -835,3 +839,202 @@ def test_unwritable_stderr_exits_2(tmp_path, stdout):
                             stderr=full)
     assert proc.returncode == 2
     assert not proc.stdout
+
+
+# The argument parser, against the argparse parser `pbr` had before it.
+
+def _argparse_oracle():
+    """The argparse parser `pbr` used before `cli.COMMANDS`, copied here
+    rather than imported, without the `func` defaults, which name the
+    commands' functions."""
+    import argparse
+    parser = argparse.ArgumentParser(
+        prog="pbr",
+        description="Hidden-variable model workbench for the two-state "
+                    "no-go argument and its contextual counterexample.")
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("basis", help="print the measurement basis and Born targets")
+    p.add_argument("--json", action="store_true")
+
+    p = sub.add_parser("nogo", help="exact LP feasibility for noncontextual models")
+    p.add_argument("--lambda-size", type=int, required=True)
+    p.add_argument("--rho", help="JSON file with rho1/rho2 (default: uniform)")
+    p.add_argument("--json", action="store_true")
+
+    p = sub.add_parser("contradiction", help="derive the normalization clash")
+    p.add_argument("--model", required=True)
+    p.add_argument("--json", action="store_true")
+
+    p = sub.add_parser("refute", help="build the contextual counterexample")
+    p.add_argument("--lambda-size", type=int, required=True)
+    p.add_argument("--out", help="write the model JSON here")
+    p.add_argument("--json", action="store_true")
+
+    p = sub.add_parser("check", help="validate a model file")
+    p.add_argument("--model", required=True)
+    p.add_argument("--json", action="store_true")
+
+    p = sub.add_parser("sample", help="seeded Monte Carlo for one context")
+    p.add_argument("--model", required=True)
+    p.add_argument("--context", required=True, help="11, 12, 21 or 22")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--json", action="store_true")
+    return parser
+
+
+ORACLE = _argparse_oracle()
+COMMANDS = ["basis", "nogo", "contradiction", "refute", "check", "sample"]
+# Each command's options, spelled out in the property's argument lists.
+OPTIONS = {"basis": [], "nogo": ["--lambda-size", "--rho"],
+           "contradiction": ["--model"], "refute": ["--lambda-size", "--out"],
+           "check": ["--model"],
+           "sample": ["--model", "--context", "--n", "--seed"]}
+TOKENS = [
+    *COMMANDS, "bogus", "",
+    # options, unique and ambiguous prefixes, values after "="
+    "--lambda-size", "--lambda", "--l", "--rho", "--r", "--model", "--mo",
+    "--context", "--c", "--n", "--seed", "--s", "--out", "--o", "--json",
+    "--js", "--j", "--lambda-size=3", "--lambda=-2", "--l=", "--model=m",
+    "--m=a b", "--rho=", "--n=5", "--seed=-1", "--out=", "--json=", "--js=x",
+    "--=x", "--=",
+    # help and version, as flags, prefixes and with a value
+    "-h", "--help", "--h", "--he", "--version", "--v", "--vers", "--help=x",
+    "--version=1", "-hh", "-hhh", "-hx", "-h=h", "-h=",
+    # the end of options, and what is no option
+    "--", "---", "-", "-x", "-v", "-j", "--bogus", "-x y", "--x y", "a b",
+    # numbers, good and bad
+    "2", "3", "12", "11", "0", "-1", "-7", "-.5", "-1.5", "1.5", "x", " 3",
+    "+4", "1_0",
+]
+
+
+def _end_of_options(token: str) -> bool:
+    """"--", which argparse's releases after 3.12.1 read in new ways."""
+    return token == "--"
+
+
+def _short_flag_cluster(token: str) -> bool:
+    """-h with more characters, such as -hh, -hx or -h=h, which argparse
+    reads differently from Python 3.13 on."""
+    return token[:2] == "-h" and token != "-h"
+
+
+def _as_argparse_3_11_reads(argv: list) -> list:
+    """argv rewritten so that every argparse release reads it as Python
+    3.10-3.12.1 (the benchmark's 3.11 among them) read the original, which
+    is how `pbr` reads it. A cluster is -h given the value after "-h" or
+    "-h=": one of h's only is -h -h..., any other a refused value. "--"
+    and all after it are unknown options."""
+    out = []
+    for token in argv:
+        if _end_of_options(token):
+            return out + ["--bogus"]
+        if _short_flag_cluster(token):
+            value = token[3:] if token[:3] == "-h=" else token[2:]
+            token = "-h" if value and not value.strip("h") else "--help=x"
+        out.append(token)
+    return out
+
+
+def _oracle(argv):
+    """The namespace as a dict, or the exit code: 0 for help or version."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            return vars(ORACLE.parse_args(argv))
+    except SystemExit as e:
+        return e.code
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.lists(st.integers(0, len(TOKENS) - 1), max_size=2),
+       st.integers(0, len(COMMANDS)),
+       st.integers(0, 4 ** 4 - 1),
+       st.lists(st.integers(0, len(TOKENS) - 1), max_size=6))
+def test_parser_reads_argv_as_argparse_did(before, command, spelled, after):
+    # Stray tokens, then maybe a command with its options spelled one of
+    # four ways each (left out, "--opt v", "--opt=v", a unique prefix), then
+    # more stray tokens.
+    argv = [TOKENS[t] for t in before]
+    if command < len(COMMANDS):
+        argv.append(COMMANDS[command])
+        for option in OPTIONS[COMMANDS[command]]:
+            spelled, how = divmod(spelled, 4)
+            value = "2" if option in ("--lambda-size", "--n", "--seed") else "m"
+            argv += [[], [option, value], [f"{option}={value}"],
+                     [option[:4], value]][how]
+    argv += [TOKENS[t] for t in after]
+
+    expected = _oracle(_as_argparse_3_11_reads(argv))
+    try:
+        got = cli._parse(list(argv))
+    except ModelError:
+        got = 2
+    if isinstance(got, str):
+        got = 0
+    elif not isinstance(got, int):
+        got = {k: v for k, v in vars(got).items() if k != "func"}
+    assert got == expected, argv
+
+    if got in (0, 2):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert main(argv) == got, argv
+        if got == 2:
+            assert out.getvalue() == ""
+            assert err.getvalue().startswith("error: ")
+            assert err.getvalue().count("\n") == 1
+        else:
+            assert out.getvalue() and err.getvalue() == ""
+
+
+@pytest.mark.parametrize("spelling", [
+    ["nogo", "--lambda-size", "2", "--json"],
+    ["nogo", "--lambda-size=2", "--json"],
+    ["nogo", "--json", "--lambda", "2"],
+    ["nogo", "--l=2", "--js"],
+    ["nogo", "--lambda-size", "5", "--lambda-size", "2", "--json"],
+], ids=["plain", "equals", "prefix-any-order", "prefix-equals",
+        "last-repeat-wins"])
+def test_argument_spellings_give_the_same_bytes(capsys, spelling):
+    code, out, err = run(capsys, *spelling)
+    assert code == 0 and err == ""
+    assert out == (GOLDEN / "nogo_uniform_L2.json").read_text()
+
+
+@pytest.mark.parametrize("argv, first", [
+    (["--help"], "usage: pbr [-h] [--version] {basis,nogo,"),
+    (["-h", "nogo"], "usage: pbr [-h] [--version] {basis,nogo,"),
+    (["sample", "-h"], "usage: pbr sample [-h] --model MODEL --context "
+                       "CONTEXT --n N --seed SEED [--json]"),
+    (["nogo", "--bogus", "--help"], "usage: pbr nogo [-h] --lambda-size "
+                                    "LAMBDA-SIZE [--rho RHO] [--json]"),
+    (["--version"], __version__),
+], ids=["help", "help-first", "command-help", "help-after-unknown",
+        "version"])
+def test_help_and_version_print_their_text(capsys, argv, first):
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert out.startswith(first)
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "a command is required"),
+    (["nogo"], "the following arguments are required: --lambda-size"),
+    (["nogo", "--lambda-size", "x"], "argument --lambda-size: invalid int "
+                                     "value: 'x'"),
+    (["check", "--model"], "argument --model: expected one argument"),
+    (["basis", "--json=1"], "argument --json: ignored explicit argument '1'"),
+    (["basis", "--=x"], "ambiguous option: '--=x' could match --help, "
+                        "--version"),
+    (["basis", "extra\nline"], "unrecognized arguments: 'extra\\nline'"),
+], ids=["no-command", "missing", "bad-int", "no-value", "flag-value",
+        "ambiguous", "stray"])
+def test_usage_error_is_one_line_quoting_the_usage(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {message} (usage: pbr ")
+    assert err.count("\n") == 1

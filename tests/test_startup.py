@@ -27,8 +27,8 @@ def _program(args, cwd=None):
                           capture_output=True, text=True, timeout=60)
 
 
-def _fresh(code: str):
-    done = _program(["-c", code])
+def _fresh(code: str, *flags):
+    done = _program([*flags, "-c", code])
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout.splitlines()[-1])
 
@@ -127,6 +127,46 @@ def test_no_command_loads_dataclasses_or_inspect(argv, bare_modules):
                     "print(json.dumps(sorted(sys.modules)))")
     assert "pbrlab.cli" in loaded
     assert not (RECORD_MACHINERY - bare_modules) & set(loaded)
+
+
+
+# Modules argparse and its messages loaded, 7-9 ms of every process, and
+# `__future__`, which `from __future__ import annotations` loads. These
+# checks run without `site`, whose .pth files may load `random` or `locale`
+# ahead of any program.
+ARGUMENT_MACHINERY = {"argparse", "gettext", "locale", "__future__"}
+_ENTRIES = {
+    **{name: (argv, 0) for name, argv in _COMMANDS.items() if argv},
+    "basis": (["basis", "--json"], 0),
+    "contradiction": (["contradiction", "--model",
+                       str(GOLDEN / "model_L3_disjoint.json"), "--json"], 4),
+    "help": (["--help"], 0),
+    "command-help": (["sample", "--help"], 0),
+    "version": (["--version"], 0),
+    "usage-error": (["nogo", "--lambda-size", "x"], 2),
+}
+
+
+@pytest.fixture(scope="module")
+def siteless_bare_modules():
+    return set(_fresh("import json, sys; print(json.dumps(sorted(sys.modules)))",
+                      "-S"))
+
+
+@pytest.mark.parametrize("name", _ENTRIES)
+def test_no_entry_loads_argparse_and_only_sample_loads_random(
+        name, siteless_bare_modules):
+    argv, code = _ENTRIES[name]
+    done, loaded = _fresh(
+        "import contextlib, io, json, sys, pbrlab.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()), "
+        "contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    code = pbrlab.cli.main({argv!r})\n"
+        "print(json.dumps([code, sorted(sys.modules)]))", "-S")
+    assert done == code
+    loaded = set(loaded) - siteless_bare_modules
+    assert not ARGUMENT_MACHINERY & loaded
+    assert ("random" in loaded) == (name == "sample")
 
 
 # The program entry: `run` freezes the heap on the way out, so the
