@@ -23,12 +23,13 @@ import os
 import re
 import sys
 import time
+from math import lcm
 from types import SimpleNamespace
 
 from . import __version__, ontology
 from .ontology import ModelError
-from .serialize import (Formatted, _quoted, _table_to_json, _targets_to_json,
-                        digest, dumps_canonical, fmt_frac, model_from_json,
+from .serialize import (_quoted, _table_to_json, _targets_to_json, digest,
+                        dumps_canonical, fmt_frac, model_from_json,
                         model_to_json, rho_pair_from_json)
 
 EXIT_OK = 0
@@ -45,6 +46,18 @@ EXIT_NOT_APPLICABLE = 4
 # (Python 3.11, 2 vCPUs). At K = L = 128 the solve alone takes 1.1-3.5 s,
 # so the cap stays at 64. Larger sizes are refused before building.
 NOGO_MAX_LAMBDA = 64
+# Exact pivots grow with the bits of the rho pair's common denominator: each
+# tableau entry is a ratio of subdeterminants (Edmonds 1967, Bareiss 1968).
+# K = L pairs, bits -> seconds from process start to exit, one run each
+# (Python 3.11, 2 vCPUs):
+#   L = 7:  24 -> 0.08, 256 -> 0.10-0.15, 669 -> 0.18
+#   L = 16: 256 -> 0.13-0.36, 670 -> 0.33, 2,000 -> 3.2; 1,000 digits per
+#           weight -> 39
+#   L = 32: 207 -> 0.42, 256 -> 0.44-2.1, 672 -> 4.1
+#   L = 64: 31 -> 0.77, 75 -> 1.2, 128 -> 3.7, 144 -> 2.0, 207 -> 3.1,
+#           256 -> 4.9-10.8
+# A pair over a larger denominator is refused before building.
+NOGO_MAX_RHO_BITS = 256
 # refute builds, checks and prints an exact model of 16 L^2 entries: about
 # 4.5 MB of JSON at L = 128, where `refute --out` takes 0.3-0.5 s from
 # process start to exit and peaks at 36 MB RSS (Python 3.11, 2 vCPUs).
@@ -57,11 +70,6 @@ SAMPLE_MAX_N = 10 ** 7
 # The largest file pbr writes, `refute --lambda-size 128 --out`, holds about
 # 4.5 MB. Larger model and rho files are refused once one byte more is read.
 INPUT_MAX_BYTES = 16 * 2 ** 20
-
-
-def _model_text(model) -> Formatted:
-    """The model's JSON text, formatted once and written in place."""
-    return Formatted(dumps_canonical(model_to_json(model)))
 
 
 def _emit(args, inputs: dict, payload: dict, human_lines, elapsed) -> None:
@@ -137,9 +145,9 @@ def _in_range(name: str, value: int, low: int, high: int,
 
 
 # Each command returns (exit code, inputs, payload, human lines) for `main`
-# to print, with its model formatted only for --json (or refute --out). It
-# imports the layers it runs: `check` and `sample` never load the Born
-# table, the LP or the interval model.
+# to print, with its model's JSON document only for --json (or refute
+# --out). It imports the layers it runs: `check` and `sample` never load
+# the Born table, the LP or the interval model.
 
 def cmd_basis(args) -> tuple:
     from . import hilbert
@@ -178,6 +186,11 @@ def cmd_nogo(args) -> tuple:
         r1, r2 = rho_pair_from_json(_load_json_file(args.rho))
         if r1.size != L:
             raise ModelError(f"rho file is over L={r1.size}, not {L}")
+        bits = lcm(*(w.denominator for w in r1.weights + r2.weights)
+                   ).bit_length()
+        if bits > NOGO_MAX_RHO_BITS:
+            raise ModelError(f"the rho pair's common denominator has {bits} "
+                             f"bits; nogo takes at most {NOGO_MAX_RHO_BITS}")
     else:
         r1 = r2 = ontology.EpistemicState.uniform(L)
 
@@ -236,7 +249,7 @@ def cmd_contradiction(args) -> tuple:
         ontology._require_valid(model)
     result = nogo.derive_contradiction(model)
 
-    inputs = {"model": _model_text(model) if args.json else None}
+    inputs = {"model": model_to_json(model) if args.json else None}
     if isinstance(result, nogo.NoOverlap):
         return EXIT_NOT_APPLICABLE, inputs, {"no_overlap": True}, [
             "supports are disjoint: the forcing argument does not apply "
@@ -267,11 +280,11 @@ def cmd_refute(args) -> tuple:
                   " for refute")
     model = contextual.build_interval_model(L, hilbert.born_targets())
     report_data = contextual.refutation_report(model)
-    model_text = _model_text(model) if args.out or args.json else None
+    document = model_to_json(model) if args.out or args.json else None
     if args.out:
         try:
             with open(args.out, "w") as fh:
-                fh.write(model_text + "\n")
+                fh.write(dumps_canonical(document) + "\n")
         except OSError as e:
             raise ModelError(str(e)) from e
 
@@ -283,7 +296,7 @@ def cmd_refute(args) -> tuple:
                "eq2_violated": report_data.eq2_violated,
                "collapse": report_data.collapse,
                "verdict": report_data.verdict,
-               "model": model_text}
+               "model": document}
     lines = [f"interval model over L = {L} (uniform epistemic states)",
              f"Born targets reproduced exactly: {report_data.born_reproduced}",
              f"overlap mass: {fmt_frac(report_data.overlap_mass)}",
@@ -301,7 +314,7 @@ def cmd_check(args) -> tuple:
     lines = (["model is valid"] if not violations
              else ["model is invalid:"] + [f"  {v}" for v in violations])
     return (EXIT_OK if not violations else EXIT_BAD_INPUT,
-            {"model": _model_text(model) if args.json else None},
+            {"model": model_to_json(model) if args.json else None},
             {"valid": not violations, "violations": violations}, lines)
 
 
@@ -316,12 +329,11 @@ def cmd_sample(args) -> tuple:
     model = model_from_json(_load_json_file(args.model))
     context = _parse_context(args.context)
     _in_range("n", args.n, 0, SAMPLE_MAX_N)
-    ontology._require_valid(model)
-    counts = ontology._sample(model, context, args.n, args.seed)
+    counts = ontology.sample(model, context, args.n, args.seed)
     predicted = ontology._predict(model, context)
     stat = ontology.chi_square_statistic(counts, predicted)
 
-    inputs = {"model": _model_text(model) if args.json else None,
+    inputs = {"model": model_to_json(model) if args.json else None,
               "context": f"{context[0]}{context[1]}",
               "n": args.n, "seed": args.seed}
     payload = {

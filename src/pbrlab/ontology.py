@@ -366,20 +366,15 @@ def _cdf(weights) -> list:
 
 def sample(m: OntologicalModel, context, n: int, seed: int) -> OutcomeCounts:
     """Monte Carlo: lambda ~ rho_j, lambda' ~ rho_k, outcome ~ response.
-    Deterministic for a fixed seed."""
+    Deterministic for a fixed seed. The model is validated first. Each trial
+    draws three random() values, for lambda, lambda' and the outcome, and
+    takes the first index whose cumulative weight exceeds each: a valid
+    distribution's thresholds are sorted and end at 2**53, so that index has
+    positive weight. A cell's CDF depends only on its entries: one per entry
+    tuple. Of the commands, only `sample` loads `random`."""
     _require_valid(m)
     if n < 0:
         raise ModelError(f"trial count must be >= 0, got {n}")
-    return _sample(m, context, n, seed)
-
-
-def _sample(m: OntologicalModel, context, n: int, seed: int) -> OutcomeCounts:
-    """`sample` for a model the caller has validated. Each trial draws three
-    random() values, for lambda, lambda' and the outcome, and takes the
-    first index whose cumulative weight exceeds each: a valid distribution's
-    thresholds are sorted and end at 2**53, so that index has positive
-    weight. A cell's CDF depends only on its entries: one per entry tuple.
-    Of the commands, only `sample` loads `random`."""
     import random
     from bisect import bisect_right
     p = m.table(context).p

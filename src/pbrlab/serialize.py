@@ -230,15 +230,6 @@ def dumps_canonical(obj) -> str:
 _quote = json.encoder.encode_basestring_ascii
 
 
-class Formatted(str):
-    """A dumps_canonical output, which dumps_canonical writes in place,
-    re-indented for the depth it lands at, so a report holds its model's
-    text without formatting it again. JSON strings hold no raw newline, so
-    every newline in it starts a line. It may stand only as a dict value or
-    as the whole document: in a list of strings the joined path quotes it."""
-    __slots__ = ()
-
-
 def _write(obj, nl: str, out: list, seen: dict) -> None:
     """Append the pieces of `obj`'s text to `out`, for a value on a line
     that starts with `nl` (a newline and the line's indent). `seen` maps
@@ -280,8 +271,6 @@ def _write(obj, nl: str, out: list, seen: dict) -> None:
         else:
             out.append(text)
             seen[key] = text
-    elif type(obj) is Formatted:
-        out.append(obj.replace("\n", nl))
     else:
         out.append(json.dumps(obj))
 

@@ -14,7 +14,8 @@ from itertools import product
 
 from scipy.optimize import linprog
 
-from pbrlab.hilbert import CONTEXTS
+# The preparation contexts (j, k), in the order of the targets' rows.
+CONTEXTS = ((1, 1), (1, 2), (2, 1), (2, 2))
 
 
 def deterministic_predictions(r1, r2):

@@ -17,10 +17,19 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from pbrlab.hilbert import CONTEXTS, context_index
 from pbrlab.ontology import OutcomeCounts, ResponseTable
 
 EXACT_TYPES = (int, Fraction)
+# The preparation contexts (j, k), in the order of a model's response tables
+# and Born target rows.
+CONTEXTS = ((1, 1), (1, 2), (2, 1), (2, 2))
+
+
+def _table(m, context) -> ResponseTable:
+    """m's response table for `context`: the context's own of four, or the
+    only one. An unknown context raises ValueError."""
+    index = CONTEXTS.index(tuple(context))
+    return m.response[index if len(m.response) > 1 else 0]
 
 
 @dataclass(frozen=True)
@@ -142,7 +151,7 @@ def _draw(rng: random.Random, weights) -> int:
 def sample(m, context, n: int, seed: int) -> OutcomeCounts:
     """Counts of a model already known to be valid."""
     j, k = context
-    context_index(context)
+    CONTEXTS.index(tuple(context))  # an unknown context raises ValueError
     rj = m.rho1 if j == 1 else m.rho2
     rk = m.rho1 if k == 1 else m.rho2
     rng = random.Random(seed)
@@ -185,7 +194,7 @@ def interval_slice(targets_row, widths) -> ResponseTable:
 def predict(m, context) -> tuple:
     """Outcome distribution of an exact model for the (j, k) preparation,
     summed in Fractions term by term."""
-    planes = m.table(context).p
+    planes = _table(m, context).p
     j, k = context
     rj = (m.rho1 if j == 1 else m.rho2).weights
     rk = (m.rho1 if k == 1 else m.rho2).weights

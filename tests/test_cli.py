@@ -111,6 +111,30 @@ def test_nogo_rejects_huge_lambda_before_building(capsys):
     assert time.perf_counter() - t0 < 1.0
 
 
+_D = 2 ** 255  # the largest power of two of NOGO_MAX_RHO_BITS = 256 bits
+
+
+@pytest.mark.parametrize("rho1, rho2, code", [
+    ([f"1/{_D}", f"{_D - 1}/{_D}"], ["1/2", "1/2"], 0),
+    ([f"1/{2 * _D}", f"{2 * _D - 1}/{2 * _D}"], ["1/2", "1/2"], 2),
+    ([f"1/{_D}", f"{_D - 1}/{_D}"], ["1/3", "2/3"], 2),
+], ids=["at-the-cap", "one-bit-over", "over-in-common"])
+def test_nogo_caps_the_rho_pairs_common_denominator(capsys, tmp_path, rho1,
+                                                    rho2, code):
+    assert cli.NOGO_MAX_RHO_BITS == 256
+    path = tmp_path / "rho.json"
+    path.write_text(json.dumps({"lambda_size": 2, "rho1": rho1, "rho2": rho2}))
+    got, out, err = run(capsys, "nogo", "--lambda-size", "2",
+                        "--rho", str(path), "--json")
+    assert got == code
+    if code:
+        assert out == ""
+        assert err == ("error: the rho pair's common denominator has 257 "
+                       "bits; nogo takes at most 256\n")
+    else:
+        assert json.loads(out)["theorem_consistent"] is True
+
+
 def _write_model(tmp_path, model, name="model.json"):
     path = tmp_path / name
     path.write_text(dumps_canonical(model_to_json(model)))
@@ -236,9 +260,9 @@ def _plain_dumps(obj) -> str:
 
 
 def _plain_report(command, inputs, out, model=None) -> str:
-    """The report `out` must be, made with plain json.dumps: the inputs and
-    the model are dumped in place, and the digest is the SHA-256 of the
-    inputs' dump. The rest of the payload is taken from `out`."""
+    """The report `out` must be, made with plain json.dumps: the digest is
+    the SHA-256 of the inputs' dump. The rest of the payload is taken from
+    `out`."""
     payload = {k: v for k, v in json.loads(out).items()
                if k not in ("command", "version", "inputs")}
     if model is not None:
@@ -259,7 +283,7 @@ def _assert_same_text(got: str, want: str):
 
 
 @pytest.mark.parametrize("L", [1, 2, 3, 7, 40])
-def test_spliced_reports_equal_plain_json_dumps(capsys, tmp_path, L):
+def test_reports_equal_plain_json_dumps(capsys, tmp_path, L):
     model = build_interval_model(L, born_targets())
     model_json = model_to_json(model)
     out_path = tmp_path / "refuted.json"

@@ -8,11 +8,12 @@ the float-mode model, which every command refuses) and applies one to three
 mutations at random places in its JSON tree: a key or element dropped, a
 value replaced by "1/0", a boolean, a huge integer, a float, a string (an
 exponent such as "1e999999999" or a weight of more digits than int()
-reads among them), null or an empty container, a
-list wrapped, emptied, cut short, grown, or written as a string of its
-items or an object keyed by them, or the mode switched. The example count
-keeps the test to a few seconds. A `nogo --rho` run that exits 0 must also
-pass the independent checker on the file's ρ pair.
+reads among them), null or an empty container, a list wrapped, emptied,
+cut short, grown, or written as a string of its items or an object keyed
+by them, the mode switched, or 400 digits appended to a string, which
+gives "1/3" a 401-digit denominator, past `nogo`'s cap on a ρ pair's. The
+example count keeps the test to a few seconds. A `nogo --rho` run that
+exits 0 must also pass the independent checker on the file's ρ pair.
 """
 
 import contextlib
@@ -62,7 +63,8 @@ def _mutate(doc, data):
     key = path[-1]
     value = parent[key]
     kind = data.draw(st.sampled_from(
-        ["drop", "replace", "wrap", "empty", "cut", "grow", "unlist", "mode"]))
+        ["drop", "replace", "wrap", "empty", "cut", "grow", "unlist", "mode",
+         "digits"]))
     if kind == "drop":
         del parent[key]
     elif kind == "replace":
@@ -81,6 +83,8 @@ def _mutate(doc, data):
                        else dict.fromkeys(items, 0))
     elif kind == "mode" and isinstance(doc, dict):
         doc["mode"] = "float" if doc.get("mode") == "exact" else "exact"
+    elif kind == "digits" and isinstance(value, str):
+        parent[key] = value + "7" * 400  # "1/3" gets a 401-digit denominator
     return doc
 
 

@@ -4,7 +4,9 @@ reports (for noncontextual and contextual models), same seeded counts, same
 tables and interval models, same predictions, value for value and type for
 type."""
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -275,3 +277,18 @@ def test_witness_prediction_matches_reference(data):
     m = witness_model(problem, solve_feasibility(problem))
     assert validate_model(m) == []
     _assert_predictions_match(m)
+
+
+def test_oracles_import_only_pbrlabs_value_types():
+    # an oracle that shared pbrlab's logic would share its faults too
+    tests = Path(__file__).parent
+    names = set()
+    for oracle in ("reference_ontology", "hull_oracle", "dense_simplex"):
+        for node in ast.walk(ast.parse((tests / f"{oracle}.py").read_text())):
+            if isinstance(node, ast.Import):
+                names.update(a.name for a in node.names
+                             if a.name.split(".")[0] == "pbrlab")
+            elif (isinstance(node, ast.ImportFrom)
+                  and (node.module or "").split(".")[0] == "pbrlab"):
+                names.update(a.name for a in node.names)
+    assert names == {"OutcomeCounts", "ResponseTable", "SimplexResult"}

@@ -98,45 +98,21 @@ def test_checker_and_oracles_load_no_pbrlab_module():
     assert loaded == []
 
 
-# Modules a value-record layer built on dataclasses would load: 11-13 ms of
-# every process.
+# Modules a value-record layer built on dataclasses would load, 11-13 ms of
+# every process; modules argparse and its messages loaded, 7-9 ms of every
+# process, and `__future__`, which `from __future__ import annotations`
+# loads. These checks run without `site`, whose .pth files may load
+# `random`, `locale` or `dataclasses` ahead of any program. Every entry
+# imports `pbrlab.cli`, so they also cover importing it.
 RECORD_MACHINERY = {"dataclasses", "inspect"}
-_COMMANDS = {
-    "import": None,
-    "check": ["check", "--model", str(GOLDEN / "model_L3_contextual.json"),
-              "--json"],
-    "sample": ["sample", "--model", str(GOLDEN / "model_L3_contextual.json"),
-               "--context", "12", "--n", "100", "--seed", "1", "--json"],
-    "refute": ["refute", "--lambda-size", "2", "--json"],
-    "nogo": ["nogo", "--lambda-size", "2", "--json"],
-}
-
-
-@pytest.fixture(scope="module")
-def bare_modules():
-    """The modules a bare interpreter has loaded before running any code."""
-    return set(_fresh("import json, sys; print(json.dumps(sorted(sys.modules)))"))
-
-
-@pytest.mark.parametrize("argv", _COMMANDS.values(), ids=_COMMANDS)
-def test_no_command_loads_dataclasses_or_inspect(argv, bare_modules):
-    run = "" if argv is None else (
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    assert pbrlab.cli.main({argv!r}) == 0\n")
-    loaded = _fresh("import contextlib, io, json, sys, pbrlab.cli\n" + run +
-                    "print(json.dumps(sorted(sys.modules)))")
-    assert "pbrlab.cli" in loaded
-    assert not (RECORD_MACHINERY - bare_modules) & set(loaded)
-
-
-
-# Modules argparse and its messages loaded, 7-9 ms of every process, and
-# `__future__`, which `from __future__ import annotations` loads. These
-# checks run without `site`, whose .pth files may load `random` or `locale`
-# ahead of any program.
 ARGUMENT_MACHINERY = {"argparse", "gettext", "locale", "__future__"}
 _ENTRIES = {
-    **{name: (argv, 0) for name, argv in _COMMANDS.items() if argv},
+    "check": (["check", "--model", str(GOLDEN / "model_L3_contextual.json"),
+               "--json"], 0),
+    "sample": (["sample", "--model", str(GOLDEN / "model_L3_contextual.json"),
+                "--context", "12", "--n", "100", "--seed", "1", "--json"], 0),
+    "refute": (["refute", "--lambda-size", "2", "--json"], 0),
+    "nogo": (["nogo", "--lambda-size", "2", "--json"], 0),
     "basis": (["basis", "--json"], 0),
     "contradiction": (["contradiction", "--model",
                        str(GOLDEN / "model_L3_disjoint.json"), "--json"], 4),
@@ -165,7 +141,7 @@ def test_no_entry_loads_argparse_and_only_sample_loads_random(
         "print(json.dumps([code, sorted(sys.modules)]))", "-S")
     assert done == code
     loaded = set(loaded) - siteless_bare_modules
-    assert not ARGUMENT_MACHINERY & loaded
+    assert not (RECORD_MACHINERY | ARGUMENT_MACHINERY) & loaded
     assert ("random" in loaded) == (name == "sample")
 
 
