@@ -18,7 +18,6 @@ leaves the process as it found it, for callers in the same process.
 """
 
 import gc
-import json
 import os
 import re
 import sys
@@ -41,10 +40,12 @@ EXIT_NOT_APPLICABLE = 4
 # class per projective point [rho1 : rho2], so the solved LP has K^2 + 16
 # rows for K <= L classes, and only the unreduced audit of a certificate or
 # the witness check grows as L^2. The worst case is K = L, distinct
-# overlapping weights: 0.5-1.3 s from process start to exit at L = 64,
-# where uniform, disjoint or partly overlapping rho take under 0.5 s
-# (Python 3.11, 2 vCPUs). At K = L = 128 the solve alone takes 1.1-3.5 s,
-# so the cap stays at 64. Larger sizes are refused before building.
+# overlapping weights: 0.5-1.3 s from process start to exit at L = 64 for
+# weights of up to 3 digits, where uniform, disjoint or partly overlapping
+# rho take under 0.5 s (Python 3.11, 2 vCPUs). Longer weights take longer:
+# the table under NOGO_MAX_RHO_BITS gives up to 10.8 s at L = 64. At
+# K = L = 128 the solve alone takes 1.1-3.5 s, so the cap stays at 64.
+# Larger sizes are refused before building.
 NOGO_MAX_LAMBDA = 64
 # Exact pivots grow with the bits of the rho pair's common denominator: each
 # tableau entry is a ratio of subdeterminants (Edmonds 1967, Bareiss 1968).
@@ -106,7 +107,9 @@ def _load_json_file(path: str):
     """The parsed file, of which at most INPUT_MAX_BYTES + 1 bytes are read,
     be it regular, a pipe or a device. A file that cannot be read, is longer,
     is not UTF-8 JSON, holds an integer of more than 4300 digits or nests
-    too deep raises ModelError."""
+    too deep raises ModelError. Imports json, whose decoder compiles its
+    regexes, so only the commands that read a file load it."""
+    import json
     try:
         with open(path, "rb") as fh:
             data = fh.read(INPUT_MAX_BYTES + 1)

@@ -270,21 +270,33 @@ def validate_model(m: OntologicalModel) -> list:
     return report
 
 
+# One error line names at most this many complaints, then counts the rest:
+# an invalid model at L = 200 has hundreds of thousands.
+COMPLAINTS_SHOWN = 100
+
+
+def _joined(report: list) -> str:
+    more = len(report) - COMPLAINTS_SHOWN
+    text = "; ".join(report[:COMPLAINTS_SHOWN])
+    return f"{text}; ... and {more} more" if more > 0 else text
+
+
 def _require_valid(m):
     report = validate_model(m)
     if report:
-        raise ModelError("invalid model: " + "; ".join(report))
+        raise ModelError("invalid model: " + _joined(report))
 
 
 def _require_inputs(rho1, rho2, size, targets):
-    """Raise one ModelError joining the complaints validate_model makes of
-    these epistemic states over `size` hidden states and these targets."""
+    """Raise one ModelError joining the first COMPLAINTS_SHOWN complaints
+    validate_model makes of these epistemic states over `size` hidden
+    states and these targets."""
     report = []
     _check_distribution("rho1", rho1.weights, size, report)
     _check_distribution("rho2", rho2.weights, size, report)
     report += _target_complaints(targets)
     if report:
-        raise ModelError("; ".join(report))
+        raise ModelError(_joined(report))
 
 
 def predict(m: OntologicalModel, context) -> tuple:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pbrlab import __version__, cli
+from pbrlab import __version__, cli, ontology
 from pbrlab.cli import INPUT_MAX_BYTES, main
 from pbrlab.contextual import build_interval_model
 from pbrlab.hilbert import born_targets
@@ -395,6 +395,35 @@ def test_sample_rejects_model_invalid_in_another_context(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "context 11: response table is not shaped 4 x L x L" in err
+
+
+def test_error_line_names_at_most_a_hundred_complaints(capsys, tmp_path):
+    # every cell of context 11 sums to 4: 1,600 complaints at L = 40
+    payload = model_to_json(build_interval_model(40, born_targets()))
+    payload["response"]["p"]["11"] = [[["1"] * 40] * 40] * 4
+    path = tmp_path / "all_ones.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "sample", "--model", str(path), "--context",
+                         "12", "--n", "10", "--seed", "1", "--json")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: invalid model: ") and err.count("\n") == 1
+    assert err.count("; ") == ontology.COMPLAINTS_SHOWN
+    assert err.endswith("; ... and 1500 more\n")
+    assert len(err.encode()) < 10_000
+    # check's report still lists every complaint
+    code, out, _ = run(capsys, "check", "--model", str(path), "--json")
+    assert code == 2
+    assert len(json.loads(out)["violations"]) == 1600
+
+
+def test_input_error_names_at_most_a_hundred_complaints():
+    negative = EpistemicState((Fraction(-1),) * 150)
+    with pytest.raises(ModelError) as refused:
+        ontology._require_inputs(negative, negative, 150, born_targets())
+    # 150 negative weights and a wrong sum for each of rho1 and rho2
+    assert str(refused.value).count("; ") == ontology.COMPLAINTS_SHOWN
+    assert str(refused.value).endswith("; ... and 202 more")
 
 
 @pytest.mark.parametrize("L", ["129", "100000"])

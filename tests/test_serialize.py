@@ -1,13 +1,22 @@
 """`dumps_canonical` writes the bytes of `json.dumps(indent=2, sort_keys=True)`
-for a JSON document, whose keys are strings."""
+for a JSON document, whose keys are strings, and `digest` is the SHA-256
+that `hashlib` computes."""
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pbrlab.serialize import dumps_canonical
+from pbrlab import serialize
+from pbrlab.contextual import build_interval_model
+from pbrlab.hilbert import born_targets
+from pbrlab.serialize import dumps_canonical, model_to_json
 
 
 def _plain(obj) -> str:
@@ -71,3 +80,58 @@ def test_what_json_refuses_raises_type_error(doc):
         _plain(doc)
     with pytest.raises(TypeError):
         dumps_canonical(doc)
+
+
+# The dump of the L = 40 interval model, about 450 KB, spans many blocks;
+# a text of one byte more than BUILTIN_SHA256_MAX_BYTES goes to hashlib.
+_TEXTS = {"empty": lambda: "",
+          "non-ascii": lambda: "\u03c8 \u2260 \u03c6, \u03bb\u2032 \U0001f600",
+          "model-L40": lambda: dumps_canonical(
+              model_to_json(build_interval_model(40, born_targets()))),
+          "over-the-cap": lambda: "\u03c8" + "x" * (
+              serialize.BUILTIN_SHA256_MAX_BYTES - 1)}
+
+
+@pytest.mark.parametrize("name", _TEXTS)
+def test_digest_is_hashlibs_sha256(name):
+    text = _TEXTS[name]()
+    assert serialize.digest(text) == hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_only_a_text_over_the_cap_loads_hashlib():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys\n"
+         "from pbrlab import serialize\n"
+         "n = serialize.BUILTIN_SHA256_MAX_BYTES\n"
+         "serialize.digest('x' * n)\n"
+         "print('hashlib' in sys.modules)\n"
+         "serialize.digest('x' * (n + 1))\n"
+         "print('hashlib' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False", "True"]
+
+
+def test_a_build_without_the_c_modules_writes_and_hashes_alike():
+    # None in sys.modules makes an import raise ImportError, so serialize
+    # falls back to hashlib's SHA-256 and json's pure-Python quoting
+    text = _TEXTS["model-L40"]()
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys\n"
+         "sys.modules['_sha256'] = sys.modules['_sha2'] = None\n"
+         "sys.modules['_json'] = None\n"
+         "import hashlib, json\n"
+         "from pbrlab import serialize\n"
+         "assert serialize._sha256 is hashlib.sha256\n"
+         "assert serialize._quote is json.encoder.py_encode_basestring_ascii\n"
+         "doc = json.loads(sys.stdin.read())\n"
+         "print(serialize.digest(serialize.dumps_canonical(doc)))"],
+        input=text, env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == hashlib.sha256(text.encode()).hexdigest() + "\n"

@@ -113,6 +113,8 @@ _ENTRIES = {
                 "--context", "12", "--n", "100", "--seed", "1", "--json"], 0),
     "refute": (["refute", "--lambda-size", "2", "--json"], 0),
     "nogo": (["nogo", "--lambda-size", "2", "--json"], 0),
+    "nogo-rho": (["nogo", "--lambda-size", "3", "--rho",
+                  str(GOLDEN / "rho_L3_seed3_overlap.json"), "--json"], 0),
     "basis": (["basis", "--json"], 0),
     "contradiction": (["contradiction", "--model",
                        str(GOLDEN / "model_L3_disjoint.json"), "--json"], 4),
@@ -123,10 +125,18 @@ _ENTRIES = {
 }
 
 
+# Each snapshot of sys.modules is taken before json is imported to print it.
 @pytest.fixture(scope="module")
 def siteless_bare_modules():
-    return set(_fresh("import json, sys; print(json.dumps(sorted(sys.modules)))",
-                      "-S"))
+    return set(_fresh("import sys; loaded = sorted(sys.modules)\n"
+                      "import json; print(json.dumps(loaded))", "-S"))
+
+
+# hashlib loads OpenSSL, 3-6 ms of a process, for one SHA-256 that the
+# interpreter's built-in module computes as fast for these inputs; json's
+# decoder compiles regexes, 2-3 ms more, in every process that reads no file.
+HASH_MACHINERY = {"hashlib", "_hashlib"}
+JSON_READERS = {"check", "sample", "contradiction", "nogo-rho"}
 
 
 @pytest.mark.parametrize("name", _ENTRIES)
@@ -134,15 +144,20 @@ def test_no_entry_loads_argparse_and_only_sample_loads_random(
         name, siteless_bare_modules):
     argv, code = _ENTRIES[name]
     done, loaded = _fresh(
-        "import contextlib, io, json, sys, pbrlab.cli\n"
+        "import contextlib, io, sys, pbrlab.cli\n"
         "with contextlib.redirect_stdout(io.StringIO()), "
         "contextlib.redirect_stderr(io.StringIO()):\n"
         f"    code = pbrlab.cli.main({argv!r})\n"
-        "print(json.dumps([code, sorted(sys.modules)]))", "-S")
+        "loaded = sorted(sys.modules)\n"
+        "import json; print(json.dumps([code, loaded]))", "-S")
     assert done == code
+    assert not ({"json"} | HASH_MACHINERY) & siteless_bare_modules
     loaded = set(loaded) - siteless_bare_modules
     assert not (RECORD_MACHINERY | ARGUMENT_MACHINERY) & loaded
     assert ("random" in loaded) == (name == "sample")
+    assert not HASH_MACHINERY & loaded
+    json_modules = {m for m in loaded if m.split(".")[0] == "json"}
+    assert bool(json_modules) == (name in JSON_READERS), json_modules
 
 
 # The program entry: `run` freezes the heap on the way out, so the
