@@ -27,9 +27,10 @@ from types import SimpleNamespace
 
 from . import __version__, ontology
 from .ontology import ModelError
-from .serialize import (_quoted, _table_to_json, _targets_to_json, digest,
-                        dumps_canonical, fmt_frac, model_from_json,
-                        model_to_json, rho_pair_from_json)
+from .serialize import (REFUTE_MAX_LAMBDA, _quoted, _table_to_json,
+                        _targets_to_json, digest, dumps_canonical, fmt_frac,
+                        loads, model_from_json, model_to_json,
+                        rho_pair_from_json)
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
@@ -59,11 +60,6 @@ NOGO_MAX_LAMBDA = 64
 #           256 -> 4.9-10.8
 # A pair over a larger denominator is refused before building.
 NOGO_MAX_RHO_BITS = 256
-# refute builds, checks and prints an exact model of 16 L^2 entries: about
-# 4.5 MB of JSON at L = 128, where `refute --out` takes 0.3-0.5 s from
-# process start to exit and peaks at 36 MB RSS (Python 3.11, 2 vCPUs).
-# Larger sizes are refused before building.
-REFUTE_MAX_LAMBDA = 128
 # sample draws exactly, at a few microseconds per trial: 10^7 trials take
 # 18-25 s (the L = 3 and L = 40 interval models, Python 3.11, 2 vCPUs).
 # Larger counts are refused before sampling.
@@ -107,34 +103,16 @@ def _load_json_file(path: str):
     """The parsed file, of which at most INPUT_MAX_BYTES + 1 bytes are read,
     be it regular, a pipe or a device. A file that cannot be read, is longer,
     is not UTF-8 JSON, holds an integer of more than 4300 digits or nests
-    too deep raises ModelError. Imports json, whose decoder compiles its
-    regexes, so only the commands that read a file load it."""
-    import json
+    too deep raises ModelError."""
     try:
         with open(path, "rb") as fh:
             data = fh.read(INPUT_MAX_BYTES + 1)
         if len(data) <= INPUT_MAX_BYTES:
-            text = data.decode()
-            try:
-                return json.loads(text)
-            except json.JSONDecodeError:
-                raise
-            except ValueError:  # an integer longer than int() reads
-                json.loads(text, parse_int=_json_int)  # raises, naming it
-                raise
+            return loads(data.decode())
     except (OSError, ValueError, RecursionError) as e:
         raise ModelError(str(e)) from e
     raise ModelError(f"{path} holds more than {INPUT_MAX_BYTES} bytes, the "
                      "cap on input files")
-
-
-def _json_int(literal: str) -> int:
-    """int(literal), or ModelError quoting a literal too long for int()."""
-    try:
-        return int(literal)
-    except ValueError as e:
-        raise ModelError(f"the JSON integer {_quoted(literal)} has more than "
-                         f"{sys.get_int_max_str_digits()} digits") from e
 
 
 def _in_range(name: str, value: int, low: int, high: int,
@@ -478,16 +456,50 @@ def main(argv=None) -> int:
 
 def run() -> None:
     """Exit with `main`'s code, `--help`, `--version` and usage errors
-    included. The `finally` moves every object into the permanent
-    generation, which the interpreter's shutdown collections skip: they
-    took about 10 ms of each process, freeing cycles whose memory the OS
-    reclaims anyway, so the `__del__` of an object in such a cycle does not
-    run either. Nothing here needs it: every file a command writes is closed
-    before `main` returns, and stdout and stderr are flushed as usual."""
+    included, without finalizing the interpreter when nothing needs it.
+
+    The `finally` moves every object into the permanent generation, which
+    the interpreter's shutdown collections skip. Then `atexit` handlers run
+    and stdout and stderr are flushed, as finalization would do, and
+    `os._exit` skips the rest of finalization, 4-6 ms of each process:
+    tearing down modules, whose memory the OS reclaims anyway. So the
+    `__del__` of a module-level object does not run either. Nothing here
+    needs it: every file a command writes is closed before `main` returns.
+    Where something else may still need finalization, `sys.exit` ends the
+    process as usual (`_finalization_needed`), and so does an exception
+    that escapes `main`, with its traceback and exit 1."""
     try:
-        sys.exit(main())
+        code = main()
     finally:
         gc.freeze()
+    if not _finalization_needed():
+        import atexit
+        atexit._run_exitfuncs()
+        try:
+            for stream in (sys.stdout, sys.stderr):
+                if stream is not None:
+                    stream.flush()
+        except (OSError, ValueError):
+            pass  # finalization reports it
+        else:
+            os._exit(code)
+    sys.exit(code)
+
+
+def _finalization_needed() -> bool:
+    """Whether something may act after `run` returns: a profiler or tracer
+    (cProfile, coverage, a debugger), whose report or prompt comes after the
+    program; a debugger loaded but detached, as pdb is after `continue`;
+    `-i` or PYTHONINSPECT, whose prompt comes after it; or another thread,
+    which finalization waits for or stops."""
+    import _thread
+    monitoring = getattr(sys, "monitoring", None)  # Python 3.12 and later
+    return bool(
+        sys.getprofile() or sys.gettrace() or "bdb" in sys.modules
+        or sys.flags.inspect or os.environ.get("PYTHONINSPECT")
+        or _thread._count()
+        or monitoring and any(monitoring.get_tool(i) is not None
+                              for i in range(6)))
 
 
 if __name__ == "__main__":

@@ -3,16 +3,18 @@
 Exact numbers cross every boundary as "num/den" strings ("3/4", "1", "0")
 so reports stay re-verifiable by third parties; floats appear only in
 sampling statistics. Canonical dumps sort keys so golden-file comparisons
-are byte-stable.
+are byte-stable. `loads` and `dumps_canonical` read and write JSON text
+with json's own C functions, without importing json.
 """
 
 import re
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 # The C functions that json and hashlib themselves call. Importing json
 # compiles its decoder's regexes, 2-3 ms of a process (Python 3.11,
-# 2 vCPUs), and only the commands that read a file parse JSON; `digest`
+# 2 vCPUs), for one parse or dump that its C functions do alone; `digest`
 # imports hashlib only for a long text. A build without these modules
 # falls back to the packages, as `random` does for its SHA-512.
 try:
@@ -82,11 +84,33 @@ def parse_frac(s) -> Fraction:
     raise ModelError(f"expected an exact 'num/den' string, got {_quoted(s)}")
 
 
+# refute builds, checks and prints an exact model of 16 L^2 entries: about
+# 4.5 MB of JSON at L = 128, where `refute --out` takes 0.3-0.5 s from
+# process start to exit and peaks at 36 MB RSS (Python 3.11, 2 vCPUs).
+# Larger sizes are refused before building, and a model or rho file over a
+# larger lambda_size, or with a longer list, before its literals are parsed:
+# a 15.6 MiB model at L = 305 took 19.6 s and 728 MB RSS to `check --json`.
+REFUTE_MAX_LAMBDA = 128
+
+
 def parse_size(x) -> int:
-    """A JSON integer, taken as is: 2.7, "2" and true are rejected."""
-    if isinstance(x, int) and not isinstance(x, bool):
-        return x
-    raise ModelError(f"lambda_size must be a JSON integer, got {_quoted(x)}")
+    """A JSON integer, taken as is: 2.7, "2" and true are rejected, and so
+    is one over REFUTE_MAX_LAMBDA."""
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise ModelError(f"lambda_size must be a JSON integer, got {_quoted(x)}")
+    if x > REFUTE_MAX_LAMBDA:
+        raise ModelError(f"lambda_size must be <= {REFUTE_MAX_LAMBDA}, the "
+                         "largest model pbr writes")
+    return x
+
+
+def _capped(values):
+    """`values`, or ModelError for a list longer than REFUTE_MAX_LAMBDA: no
+    list of a model or rho file holds more than lambda_size items."""
+    if isinstance(values, list) and len(values) > REFUTE_MAX_LAMBDA:
+        raise ModelError(f"a list of {len(values)} items; lists in model "
+                         f"and rho files hold at most {REFUTE_MAX_LAMBDA}")
+    return values
 
 
 class _Literals(dict):
@@ -115,7 +139,7 @@ class _Literals(dict):
         # map would read a string's characters and an object's keys
         if not isinstance(values, list):
             raise ModelError(f"expected a JSON list, got {_quoted(values)}")
-        key = tuple(values)
+        key = tuple(_capped(values))
         try:
             row = self.rows.get(key)
         except TypeError:  # an unhashable value, named by parse_frac
@@ -159,7 +183,8 @@ def _table_to_json(t: ResponseTable, shown: dict):
 
 
 def _table_from_json(p, literals) -> ResponseTable:
-    return ResponseTable(tuple(tuple(map(literals.row, plane)) for plane in p))
+    return ResponseTable(tuple(tuple(map(literals.row, _capped(plane)))
+                               for plane in _capped(p)))
 
 
 def model_to_json(m) -> dict:
@@ -287,7 +312,7 @@ def _write(obj, nl: str, out: list, seen: dict) -> None:
         out.append(_scalar(obj))
 
 
-_INFINITY = float("inf")
+_NAN, _INFINITY = float("nan"), float("inf")
 
 
 def _scalar(obj) -> str:
@@ -315,6 +340,70 @@ def _scalar(obj) -> str:
         return float.__repr__(obj)
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON "
                     "serializable")
+
+
+# What json's decoder skips around a value.
+_WHITESPACE = " \t\n\r"
+
+
+def loads(text: str):
+    """json.loads(text): a leading BOM is refused, whitespace is skipped on
+    both sides of one value, and what is left raises json.JSONDecodeError
+    with json's text, which alone imports json. An integer longer than
+    int() reads raises ModelError naming it."""
+    try:
+        return _decode(text, _scanner(int))
+    except ValueError as e:
+        # Bad syntax raises json's subclass of ValueError, and an integer
+        # longer than int() reads ValueError itself.
+        if type(e) is ValueError:
+            _decode(text, _scanner(_json_int))  # raises, naming it
+        raise
+
+
+def _scanner(parse_int):
+    """The `scan_once` of json's default decoder, but with `parse_int`:
+    json's C scanner, set up as that decoder sets it up. A build without
+    the C module takes json's decoder."""
+    try:
+        from _json import make_scanner
+    except ImportError:
+        from json import JSONDecoder
+        return JSONDecoder(parse_int=parse_int).scan_once
+    constants = {"NaN": _NAN, "Infinity": _INFINITY, "-Infinity": -_INFINITY}
+    return make_scanner(SimpleNamespace(
+        strict=True, object_hook=None, object_pairs_hook=None,
+        parse_float=float, parse_int=parse_int,
+        parse_constant=constants.__getitem__))
+
+
+def _decode(text: str, scan):
+    """json's `JSONDecoder.decode`, with `scan` for its scanner."""
+    if text.startswith("\ufeff"):
+        raise _decode_error("Unexpected UTF-8 BOM (decode using utf-8-sig)",
+                            text, 0)
+    try:
+        value, end = scan(text, len(text) - len(text.lstrip(_WHITESPACE)))
+    except StopIteration as e:
+        raise _decode_error("Expecting value", text, e.value) from None
+    rest = text[end:].lstrip(_WHITESPACE)
+    if rest:
+        raise _decode_error("Extra data", text, len(text) - len(rest))
+    return value
+
+
+def _decode_error(message: str, text: str, pos: int):
+    from json import JSONDecodeError
+    return JSONDecodeError(message, text, pos)
+
+
+def _json_int(literal: str) -> int:
+    """int(literal), or ModelError quoting a literal too long for int()."""
+    try:
+        return int(literal)
+    except ValueError as e:
+        raise ModelError(f"the JSON integer {_quoted(literal)} has more than "
+                         f"{sys.get_int_max_str_digits()} digits") from e
 
 
 # Importing hashlib loads OpenSSL, about 3.2 ms of a process, and hashes

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pbrlab import __version__, cli, ontology
+from pbrlab import __version__, cli, ontology, serialize
 from pbrlab.cli import INPUT_MAX_BYTES, main
 from pbrlab.contextual import build_interval_model
 from pbrlab.hilbert import born_targets
@@ -507,6 +507,83 @@ def test_hostile_json_exits_2(tmp_path, command, content):
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ")
+
+
+def _oversize(name: str):
+    """A golden model or rho file with one part one item over the cap."""
+    n = serialize.REFUTE_MAX_LAMBDA + 1
+    if name.startswith("rho-file"):
+        doc = json.loads((GOLDEN / "rho_L3_seed3_overlap.json").read_text())
+    else:
+        doc = json.loads((GOLDEN / "model_L3_contextual.json").read_text())
+    table = doc.get("response", {}).get("p", {}).get("11")
+    part = name.rpartition(":")[2]
+    if part == "lambda_size":
+        doc["lambda_size"] = n
+    elif part == "rho":
+        doc["rho2"] = ["0"] * n
+    elif part == "planes":
+        table[:] = table * n
+    elif part == "rows":
+        table[0] = table[0] * n
+    else:  # a row's entries
+        table[0][0] = ["0"] * n
+    return doc
+
+
+@pytest.mark.parametrize("name", [
+    "rho-file:lambda_size", "rho-file:rho", "model:lambda_size", "model:rho",
+    "model:planes", "model:rows", "model:entries"])
+def test_an_oversize_file_is_refused_before_its_literals(monkeypatch, name):
+    doc = _oversize(name)
+    read = (serialize.rho_pair_from_json if name.startswith("rho-file")
+            else serialize.model_from_json)
+    parsed = []
+    monkeypatch.setattr(serialize, "parse_frac",
+                        lambda s: parsed.append(s) or Fraction(0))
+    with pytest.raises(ModelError, match=str(serialize.REFUTE_MAX_LAMBDA)):
+        read(doc)
+    if name.endswith("lambda_size"):
+        assert parsed == []
+    # one item fewer is read
+    n = serialize.REFUTE_MAX_LAMBDA
+    if name == "rho-file:rho":
+        read({**doc, "lambda_size": n, "rho1": ["0"] * n, "rho2": ["0"] * n})
+    elif name == "model:lambda_size":
+        read({**doc, "lambda_size": n})
+
+
+def test_an_oversize_model_exits_2_under_a_memory_limit(tmp_path):
+    # An L = 200 model of 640,000 distinct literals, 6.9 MB: with 160 MB of
+    # address space `check --json` died with a MemoryError traceback and
+    # exit 1 while building it; now the file is refused once parsed.
+    resource = pytest.importorskip("resource")
+    count = iter(range(1, 10 ** 6))
+    L = 200
+
+    def table():
+        return [[[f"1/{next(count)}" for _ in range(L)] for _ in range(L)]
+                for _ in range(4)]
+    doc = {"mode": "exact", "lambda_size": L, "rho1": ["1"] + ["0"] * (L - 1),
+           "rho2": ["1"] + ["0"] * (L - 1), "born_targets": [["1/4"] * 4] * 4,
+           "response": {"kind": "contextual",
+                        "p": {c: table() for c in ("11", "12", "21", "22")}}}
+    path = tmp_path / "oversize.json"
+    path.write_text(json.dumps(doc))
+    limit = 160 * 2 ** 20
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "pbrlab.cli", "check",
+                           "--model", str(path), "--json"],
+                          capture_output=True, text=True, env=env,
+                          preexec_fn=limit_memory, timeout=60)
+    assert proc.returncode == 2, proc.stderr[-500:]
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert len(proc.stderr) < 200
 
 
 def _feed_fifo(path, size: int) -> threading.Thread:

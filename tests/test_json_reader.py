@@ -1,0 +1,126 @@
+"""`cli._load_json_file` parses with `serialize.loads`, which runs json's C
+scanner without importing `json`: it must read every text as `json.loads`
+does, and refuse every other text with the same error line as when it
+called `json.loads`."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from pbrlab import cli, serialize
+from pbrlab.ontology import ModelError
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+LONG_INTEGER = "[" + "9" * 4301 + "]"
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+def json_loads_reader(text: str):
+    """What `_load_json_file` did with `json.loads`: the parsed text, or
+    ModelError with the text of json's error, or of `_json_int`'s for an
+    integer longer than int() reads."""
+    try:
+        try:
+            return json.loads(text)
+        except json.JSONDecodeError:
+            raise
+        except ValueError:
+            json.loads(text, parse_int=serialize._json_int)
+            raise
+    except (ValueError, RecursionError) as e:
+        raise ModelError(str(e)) from e
+
+
+def outcome(read, arg):
+    """("value", repr of the result), or ("error", the ModelError's text).
+    repr tells 1, 1.0 and True apart, and NaN from a NaN of another object,
+    which == does not."""
+    try:
+        return "value", repr(read(arg))
+    except ModelError as e:
+        return "error", str(e)
+
+
+_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(), inner, max_size=4)),
+    max_leaves=12)
+# json skips the first four around a value, and not the others
+_SPACE = st.text(alphabet=" \t\n\r\x0b\x0c\xa0\u2003", max_size=3)
+
+
+@st.composite
+def texts(draw):
+    """A JSON document, perhaps cut short, with a BOM, white space or data
+    of any kind around it."""
+    text = json.dumps(draw(_VALUES), ensure_ascii=draw(st.booleans()),
+                      indent=draw(st.sampled_from([None, 2])))
+    if draw(st.booleans()):
+        text = text[:draw(st.integers(0, len(text)))]
+    text = draw(_SPACE) + text + draw(_SPACE)
+    if draw(st.booleans()):
+        text += draw(st.sampled_from(["x", "1", "[]", "{}", ",", "\ufeff",
+                                      "NaN", '"']))
+    if draw(st.booleans()):
+        text = "\ufeff" + text
+    return text
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(text=texts())
+@example(text="")
+@example(text="NaN")
+@example(text=" [Infinity, -Infinity, NaN]\n")
+@example(text="\ufeff{}")
+@example(text="1 2")
+@example(text='"\\x"')
+@example(text='"\x01"')
+@example(text=LONG_INTEGER)
+@example(text=DEEP)
+def test_reader_reads_as_json_loads(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "reader.json"
+    path.write_bytes(text.encode())
+    assert (outcome(cli._load_json_file, str(path))
+            == outcome(json_loads_reader, text))
+
+
+# Without json's C module, json falls back to its Python scanner, whose
+# errors read differently, and so does the reader.
+_FALLBACK = """import sys
+sys.modules["_json"] = None
+import json
+sys.path.insert(0, {tests!r})
+from pbrlab import cli, serialize
+from test_json_reader import json_loads_reader, outcome
+texts = json.loads(sys.stdin.read())
+paths = [f"{{i}}.json" for i in range(len(texts))]
+for path, text in zip(paths, texts):
+    with open(path, "wb") as fh:
+        fh.write(text.encode())
+print(json.dumps({{
+    "scanner": type(serialize._scanner(int)).__name__,
+    "differ": [text[:40] for path, text in zip(paths, texts)
+               if outcome(cli._load_json_file, path)
+               != outcome(json_loads_reader, text)]}}))
+"""
+
+
+def test_reader_without_the_c_scanner_reads_as_json_loads(tmp_path):
+    samples = ["", "NaN", " [Infinity, -Infinity, NaN]\n", "\ufeff{}", "1 2",
+               '"\\x"', '"\x01"', '{"a\x01": 1}', '{"a": [1, 2.5, "\xe9"]} ',
+               '{"a": [1, 2', LONG_INTEGER, "[" * 50 + "]" * 50, DEEP]
+    done = subprocess.run(
+        [sys.executable, "-c",
+         _FALLBACK.format(tests=str(Path(__file__).resolve().parent))],
+        input=json.dumps(samples), capture_output=True, text=True,
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(SRC)},
+        timeout=60)
+    assert done.returncode == 0, done.stderr
+    # json's Python scanner is a function, its C scanner a Scanner
+    assert json.loads(done.stdout) == {"scanner": "function", "differ": []}

@@ -18,13 +18,19 @@ HEAVY = {"pbrlab.hilbert", "pbrlab.nogo", "pbrlab.simplex",
          "pbrlab.contextual"}
 
 
-def _program(args, cwd=None):
-    """`python ARGS` in a fresh interpreter that finds `pbrlab` in src."""
+def _env():
+    """This process's environment, with src first on PYTHONPATH."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    return subprocess.run([sys.executable, *args], env=env, cwd=cwd,
-                          capture_output=True, text=True, timeout=60)
+    return env
+
+
+def _program(args, cwd=None, stdin=""):
+    """`python ARGS` in a fresh interpreter that finds `pbrlab` in src."""
+    return subprocess.run([sys.executable, *args], env=_env(), cwd=cwd,
+                          input=stdin, capture_output=True, text=True,
+                          timeout=60)
 
 
 def _fresh(code: str, *flags):
@@ -134,9 +140,9 @@ def siteless_bare_modules():
 
 # hashlib loads OpenSSL, 3-6 ms of a process, for one SHA-256 that the
 # interpreter's built-in module computes as fast for these inputs; json's
-# decoder compiles regexes, 2-3 ms more, in every process that reads no file.
+# decoder compiles regexes, 2-3 ms more, for one parse that its C scanner
+# does alone.
 HASH_MACHINERY = {"hashlib", "_hashlib"}
-JSON_READERS = {"check", "sample", "contradiction", "nogo-rho"}
 
 
 @pytest.mark.parametrize("name", _ENTRIES)
@@ -156,12 +162,13 @@ def test_no_entry_loads_argparse_and_only_sample_loads_random(
     assert not (RECORD_MACHINERY | ARGUMENT_MACHINERY) & loaded
     assert ("random" in loaded) == (name == "sample")
     assert not HASH_MACHINERY & loaded
-    json_modules = {m for m in loaded if m.split(".")[0] == "json"}
-    assert bool(json_modules) == (name in JSON_READERS), json_modules
+    assert not {m for m in loaded if m.split(".")[0] == "json"}
 
 
-# The program entry: `run` freezes the heap on the way out, so the
-# interpreter's shutdown collections skip it; `main` leaves it alone.
+# The program entry: `run` freezes the heap, runs the atexit handlers,
+# flushes stdout and stderr and ends the process without finalizing the
+# interpreter, unless something may still need that; `main` leaves the
+# process alone.
 
 def test_main_leaves_the_heap_unfrozen():
     before = gc.get_freeze_count()
@@ -170,21 +177,24 @@ def test_main_leaves_the_heap_unfrozen():
     assert gc.get_freeze_count() == before
 
 
+_RUN = ("import atexit, gc, sys\n"
+        "from pbrlab import cli\n"
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+        "sys.argv = ['pbr', *{argv!r}]\n"
+        "cli.run()\n")
+
+
 @pytest.mark.parametrize("argv, code", [
     (["check", "--model", str(GOLDEN / "model_L3_contextual.json")], 0),
     (["nogo", "--lambda-size", "0"], 2),
     (["--version"], 0),
     (["nogo"], 2),
 ], ids=["check", "refused", "version", "usage"])
-def test_run_exits_with_mains_code_frozen(monkeypatch, argv, code):
-    monkeypatch.setattr(sys, "argv", ["pbr", *argv])
-    try:
-        with pytest.raises(SystemExit) as exited:
-            cli.run()
-        assert exited.value.code == code
-        assert gc.get_freeze_count() > 0
-    finally:
-        gc.unfreeze()
+def test_run_exits_with_mains_code_frozen(argv, code):
+    # in a child: `run` ends the process it runs in
+    done = _program(["-c", _RUN.format(argv=argv)])
+    assert done.returncode == code, done.stderr
+    assert done.stdout.endswith("frozen True\n")
 
 
 def test_program_runs_atexit_handlers_frozen(tmp_path):
@@ -211,3 +221,101 @@ def test_cprofile_still_prints_its_profile(tmp_path, argv, first):
     assert done.returncode == 0, done.stderr
     assert done.stdout.split("\n", 1)[0] == first
     assert "function calls" in done.stdout
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--version"], 0),
+    (["nogo", "--lambda-size", "0"], 2),
+    (["contradiction", "--model", str(GOLDEN / "model_L3_disjoint.json")], 4),
+], ids=["ok", "bad-input", "not-applicable"])
+def test_program_exits_with_mains_code(argv, code):
+    assert _program(["-m", "pbrlab.cli", *argv]).returncode == code
+
+
+def test_program_exits_3_on_a_verdict_against_the_theorem():
+    done = _program(["-c", (
+        "import runpy, sys, pbrlab.nogo\n"
+        "pbrlab.nogo.theorem_expected_verdict = lambda r1, r2: True\n"
+        "sys.argv = ['pbr', 'nogo', '--lambda-size', '2']\n"
+        "runpy.run_module('pbrlab.cli', run_name='__main__', alter_sys=True)\n")])
+    assert done.returncode == 3, done.stderr
+    assert "consistent with the no-go theorem: False" in done.stdout
+
+
+def test_a_large_report_reads_the_same_through_a_pipe(tmp_path):
+    # about 500 KB, far more than a pipe holds: os._exit must come after
+    # the last byte is written
+    argv = [sys.executable, "-m", "pbrlab.cli", "refute", "--lambda-size",
+            "40", "--json"]
+    piped = subprocess.run(argv, env=_env(), capture_output=True, timeout=60)
+    with open(tmp_path / "report.json", "wb") as out:
+        filed = subprocess.run(argv, env=_env(), stdout=out, timeout=60)
+    assert piped.returncode == filed.returncode == 0
+    assert len(piped.stdout) > 500_000
+    assert piped.stdout == (tmp_path / "report.json").read_bytes()
+
+
+def test_a_main_that_raises_prints_its_traceback_and_exits_1():
+    done = _program(["-c", (
+        "from pbrlab import cli\n"
+        "def main():\n"
+        "    raise RuntimeError('from main')\n"
+        "cli.main = main\n"
+        "cli.run()\n")])
+    assert done.returncode == 1
+    assert "Traceback" in done.stderr
+    assert done.stderr.endswith("RuntimeError: from main\n")
+
+
+def test_pdb_gets_its_prompt_back_after_the_program():
+    # `basis`, not `--version`, which Python 3.13.0's pdb reads as its own
+    done = _program(["-m", "pdb", "-m", "pbrlab.cli", "basis"],
+                    stdin="c\nq\n")
+    assert done.returncode == 0, done.stderr
+    assert "(Pdb)" in done.stdout.split("gram matrix: exact identity\n")[1]
+
+
+def test_inspect_mode_reads_stdin_after_the_program():
+    done = _program(["-i", "-m", "pbrlab.cli", "--version"],
+                    stdin="print('inspect' + 'ed')\n")
+    assert done.stdout.startswith(__version__ + "\n")
+    assert "inspected" in done.stdout
+
+
+# `sys.probe`'s destructor runs when the interpreter is finalized, as the
+# sys module's namespace is cleared, and only then.
+_PROBE = """import atexit, os, sys, threading
+from pbrlab import cli
+
+class Probe:
+    def __del__(self, write=os.write):
+        write(1, b"finalized\\n")
+
+sys.probe = Probe()
+{setup}
+sys.argv = ["pbr", "--version"]
+cli.run()
+"""
+
+
+@pytest.mark.parametrize("setup, finalized", [
+    ("", False),
+    ("sys.settrace(lambda *args: None)", True),
+    ("sys.setprofile(lambda *args: None)", True),
+    ("import bdb", True),
+    ("os.environ['PYTHONINSPECT'] = '1'", True),
+    ("threading.Thread(target=threading.Event().wait, daemon=True).start()",
+     True),
+    ("class Unflushable:\n"
+     "    def flush(self):\n"
+     "        raise OSError('cannot flush')\n"
+     "atexit.register(setattr, sys, 'stderr', Unflushable())", True),
+    pytest.param("sys.monitoring.use_tool_id(3, 'probe')", True,
+                 marks=pytest.mark.skipif(sys.version_info < (3, 12),
+                                          reason="sys.monitoring is 3.12+")),
+], ids=["nothing", "trace", "profile", "debugger", "inspect", "thread",
+        "failed-flush", "monitoring"])
+def test_run_finalizes_only_when_something_may_need_it(setup, finalized):
+    done = _program(["-c", _PROBE.format(setup=setup)])
+    assert done.stdout.startswith(__version__ + "\n"), done.stderr
+    assert ("finalized" in done.stdout) == finalized
