@@ -11,7 +11,9 @@ invalid input they find, and `main` alone reports that too, as one
 that cannot be written, under --help and --version too, is reported the
 same way; a stderr that cannot be written still exits 2, silently.
 `check` prints its verdict on an invalid model as a report and exits 2.
-A usage error, read against the table COMMANDS, is one more ModelError.
+Arguments are read against the table COMMANDS by exact name: no prefixes,
+no clusters of short flags, and `--` is an unknown option like any other.
+A usage error is one more ModelError.
 
 `run` is the program entry, for `pbr` and `python -m pbrlab.cli`. `main`
 leaves the process as it found it, for callers in the same process.
@@ -19,7 +21,6 @@ leaves the process as it found it, for callers in the same process.
 
 import gc
 import os
-import re
 import sys
 import time
 from math import lcm
@@ -102,8 +103,8 @@ def _write(stream, text: str = "") -> None:
 def _load_json_file(path: str):
     """The parsed file, of which at most INPUT_MAX_BYTES + 1 bytes are read,
     be it regular, a pipe or a device. A file that cannot be read, is longer,
-    is not UTF-8 JSON, holds an integer of more than 4300 digits or nests
-    too deep raises ModelError."""
+    is not UTF-8 JSON, holds an integer of more than 4300 digits, nests too
+    deep or exhausts memory raises ModelError."""
     try:
         with open(path, "rb") as fh:
             data = fh.read(INPUT_MAX_BYTES + 1)
@@ -111,6 +112,8 @@ def _load_json_file(path: str):
             return loads(data.decode())
     except (OSError, ValueError, RecursionError) as e:
         raise ModelError(str(e)) from e
+    except MemoryError:
+        raise ModelError(f"out of memory reading {path}") from None
     raise ModelError(f"{path} holds more than {INPUT_MAX_BYTES} bytes, the "
                      "cap on input files")
 
@@ -291,7 +294,7 @@ def cmd_refute(args) -> tuple:
 
 def cmd_check(args) -> tuple:
     model = model_from_json(_load_json_file(args.model))
-    violations = ontology.validate_model(model)
+    violations = ontology._shown(ontology.validate_model(model))
     lines = (["model is valid"] if not violations
              else ["model is invalid:"] + [f"  {v}" for v in violations])
     return (EXIT_OK if not violations else EXIT_BAD_INPUT,
@@ -300,10 +303,9 @@ def cmd_check(args) -> tuple:
 
 
 def _parse_context(s: str):
-    s = s.replace(",", "")
-    if len(s) == 2 and s[0] in "12" and s[1] in "12":
-        return (int(s[0]), int(s[1]))
-    raise ModelError(f"context must be one of 11, 12, 21, 22; got {s!r}")
+    if s not in ("11", "12", "21", "22"):
+        raise ModelError(f"context must be one of 11, 12, 21, 22; got {s!r}")
+    return int(s[0]), int(s[1])
 
 
 def cmd_sample(args) -> tuple:
@@ -361,69 +363,46 @@ def _help(command=None) -> str:
                     ) + COMMANDS[command][1] + "\n"
 
 
-def _kinds(argv, names):
-    """(option, text after its "=" or None) for each token before "--", as
-    argparse reads it against `names`: option "" for an unknown option, None
-    for a value. A unique prefix names a long option; an ambiguous one raises."""
-    for token in argv[:argv.index("--")] if "--" in argv else argv:
-        head, eq, value = token.partition("=")
-        found = ([head] if head in names else [
-            n for n in names if n.startswith(head)] if head[:2] == "--" else [])
-        if len(found) > 1:
-            raise ModelError(f"ambiguous option: {_quoted(token)} could match "
-                             + ", ".join(found))
-        if found:
-            yield found[0], value if eq else None
-        elif token[:2] in names:  # -h with more characters
-            yield token[:2], token[2:]
-        else:  # "-", a negative number and a token with a space are values
-            yield ("" if token[:1] == "-" != token and " " not in token
-                   and not re.match(r"-\d+$|-\d*\.\d+$", token) else None), None
-
-
 def _parse(argv):
-    """The command's arguments, or the text --help or --version asks for.
-    Options come in any order, the last repeat wins, and a value is the next
-    token or the text after "=". A usage error raises ModelError."""
+    """The command's arguments, or the text --help or --version asks for,
+    read left to right: options by exact name, in any order, the last repeat
+    winning; a value after "=" or else the next token, whatever it looks
+    like; -h or --help, the help of the command read so far; --version,
+    before the command. A usage error raises ModelError."""
     command, options, values, unknown = None, {}, {}, []
+    tokens = iter(argv)
     try:
-        kinds = list(_kinds(argv, ("-h", "--help", "--version")))
-        tokens = iter(range(len(kinds)))
-        for i in tokens:
-            option, value = kinds[i]
-            if option is None and command is None:
-                if argv[i] not in COMMANDS:
-                    raise ModelError(f"unknown command {_quoted(argv[i])}")
-                command = argv[i]
-                func, _, options = COMMANDS[command]
-                kinds[i + 1:] = _kinds(argv[i + 1:],
-                                       ("-h", "--help", "--json", *options))
-            elif not option:
-                unknown.append(argv[i])
-            elif option not in options:  # a flag; -hh reads as -h -h
-                if value is not None and (option != "-h" or set(value) != {"h"}):
-                    raise ModelError(f"argument {option}: ignored explicit "
-                                     f"argument {_quoted(value)}")
-                if option == "--version":
-                    return __version__ + "\n"
-                if option != "--json":
-                    return "usage: " + _help(command)
-                values[option] = True
-            else:
+        for token in tokens:
+            name, eq, value = token.partition("=")
+            if name in options:
+                if not eq:
+                    value = next(tokens, None)
                 if value is None:
-                    if kinds[i + 1:i + 2] != [(None, None)]:
-                        raise ModelError(f"argument {option}: expected one "
-                                         "argument")
-                    value = argv[next(tokens)]
+                    raise ModelError(f"argument {name}: expected one argument")
                 try:
-                    values[option] = options[option][0](value)
+                    values[name] = options[name][0](value)
                 except ValueError:
-                    raise ModelError(f"argument {option}: invalid int value: "
+                    raise ModelError(f"argument {name}: invalid int value: "
                                      f"{_quoted(value)}") from None
+            elif name in ("-h", "--help", "--json" if command else "--version"):
+                if eq:
+                    raise ModelError(f"argument {name}: ignored explicit "
+                                     f"argument {_quoted(value)}")
+                if name == "--version":
+                    return __version__ + "\n"
+                if name != "--json":
+                    return "usage: " + _help(command)
+                values[name] = True
+            elif command is None and token[:1] != "-":
+                if token not in COMMANDS:
+                    raise ModelError(f"unknown command {_quoted(token)}")
+                command = token
+                func, _, options = COMMANDS[command]
+            else:
+                unknown.append(token)
         if command is None:
             raise ModelError("a command is required")
         missing = [o for o, (_, need) in options.items() if need and o not in values]
-        unknown += argv[len(kinds):]  # "--" and all after it
         if missing or unknown:
             raise ModelError("the following arguments are required: "
                              + ", ".join(missing) if missing else

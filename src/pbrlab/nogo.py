@@ -94,8 +94,13 @@ def _var(i: int, lam: int, lamp: int, L: int) -> int:
 
 def build_feasibility(r1: EpistemicState, r2: EpistemicState,
                       targets) -> FeasibilityProblem:
+    _require_inputs(r1, r2, r1.size, targets)
+    return _build(r1, r2, targets)
+
+
+def _build(r1, r2, targets) -> FeasibilityProblem:
+    """build_feasibility's LP, for inputs already validated."""
     L = r1.size
-    _require_inputs(r1, r2, L, targets)
     A, b, labels = [], [], []
 
     for lam in range(L):
@@ -150,9 +155,9 @@ def quotient(p: FeasibilityProblem) -> tuple:
     for kappa, a, b in zip(classes, p.rho1.weights, p.rho2.weights):
         masses[0][kappa] += a
         masses[1][kappa] += b
-    return classes, build_feasibility(EpistemicState(tuple(masses[0])),
-                                      EpistemicState(tuple(masses[1])),
-                                      p.targets)
+    # The class masses are sums of p's validated weights.
+    return classes, _build(EpistemicState(tuple(masses[0])),
+                           EpistemicState(tuple(masses[1])), p.targets)
 
 
 def solve_feasibility(p: FeasibilityProblem) -> FeasibilityOutcome:

@@ -275,10 +275,16 @@ def validate_model(m: OntologicalModel) -> list:
 COMPLAINTS_SHOWN = 100
 
 
-def _joined(report: list) -> str:
+def _shown(report: list) -> list:
+    """The first COMPLAINTS_SHOWN complaints, then a count of the rest."""
     more = len(report) - COMPLAINTS_SHOWN
-    text = "; ".join(report[:COMPLAINTS_SHOWN])
-    return f"{text}; ... and {more} more" if more > 0 else text
+    if more <= 0:
+        return report
+    return report[:COMPLAINTS_SHOWN] + [f"... and {more} more"]
+
+
+def _joined(report: list) -> str:
+    return "; ".join(_shown(report))
 
 
 def _require_valid(m):
