@@ -11,15 +11,17 @@ import importlib
 
 __version__ = "0.2.0"
 
-_SUBMODULES = ("contextual", "hilbert", "nogo", "ontology", "simplex")
+_SUBMODULES = ("contextual", "hilbert", "nogo", "ontology", "simplex",
+               "values")
 _SOURCES = {  # public name -> the submodule defining it
     **dict.fromkeys(("MeasurementBasis", "PureState", "born", "born_targets",
                      "inner", "make_state", "pbr_basis", "product_state",
                      "psi", "tensor"), "hilbert"),
     **dict.fromkeys(("CONTEXTS", "EpistemicState", "LambdaSpace",
                      "OntologicalModel", "OutcomeCounts", "ResponseTable",
-                     "chi_square_statistic", "predict", "sample",
-                     "support_overlap", "validate_model"), "ontology"),
+                     "support_overlap"), "values"),
+    **dict.fromkeys(("chi_square_statistic", "predict", "sample",
+                     "validate_model"), "ontology"),
     **dict.fromkeys(("ContradictionProof", "FeasibilityOutcome",
                      "FeasibilityProblem", "NoOverlap", "build_feasibility",
                      "derive_contradiction", "solve_feasibility",

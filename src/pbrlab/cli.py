@@ -8,8 +8,9 @@ Commands compute and return their report; `main` alone times and prints
 it, as --json or as human lines. Commands raise ModelError for every
 invalid input they find, and `main` alone reports that too, as one
 `error: ...` line on stderr with nothing on stdout, and exits 2. A stdout
-that cannot be written, under --help and --version too, is reported the
-same way; a stderr that cannot be written still exits 2, silently.
+that cannot be written, under --help and --version too, or a report that
+the memory left cannot encode, is reported the same way; a stderr that
+cannot be written still exits 2, silently.
 `check` prints its verdict on an invalid model as a report and exits 2.
 Arguments are read against the table COMMANDS by exact name: no prefixes,
 no clusters of short flags, and `--` is an unknown option like any other.
@@ -26,12 +27,13 @@ import time
 from math import lcm
 from types import SimpleNamespace
 
-from . import __version__, ontology
-from .ontology import ModelError
+from . import __version__
 from .serialize import (REFUTE_MAX_LAMBDA, _quoted, _table_to_json,
                         _targets_to_json, digest, dumps_canonical, fmt_frac,
                         loads, model_from_json, model_to_json,
                         rho_pair_from_json)
+from .values import (CONTEXTS, EpistemicState, ModelError, _shown,
+                     support_overlap)
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
@@ -81,22 +83,27 @@ def _emit(args, inputs: dict, payload: dict, human_lines, elapsed) -> None:
                                 "version": __version__, **payload})
     else:
         text = "\n".join([*human_lines, f"elapsed: {elapsed:.3f}s"])
-    _write(sys.stdout, text + "\n")
+    # The newline is written apart: text + "\n" would copy a report of up
+    # to 5.6 MB, one more allocation that can exhaust memory.
+    _write(sys.stdout, text, "\n")
 
 
-def _write(stream, text: str = "") -> None:
-    """Write `text` to `stream` and flush it. If that fails, the stream's
-    descriptor is pointed at the null device, so what is left in the buffer
-    cannot fail again at exit, and stdout raises ModelError, stderr OSError."""
+def _write(stream, *texts: str) -> None:
+    """Write `texts` to `stream` and flush it. If that fails, or a text
+    cannot be encoded in the memory left, the stream's descriptor is pointed
+    at the null device, so what is left in the buffer cannot fail again at
+    exit, and stdout raises ModelError, stderr the error itself."""
     try:
-        stream.write(text)
+        for text in texts:
+            stream.write(text)
         stream.flush()
-    except OSError as e:
+    except (OSError, MemoryError) as e:
         null = os.open(os.devnull, os.O_WRONLY)
         os.dup2(null, stream.fileno())
         os.close(null)
         if stream is sys.stdout:
-            raise ModelError(f"cannot write to stdout: {e}") from e
+            reason = e if isinstance(e, OSError) else "out of memory"
+            raise ModelError(f"cannot write to stdout: {reason}") from e
         raise
 
 
@@ -131,7 +138,9 @@ def _in_range(name: str, value: int, low: int, high: int,
 # Each command returns (exit code, inputs, payload, human lines) for `main`
 # to print, with its model's JSON document only for --json (or refute
 # --out). It imports the layers it runs: `check` and `sample` never load
-# the Born table, the LP or the interval model.
+# the Born table, the LP or the interval model, and a `nogo` certificate
+# run never loads `ontology`, the checks of a whole model, prediction and
+# sampling, which only its witness branch needs.
 
 def cmd_basis(args) -> tuple:
     from . import hilbert
@@ -176,12 +185,12 @@ def cmd_nogo(args) -> tuple:
             raise ModelError(f"the rho pair's common denominator has {bits} "
                              f"bits; nogo takes at most {NOGO_MAX_RHO_BITS}")
     else:
-        r1 = r2 = ontology.EpistemicState.uniform(L)
+        r1 = r2 = EpistemicState.uniform(L)
 
     targets = hilbert.born_targets()
     problem = nogo.build_feasibility(r1, r2, targets)
     outcome = nogo.solve_feasibility(problem)
-    overlap = ontology.support_overlap(r1, r2)
+    overlap = support_overlap(r1, r2)
     expect_feasible = nogo.theorem_expected_verdict(r1, r2)
 
     inputs = {"lambda_size": L,
@@ -201,10 +210,11 @@ def cmd_nogo(args) -> tuple:
 
     consistent = outcome.feasible == expect_feasible
     if outcome.feasible:
+        from . import ontology
         model = nogo.witness_model(problem, outcome)
         reproduced = not ontology.validate_model(model) and all(
             ontology._predict(model, ctx) == targets[c]
-            for c, ctx in enumerate(ontology.CONTEXTS))
+            for c, ctx in enumerate(CONTEXTS))
         payload["witness"] = {"p": _table_to_json(outcome.witness, {}),
                               "reproduces_targets": reproduced}
         lines.append(f"witness reproduces targets exactly: {reproduced}")
@@ -225,7 +235,7 @@ def cmd_nogo(args) -> tuple:
 
 
 def cmd_contradiction(args) -> tuple:
-    from . import nogo
+    from . import nogo, ontology
     model = model_from_json(_load_json_file(args.model))
     # A contextual model goes straight to derive_contradiction, which
     # refuses it whether or not it is valid.
@@ -293,8 +303,9 @@ def cmd_refute(args) -> tuple:
 
 
 def cmd_check(args) -> tuple:
+    from . import ontology
     model = model_from_json(_load_json_file(args.model))
-    violations = ontology._shown(ontology.validate_model(model))
+    violations = _shown(ontology.validate_model(model))
     lines = (["model is valid"] if not violations
              else ["model is invalid:"] + [f"  {v}" for v in violations])
     return (EXIT_OK if not violations else EXIT_BAD_INPUT,
@@ -309,6 +320,7 @@ def _parse_context(s: str):
 
 
 def cmd_sample(args) -> tuple:
+    from . import ontology
     model = model_from_json(_load_json_file(args.model))
     context = _parse_context(args.context)
     _in_range("n", args.n, 0, SAMPLE_MAX_N)
@@ -428,7 +440,7 @@ def main(argv=None) -> int:
     except ModelError as e:
         try:
             _write(sys.stderr, f"error: {e}\n")
-        except OSError:
+        except (OSError, MemoryError):
             pass  # stderr cannot be written either: the exit code tells
         return EXIT_BAD_INPUT
 

@@ -8,10 +8,11 @@ still reproduce every Born target exactly.
 
 from fractions import Fraction
 
-from .ontology import (CONTEXTS, EpistemicState, LambdaSpace, ModelError,
-                       OntologicalModel, Record, ResponseTable,
-                       _over_common_denominator, _predict, _require_inputs,
-                       _require_valid, support_overlap)
+from .ontology import _predict, _require_valid
+from .values import (CONTEXTS, EpistemicState, LambdaSpace, ModelError,
+                     OntologicalModel, Record, ResponseTable,
+                     _over_common_denominator, _require_inputs,
+                     support_overlap)
 
 
 class RefutationReport(Record):

@@ -16,9 +16,10 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
-# Defined in ontology, so the model path never imports this module;
-# re-exported here for callers of the Hilbert-space layer.
-from .ontology import CONTEXTS, Record, StateError, context_index
+# Defined in values, which every command imports, so `check` and `sample`
+# never import this module; re-exported here for callers of the
+# Hilbert-space layer.
+from .values import CONTEXTS, Record, StateError, context_index
 
 
 def _sqrt2_parts(u, n: int):

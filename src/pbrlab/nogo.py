@@ -32,11 +32,11 @@ code with the reduction.
 from fractions import Fraction
 from math import lcm
 
-from .ontology import (CONTEXTS, EpistemicState, LambdaSpace, ModelError,
-                       OntologicalModel, Record, ResponseTable,
-                       _over_common_denominator, _require_inputs,
-                       support_overlap)
 from .simplex import solve_equalities
+from .values import (CONTEXTS, EpistemicState, LambdaSpace, ModelError,
+                     OntologicalModel, Record, ResponseTable,
+                     _over_common_denominator, _require_inputs,
+                     support_overlap)
 
 _ONE = Fraction(1)
 
@@ -98,32 +98,49 @@ def build_feasibility(r1: EpistemicState, r2: EpistemicState,
     return _build(r1, r2, targets)
 
 
+class _Products(dict):
+    """Integer numerator n -> the Fraction n / den, made once per n."""
+
+    def __init__(self, den: int):
+        self.den = den
+
+    def __missing__(self, n: int) -> Fraction:
+        self[n] = value = Fraction(n, self.den)
+        return value
+
+
 def _build(r1, r2, targets) -> FeasibilityProblem:
     """build_feasibility's LP, for inputs already validated."""
     L = r1.size
-    A, b, labels = [], [], []
-
-    for lam in range(L):
-        for lamp in range(L):
-            A.append(tuple((_var(i, lam, lamp, L), _ONE) for i in range(4)))
-            b.append(_ONE)
-            labels.append(f"norm lambda={lam} lambda'={lamp}")
+    LL = L * L
+    A = [((cell, _ONE), (cell + LL, _ONE), (cell + 2 * LL, _ONE),
+          (cell + 3 * LL, _ONE)) for cell in range(LL)]
+    b = [_ONE] * LL
+    labels = [f"norm lambda={lam} lambda'={lamp}"
+              for lam in range(L) for lamp in range(L)]
 
     # Each context's weights rho_j(lambda) * rho_k(lambda') over the cells
     # lambda * L + lambda' they do not vanish on, shared by its 4 Born rows.
-    rho = {1: r1.weights, 2: r2.weights}
+    # With rho = a / d, a weight is the integer a_j * a_k over d^2, and each
+    # distinct one is one Fraction: uniform rho has one for all L^2 cells.
+    scaled, d = _over_common_denominator(r1.weights + r2.weights)
+    a = {1: scaled[:L], 2: scaled[L:]}
+    weight = _Products(d * d)
     products = []
     for j, k in CONTEXTS:
-        cells = []
-        for lam, wj in enumerate(rho[j]):
-            if wj:
-                cells.extend((lam * L + lamp, wj * wk)
-                             for lamp, wk in enumerate(rho[k]) if wk)
-        products.append(cells)
+        lamps = [lamp for lamp, n in enumerate(a[k]) if n]
+        nums = [n for n in a[k] if n]
+        cells, weights = [], []
+        for lam, a_lam in enumerate(a[j]):
+            if a_lam:
+                cells.extend(map((lam * L).__add__, lamps))
+                weights.extend(map(weight.__getitem__, map(a_lam.__mul__, nums)))
+        products.append((cells, weights))
     for i in range(4):
-        offset = i * L * L
+        offset = i * LL
         for c, (j, k) in enumerate(CONTEXTS):
-            A.append(tuple((offset + cell, w) for cell, w in products[c]))
+            cells, weights = products[c]
+            A.append(tuple(zip(map(offset.__add__, cells), weights)))
             b.append(Fraction(targets[c][i]))
             labels.append(f"born outcome={i + 1} context={j}{k}")
 
@@ -217,17 +234,22 @@ def verify_certificate(p: FeasibilityProblem, y) -> bool:
     y is put over one common denominator, and the rows y uses over
     another, so each column sum is a sum of integer products over the
     nonzeros; both denominators are positive, so its sign is the sign
-    of the exact column of y^T A."""
+    of the exact column of y^T A. A coefficient object that the rows
+    repeat is scaled to its integer once, keyed by its id while p holds
+    it."""
     if len(y) != len(p.A):
         raise ModelError(f"certificate has {len(y)} entries for {len(p.A)} rows")
     y_den = lcm(*(yr.denominator for yr in y))
     used = [(r, yr.numerator * (y_den // yr.denominator))
             for r, yr in enumerate(y) if yr]
-    a_den = lcm(*{a.denominator for r, _ in used for _, a in p.A[r]})
+    coefficients = {id(a): a for r, _ in used for _, a in p.A[r]}
+    a_den = lcm(*(a.denominator for a in coefficients.values()))
+    scaled = {key: a.numerator * (a_den // a.denominator)
+              for key, a in coefficients.items()}
     cols = {}
     for r, yr in used:
         for col, a in p.A[r]:
-            cols[col] = cols.get(col, 0) + yr * a.numerator * (a_den // a.denominator)
+            cols[col] = cols.get(col, 0) + yr * scaled[id(a)]
     if any(c > 0 for c in cols.values()):
         return False
     b_den = lcm(*(p.b[r].denominator for r, _ in used))

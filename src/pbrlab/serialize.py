@@ -29,8 +29,8 @@ except ImportError:
     except ImportError:
         from hashlib import sha256 as _sha256
 
-from .ontology import (CONTEXTS, EpistemicState, LambdaSpace, ModelError,
-                       OntologicalModel, ResponseTable)
+from .values import (CONTEXTS, EpistemicState, LambdaSpace, ModelError,
+                     OntologicalModel, ResponseTable)
 
 
 def fmt_frac(x: Fraction) -> str:

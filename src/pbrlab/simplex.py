@@ -24,7 +24,7 @@ index. Ratios are compared by cross-multiplying, so no division is done.
 from fractions import Fraction
 from math import gcd, lcm
 
-from .ontology import Record
+from .values import Record
 
 
 class SimplexResult(Record):

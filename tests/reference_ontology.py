@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from pbrlab.ontology import OutcomeCounts, ResponseTable
+from pbrlab.values import OutcomeCounts, ResponseTable
 
 EXACT_TYPES = (int, Fraction)
 # The preparation contexts (j, k), in the order of a model's response tables

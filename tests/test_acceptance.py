@@ -19,8 +19,8 @@ from pbrlab.hilbert import (CONTEXTS, born, born_targets, gram, pbr_basis,
 from pbrlab.nogo import (ContradictionProof, NoOverlap, build_feasibility,
                          derive_contradiction, solve_feasibility,
                          verify_certificate, witness_model)
-from pbrlab.ontology import (EpistemicState, chi_square_statistic, predict,
-                             sample, support_overlap)
+from pbrlab.ontology import chi_square_statistic, predict, sample
+from pbrlab.values import EpistemicState, support_overlap
 from records import replace
 
 PBR = born_targets()

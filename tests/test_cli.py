@@ -10,12 +10,12 @@ from pathlib import Path
 
 import pytest
 
-from pbrlab import __version__, cli, ontology, serialize
+from pbrlab import __version__, cli, ontology, serialize, values
 from pbrlab.cli import INPUT_MAX_BYTES, main
 from pbrlab.contextual import build_interval_model
 from pbrlab.hilbert import born_targets
-from pbrlab.ontology import EpistemicState, ModelError
 from pbrlab.serialize import dumps_canonical, model_to_json
+from pbrlab.values import EpistemicState, ModelError
 from records import replace
 
 
@@ -420,14 +420,14 @@ def test_error_line_names_at_most_a_hundred_complaints(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err.startswith("error: invalid model: ") and err.count("\n") == 1
-    assert err.count("; ") == ontology.COMPLAINTS_SHOWN
+    assert err.count("; ") == values.COMPLAINTS_SHOWN
     assert err.endswith("; ... and 1500 more\n")
     assert len(err.encode()) < 10_000
     # check's report, as --json and as human lines, holds as many
     code, out, _ = run(capsys, "check", "--model", str(path), "--json")
     assert code == 2
     violations = json.loads(out)["violations"]
-    assert len(violations) == ontology.COMPLAINTS_SHOWN + 1
+    assert len(violations) == values.COMPLAINTS_SHOWN + 1
     assert violations[-1] == "... and 1500 more"
     code, out, _ = run(capsys, "check", "--model", str(path))
     assert code == 2
@@ -439,9 +439,9 @@ def test_error_line_names_at_most_a_hundred_complaints(capsys, tmp_path):
 def test_input_error_names_at_most_a_hundred_complaints():
     negative = EpistemicState((Fraction(-1),) * 150)
     with pytest.raises(ModelError) as refused:
-        ontology._require_inputs(negative, negative, 150, born_targets())
+        values._require_inputs(negative, negative, 150, born_targets())
     # 150 negative weights and a wrong sum for each of rho1 and rho2
-    assert str(refused.value).count("; ") == ontology.COMPLAINTS_SHOWN
+    assert str(refused.value).count("; ") == values.COMPLAINTS_SHOWN
     assert str(refused.value).endswith("; ... and 202 more")
 
 
@@ -572,11 +572,25 @@ def test_an_oversize_file_is_refused_before_its_literals(monkeypatch, name):
         read({**doc, "lambda_size": n})
 
 
+def _limited(megabytes: int, *argv):
+    """`pbr ARGV` in a child with `megabytes` of address space, set on the
+    child alone."""
+    resource = pytest.importorskip("resource")
+    limit = megabytes * 2 ** 20
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "pbrlab.cli", *argv],
+                          capture_output=True, text=True, env=env,
+                          preexec_fn=limit_memory, timeout=60)
+
+
 def _check_under_memory_limit(tmp_path, megabytes: int):
     """(path, stderr) of `check --json` of an L = 200 model of 640,000
     distinct literals, 6.9 MB, in a child with `megabytes` of address space,
     which must exit 2 with nothing on stdout."""
-    resource = pytest.importorskip("resource")
     count = iter(range(1, 10 ** 6))
     L = 200
 
@@ -589,16 +603,7 @@ def _check_under_memory_limit(tmp_path, megabytes: int):
                         "p": {c: table() for c in ("11", "12", "21", "22")}}}
     path = tmp_path / "oversize.json"
     path.write_text(json.dumps(doc))
-    limit = megabytes * 2 ** 20
-
-    def limit_memory():
-        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-m", "pbrlab.cli", "check",
-                           "--model", str(path), "--json"],
-                          capture_output=True, text=True, env=env,
-                          preexec_fn=limit_memory, timeout=60)
+    proc = _limited(megabytes, "check", "--model", str(path), "--json")
     assert proc.returncode == 2, proc.stderr[-500:]
     assert proc.stdout == ""
     return path, proc.stderr
@@ -618,6 +623,24 @@ def test_a_model_that_exhausts_memory_when_parsed_exits_2(tmp_path):
     # named in one error line.
     path, err = _check_under_memory_limit(tmp_path, 50)
     assert err == f"error: out of memory reading {path}\n"
+
+
+def test_a_report_that_exhausts_memory_when_written_exits_2():
+    # `check --json` of the refute L = 128 model, a 5.6 MB report, died in
+    # stream.write with a MemoryError traceback and exit 1 under 36-40 MB.
+    # Written without a copy, that report now runs out alone in a window
+    # of at most 1 MB, if any, above the limits where the parse does.
+    # `refute --lambda-size 128 --json` parses no file, and the write of
+    # its 5.2 MB report runs out alone in a window 4-5 MB wide, within
+    # 20-28 MB on Python 3.10-3.13: steps of 2 MB down from where it fits
+    # land in it.
+    for megabytes in range(32, 16, -2):
+        proc = _limited(megabytes, "refute", "--lambda-size", "128", "--json")
+        if proc.returncode:
+            break
+    assert proc.returncode == 2, proc.stderr[-500:]
+    assert proc.stdout == ""
+    assert proc.stderr == "error: cannot write to stdout: out of memory\n"
 
 
 def _feed_fifo(path, size: int) -> threading.Thread:

@@ -7,9 +7,9 @@ from pbrlab import ontology
 from pbrlab.contextual import build_interval_model, refutation_report
 from pbrlab.hilbert import CONTEXTS, born_targets
 from pbrlab.nogo import ContradictionProof, derive_contradiction
-from pbrlab.ontology import (EpistemicState, ModelError, predict,
-                             support_overlap, validate_model)
+from pbrlab.ontology import predict, validate_model
 from pbrlab.serialize import dumps_canonical, model_from_json, model_to_json
+from pbrlab.values import EpistemicState, ModelError, support_overlap
 from records import replace
 
 PBR = born_targets()
@@ -150,7 +150,7 @@ def test_refutation_detects_perturbation():
     assert planes[0][0][0] == 1  # cell (0,0) is deterministic for outcome 1
     planes[0][0][0] -= eps
     planes[1][0][0] += eps
-    from pbrlab.ontology import ResponseTable
+    from pbrlab.values import ResponseTable
     perturbed = ResponseTable(tuple(tuple(tuple(r) for r in p) for p in planes))
     slices = list(m.response)
     slices[CONTEXTS.index((1, 2))] = perturbed

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pbrlab import cli, serialize
-from pbrlab.ontology import ModelError
+from pbrlab.values import ModelError
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 LONG_INTEGER = "[" + "9" * 4301 + "]"

@@ -12,9 +12,10 @@ from pbrlab.nogo import (ContradictionProof, NoOverlap, build_feasibility,
                          derive_contradiction, lambda_classes, quotient,
                          solve_feasibility, theorem_expected_verdict,
                          verify_certificate, witness_model)
-from pbrlab.ontology import (EpistemicState, LambdaSpace, ModelError,
-                             OntologicalModel, ResponseTable, predict,
-                             validate_model)
+from pbrlab.ontology import predict, validate_model
+from pbrlab.values import (EpistemicState, LambdaSpace, ModelError,
+                           OntologicalModel, ResponseTable)
+from records import replace
 
 PBR = born_targets()
 
@@ -122,7 +123,8 @@ def test_certificate_with_zero_objective_rejected():
 
 def test_audit_shares_no_code_with_simplex():
     # the audit checks the solver's certificates and their lift, so it must
-    # not run any of the solver's code, nor the lift's integer scaling
+    # not run any of the solver's code, nor the lift's integer scaling, nor
+    # the builder's shared coefficients
     import types
 
     import pbrlab.nogo as nogo
@@ -136,7 +138,8 @@ def test_audit_shares_no_code_with_simplex():
     for name in names(verify_certificate.__code__):
         used = getattr(nogo, name, None)
         assert getattr(used, "__module__", None) != "pbrlab.simplex", name
-        assert name != "_over_common_denominator", name
+        assert name not in {"_over_common_denominator", "_Products", "_build",
+                            "quotient", "_tight_lift"}, name
 
 
 def test_certificate_fails_on_feasible_problem():
@@ -409,9 +412,18 @@ def test_lifted_answers_hold_on_the_unreduced_problem(pair):
                                         out.certificate)
 
 
-@settings(max_examples=120, deadline=None, derandomize=True)
-@given(_rho_pairs(), st.integers(0, 10 ** 6), st.sampled_from([1, -1]))
-def test_audit_matches_dense_audit(pair, index, sign):
+@st.composite
+def _repeating_rho_pairs(draw, max_size=6):
+    """rho pairs whose weights repeat, so the LP's Born rows repeat their
+    coefficients: weights drawn from {1, 2}, or from {0, 1, 2} for a
+    support with zeros."""
+    L = draw(st.integers(1, max_size))
+    weights = st.lists(st.integers(draw(st.sampled_from([0, 1])), 2),
+                       min_size=L, max_size=L).filter(any)
+    return _state(*draw(weights)), _state(*draw(weights))
+
+
+def _assert_audits_agree(pair, index, sign):
     p = build_feasibility(*pair, PBR)
     dense = densify(p.A, p.num_vars)
     out = solve_feasibility(p)
@@ -424,6 +436,62 @@ def test_audit_matches_dense_audit(pair, index, sign):
         assert verify_certificate(p, y) == dense_verify_certificate(dense, p.b, y)
     if not out.feasible:
         assert verify_certificate(p, found)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.one_of(_rho_pairs(), _repeating_rho_pairs()),
+       st.integers(0, 10 ** 6), st.sampled_from([1, -1]))
+def test_audit_matches_dense_audit(pair, index, sign):
+    _assert_audits_agree(pair, index, sign)
+
+
+@pytest.mark.parametrize("index, sign", [(0, 1), (144, -1), (150, 1)])
+def test_audit_matches_dense_audit_on_uniform_rho_at_L12(index, sign):
+    # one coefficient, 1/144, on all 2,304 Born-row entries; y moved on
+    # norm row 0, and on Born rows 144 and 150
+    _assert_audits_agree(_uniform_pair(12), index, sign)
+
+
+def _entrywise_rows(p):
+    """p's rows built one entry at a time, each Born coefficient its own
+    product rho_j(lambda) * rho_k(lambda'), in ROW_ORDER_NOTE's order."""
+    L = p.lambda_size
+    rho = {1: p.rho1.weights, 2: p.rho2.weights}
+
+    def col(i, lam, lamp):
+        return (i * L + lam) * L + lamp
+    rows = [tuple((col(i, lam, lamp), 1) for i in range(4))
+            for lam in range(L) for lamp in range(L)]
+    for i in range(4):
+        for j, k in CONTEXTS:
+            rows.append(tuple(
+                (col(i, lam, lamp), wj * wk)
+                for lam, wj in enumerate(rho[j]) if wj
+                for lamp, wk in enumerate(rho[k]) if wk))
+    return tuple(rows)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.one_of(_rho_pairs(), _repeating_rho_pairs(), _shaped_rho_pairs()))
+def test_shared_coefficients_change_no_row_and_no_verdict(pair):
+    p = build_feasibility(*pair, PBR)
+    rows = _entrywise_rows(p)
+    assert p.A == rows
+    assert p.b == (1,) * p.lambda_size ** 2 + tuple(
+        PBR[c][i] for i in range(4) for c in range(4))
+    L = p.lambda_size
+    assert p.row_labels == tuple(
+        [f"norm lambda={lam} lambda'={lamp}"
+         for lam in range(L) for lamp in range(L)]
+        + [f"born outcome={i + 1} context={j}{k}"
+           for i in range(4) for j, k in CONTEXTS])
+    born = [a for row in p.A[L * L:] for _, a in row]
+    assert len({id(a) for a in born}) == len(set(born))
+    entrywise = replace(p, A=rows)
+    out = solve_feasibility(p)
+    assert solve_feasibility(entrywise) == out
+    if not out.feasible:
+        assert verify_certificate(entrywise, out.certificate)
 
 
 def _forcing_certificate(p, proof):

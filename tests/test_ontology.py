@@ -6,10 +6,11 @@ from hypothesis import strategies as st
 
 from pbrlab import contextual
 from pbrlab.hilbert import CONTEXTS, born_targets
-from pbrlab.ontology import (EpistemicState, LambdaSpace, ModelError,
-                             OntologicalModel, OutcomeCounts, ResponseTable,
-                             _predict, chi_square_statistic, predict, sample,
-                             support_overlap, validate_model)
+from pbrlab.ontology import (_predict, chi_square_statistic, predict, sample,
+                             validate_model)
+from pbrlab.values import (EpistemicState, LambdaSpace, ModelError,
+                           OntologicalModel, OutcomeCounts, ResponseTable,
+                           support_overlap)
 from pbrlab.serialize import dumps_canonical, model_to_json
 from records import replace
 

@@ -1,4 +1,4 @@
-"""The immutable value records: every class built on ontology.Record is
+"""The immutable value records: every class built on values.Record is
 immutable, compares and hashes by value, and checks its fields when built."""
 
 import copy
@@ -10,9 +10,9 @@ from pbrlab.contextual import RefutationReport
 from pbrlab.hilbert import MeasurementBasis, PureState
 from pbrlab.nogo import (ContradictionProof, FeasibilityOutcome,
                          FeasibilityProblem, ForcingStep, NoOverlap)
-from pbrlab.ontology import (EpistemicState, LambdaSpace, OntologicalModel,
-                             OutcomeCounts, Record, ResponseTable,
-                             SupportOverlap)
+from pbrlab.values import (EpistemicState, LambdaSpace, OntologicalModel,
+                           OutcomeCounts, Record, ResponseTable,
+                           SupportOverlap)
 from pbrlab.simplex import SimplexResult
 from records import replace
 

@@ -15,10 +15,10 @@ import reference_ontology as ref
 from pbrlab.contextual import _interval_slice, build_interval_model
 from pbrlab.hilbert import CONTEXTS, born_targets
 from pbrlab.nogo import build_feasibility, solve_feasibility, witness_model
-from pbrlab.ontology import (EpistemicState, LambdaSpace, OntologicalModel,
-                             ResponseTable, _cdf, _predict, sample,
-                             validate_model)
+from pbrlab.ontology import _cdf, _predict, sample, validate_model
 from pbrlab.serialize import model_from_json, model_to_json
+from pbrlab.values import (EpistemicState, LambdaSpace, OntologicalModel,
+                           ResponseTable)
 
 # Equal values of different types (1/2, 0.5, 1, True), entries a hair
 # inside and outside [0, 1], and entries well outside it. Models built in

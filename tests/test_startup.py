@@ -44,9 +44,42 @@ _LOADED = ("import json, sys; print(json.dumps(sorted("
 
 
 def test_import_cli_loads_only_the_front_end():
-    loaded = _fresh("import pbrlab.cli; " + _LOADED)
-    assert loaded == ["pbrlab", "pbrlab.cli", "pbrlab.ontology",
-                      "pbrlab.serialize"]
+    loaded = _fresh("import pbrlab.cli; " + _LOADED, "-S")
+    assert loaded == ["pbrlab", "pbrlab.cli", "pbrlab.serialize",
+                      "pbrlab.values"]
+
+
+# `ontology` holds the checks of a whole model, prediction and sampling: a
+# certificate run of `nogo` needs none of them, a witness run checks its
+# witness with them.
+_ONTOLOGY_USERS = {
+    "nogo-certificate": (["nogo", "--lambda-size", "12"], 0, False),
+    "nogo-rho-certificate": (["nogo", "--lambda-size", "3", "--rho",
+                              str(GOLDEN / "rho_L3_seed3_overlap.json")], 0,
+                             False),
+    "nogo-rho-witness": (["nogo", "--lambda-size", "3", "--rho",
+                          str(GOLDEN / "rho_L3_seed3_disjoint.json")], 0, True),
+    "check": (["check", "--model", str(GOLDEN / "model_L3_contextual.json")],
+              0, True),
+    "sample": (["sample", "--model", str(GOLDEN / "model_L3_contextual.json"),
+                "--context", "12", "--n", "100", "--seed", "1"], 0, True),
+    "refute": (["refute", "--lambda-size", "2"], 0, True),
+    "contradiction": (["contradiction", "--model",
+                       str(GOLDEN / "model_L3_disjoint.json")], 4, True),
+}
+
+
+@pytest.mark.parametrize("name", _ONTOLOGY_USERS)
+def test_only_a_witness_or_a_model_command_loads_ontology(name):
+    argv, code, loads = _ONTOLOGY_USERS[name]
+    done, loaded = _fresh(
+        "import contextlib, io, sys, pbrlab.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = pbrlab.cli.main({argv!r})\n"
+        "loaded = [m for m in sys.modules if m.split('.')[0] == 'pbrlab']\n"
+        "import json; print(json.dumps([code, sorted(loaded)]))", "-S")
+    assert done == code
+    assert ("pbrlab.ontology" in loaded) == loads
 
 
 @pytest.mark.parametrize("argv", [
@@ -57,7 +90,8 @@ def test_import_cli_loads_only_the_front_end():
 def test_model_commands_skip_the_born_table_and_the_lp(argv):
     loaded = _fresh("import contextlib, io, pbrlab.cli\n"
                     "with contextlib.redirect_stdout(io.StringIO()):\n"
-                    f"    assert pbrlab.cli.main({argv!r}) == 0\n" + _LOADED)
+                    f"    assert pbrlab.cli.main({argv!r}) == 0\n" + _LOADED,
+                    "-S")
     assert "pbrlab.cli" in loaded
     assert not HEAVY & set(loaded)
 
