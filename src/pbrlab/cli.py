@@ -6,11 +6,12 @@ contradicting the theorem (a bug signal for CI), 4 argument inapplicable
 
 Commands compute and return their report; `main` alone times and prints
 it, as --json or as human lines. Commands raise ModelError for every
-invalid input they find, and `main` alone reports that too, as one
-`error: ...` line on stderr with nothing on stdout, and exits 2. A stdout
-that cannot be written, under --help and --version too, or a report that
-the memory left cannot encode, is reported the same way; a stderr that
-cannot be written still exits 2, silently.
+invalid input they find, and OSError for a file they cannot read or write.
+`main` alone reports either, and memory exhausted anywhere, as one
+`error: ...` line on stderr, `error: out of memory` for the last, and exits
+2. A stdout that cannot be written, under --help and --version too, is
+reported the same way; a stderr that cannot be written still exits 2,
+silently.
 `check` prints its verdict on an invalid model as a report and exits 2.
 Arguments are read against the table COMMANDS by exact name: no prefixes,
 no clusters of short flags, and `--` is an unknown option like any other.
@@ -75,7 +76,7 @@ INPUT_MAX_BYTES = 16 * 2 ** 20
 def _emit(args, inputs: dict, payload: dict, human_lines, elapsed) -> None:
     """Print the --json report, or else the human lines. The input digest
     is the SHA-256 of the inputs' canonical dump, so it covers a model they
-    hold. A failed write or flush of stdout raises ModelError."""
+    hold. An OSError writing or flushing stdout raises ModelError."""
     # Timings stay out of --json output so reports are byte-stable.
     if args.json:
         inputs = {"digest": digest(dumps_canonical(inputs)), **inputs}
@@ -89,10 +90,10 @@ def _emit(args, inputs: dict, payload: dict, human_lines, elapsed) -> None:
 
 
 def _write(stream, *texts: str) -> None:
-    """Write `texts` to `stream` and flush it. If that fails, or a text
-    cannot be encoded in the memory left, the stream's descriptor is pointed
-    at the null device, so what is left in the buffer cannot fail again at
-    exit, and stdout raises ModelError, stderr the error itself."""
+    """Write `texts` to `stream` and flush it. If that fails, the stream's
+    descriptor is pointed at the null device, so what is left in the buffer
+    cannot fail again at exit, and the error is raised again, an OSError of
+    stdout as ModelError naming stdout."""
     try:
         for text in texts:
             stream.write(text)
@@ -101,28 +102,25 @@ def _write(stream, *texts: str) -> None:
         null = os.open(os.devnull, os.O_WRONLY)
         os.dup2(null, stream.fileno())
         os.close(null)
-        if stream is sys.stdout:
-            reason = e if isinstance(e, OSError) else "out of memory"
-            raise ModelError(f"cannot write to stdout: {reason}") from e
+        if stream is sys.stdout and isinstance(e, OSError):
+            raise ModelError(f"cannot write to stdout: {e}") from e
         raise
 
 
 def _load_json_file(path: str):
     """The parsed file, of which at most INPUT_MAX_BYTES + 1 bytes are read,
-    be it regular, a pipe or a device. A file that cannot be read, is longer,
-    is not UTF-8 JSON, holds an integer of more than 4300 digits, nests too
-    deep or exhausts memory raises ModelError."""
+    be it regular, a pipe or a device. A file that is longer, is not UTF-8
+    JSON, holds an integer of more than 4300 digits or nests too deep raises
+    ModelError."""
+    with open(path, "rb") as fh:
+        data = fh.read(INPUT_MAX_BYTES + 1)
+    if len(data) > INPUT_MAX_BYTES:
+        raise ModelError(f"{path} holds more than {INPUT_MAX_BYTES} bytes, "
+                         "the cap on input files")
     try:
-        with open(path, "rb") as fh:
-            data = fh.read(INPUT_MAX_BYTES + 1)
-        if len(data) <= INPUT_MAX_BYTES:
-            return loads(data.decode())
-    except (OSError, ValueError, RecursionError) as e:
+        return loads(data.decode())
+    except (ValueError, RecursionError) as e:
         raise ModelError(str(e)) from e
-    except MemoryError:
-        raise ModelError(f"out of memory reading {path}") from None
-    raise ModelError(f"{path} holds more than {INPUT_MAX_BYTES} bytes, the "
-                     "cap on input files")
 
 
 def _in_range(name: str, value: int, low: int, high: int,
@@ -276,11 +274,8 @@ def cmd_refute(args) -> tuple:
     report_data = contextual.refutation_report(model)
     document = model_to_json(model) if args.out or args.json else None
     if args.out:
-        try:
-            with open(args.out, "w") as fh:
-                fh.write(dumps_canonical(document) + "\n")
-        except OSError as e:
-            raise ModelError(str(e)) from e
+        with open(args.out, "w") as fh:
+            fh.write(dumps_canonical(document) + "\n")
 
     inputs = {"lambda_size": L,
               "targets": _targets_to_json(hilbert.born_targets())}
@@ -314,9 +309,11 @@ def cmd_check(args) -> tuple:
 
 
 def _parse_context(s: str):
-    if s not in ("11", "12", "21", "22"):
-        raise ModelError(f"context must be one of 11, 12, 21, 22; got {s!r}")
-    return int(s[0]), int(s[1])
+    spellings = [f"{j}{k}" for j, k in CONTEXTS]
+    if s not in spellings:
+        raise ModelError(f"context must be one of {', '.join(spellings)}; "
+                         f"got {s!r}")
+    return CONTEXTS[spellings.index(s)]
 
 
 def cmd_sample(args) -> tuple:
@@ -437,9 +434,10 @@ def main(argv=None) -> int:
         code, inputs, payload, lines = args.func(args)
         _emit(args, inputs, payload, lines, time.perf_counter() - t0)
         return code
-    except ModelError as e:
+    except (ModelError, OSError, MemoryError) as e:
         try:
-            _write(sys.stderr, f"error: {e}\n")
+            _write(sys.stderr, "error: out of memory\n"
+                   if isinstance(e, MemoryError) else f"error: {e}\n")
         except (OSError, MemoryError):
             pass  # stderr cannot be written either: the exit code tells
         return EXIT_BAD_INPUT

@@ -468,6 +468,25 @@ GOLDEN = Path(__file__).parent / "golden"
 SRC = str(Path(__file__).parents[1] / "src")
 
 
+def _run_cli(*argv, megabytes=None, stdout=subprocess.PIPE,
+             stderr=subprocess.PIPE):
+    """`pbr ARGV` in a child process, so the exit code and the streams are
+    the real ones; with `megabytes` of address space, set on the child
+    alone, if given."""
+    limit_memory = None
+    if megabytes is not None:
+        resource = pytest.importorskip("resource")
+        limit = megabytes * 2 ** 20
+
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "pbrlab.cli", *argv],
+                          stdout=stdout, stderr=stderr, text=True, env=env,
+                          preexec_fn=limit_memory, timeout=60)
+
+
 @pytest.mark.parametrize("argv", [
     ["nogo", "--lambda-size", "0"],
     ["nogo", "--lambda-size", "65"],
@@ -480,9 +499,11 @@ SRC = str(Path(__file__).parents[1] / "src")
     ["sample", "--model", "{invalid}", "--context", "11", "--n", "10",
      "--seed", "1"],
     ["refute", "--lambda-size", "2", "--out", "{unwritable}"],
+    ["check", "--model", "{directory}"],
+    ["nogo", "--lambda-size", "2", "--rho", "{directory}"],
 ], ids=["nogo-L0", "nogo-L65", "refute-L0", "refute-L129", "sample-n-1",
         "missing-model", "contradiction-invalid", "sample-invalid",
-        "refute-unwritable-out"])
+        "refute-unwritable-out", "model-directory", "rho-directory"])
 def test_bad_input_prints_one_error_line(capsys, tmp_path, argv):
     invalid = model_to_json(_noncontextual_overlap_model())
     invalid["rho1"] = ["2", "-1"]
@@ -490,7 +511,8 @@ def test_bad_input_prints_one_error_line(capsys, tmp_path, argv):
     paths = {"valid": str(GOLDEN / "model_L3_noncontextual.json"),
              "missing": str(tmp_path / "missing.json"),
              "invalid": str(tmp_path / "invalid.json"),
-             "unwritable": str(tmp_path / "no_such_dir" / "model.json")}
+             "unwritable": str(tmp_path / "no_such_dir" / "model.json"),
+             "directory": str(tmp_path)}
     code, out, err = run(capsys, *[a.format(**paths) for a in argv], "--json")
     assert code == 2
     assert out == ""
@@ -514,14 +536,9 @@ def _argv(command, path):
     b'{"mode": "\xff"}',
 ], ids=["5000-digit-integer", "nested-100000-deep", "not-utf-8"])
 def test_hostile_json_exits_2(tmp_path, command, content):
-    # a separate process, so the exit code and stderr are the real ones
     path = tmp_path / "hostile.json"
     path.write_bytes(content)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-m", "pbrlab.cli",
-                           *_argv(command, str(path)), "--json"],
-                          capture_output=True, text=True, env=env, timeout=60)
+    proc = _run_cli(*_argv(command, str(path)), "--json")
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
@@ -572,23 +589,8 @@ def test_an_oversize_file_is_refused_before_its_literals(monkeypatch, name):
         read({**doc, "lambda_size": n})
 
 
-def _limited(megabytes: int, *argv):
-    """`pbr ARGV` in a child with `megabytes` of address space, set on the
-    child alone."""
-    resource = pytest.importorskip("resource")
-    limit = megabytes * 2 ** 20
-
-    def limit_memory():
-        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-m", "pbrlab.cli", *argv],
-                          capture_output=True, text=True, env=env,
-                          preexec_fn=limit_memory, timeout=60)
-
-
 def _check_under_memory_limit(tmp_path, megabytes: int):
-    """(path, stderr) of `check --json` of an L = 200 model of 640,000
+    """The stderr of `check --json` of an L = 200 model of 640,000
     distinct literals, 6.9 MB, in a child with `megabytes` of address space,
     which must exit 2 with nothing on stdout."""
     count = iter(range(1, 10 ** 6))
@@ -603,44 +605,52 @@ def _check_under_memory_limit(tmp_path, megabytes: int):
                         "p": {c: table() for c in ("11", "12", "21", "22")}}}
     path = tmp_path / "oversize.json"
     path.write_text(json.dumps(doc))
-    proc = _limited(megabytes, "check", "--model", str(path), "--json")
+    proc = _run_cli("check", "--model", str(path), "--json",
+                    megabytes=megabytes)
     assert proc.returncode == 2, proc.stderr[-500:]
     assert proc.stdout == ""
-    return path, proc.stderr
+    return proc.stderr
 
 
 def test_an_oversize_model_exits_2_under_a_memory_limit(tmp_path):
     # With 160 MB `check --json` died with a MemoryError traceback and exit
     # 1 while building the model; now the file is refused once parsed.
-    _, err = _check_under_memory_limit(tmp_path, 160)
+    err = _check_under_memory_limit(tmp_path, 160)
     assert err.startswith("error: ") and err.count("\n") == 1
     assert len(err) < 200
 
 
 def test_a_model_that_exhausts_memory_when_parsed_exits_2(tmp_path):
     # With 50 MB the parse itself died with a MemoryError traceback and
-    # exit 1, as it did with 36-70 MB on Python 3.10-3.13; now the file is
-    # named in one error line.
-    path, err = _check_under_memory_limit(tmp_path, 50)
-    assert err == f"error: out of memory reading {path}\n"
+    # exit 1, as it did with 36-70 MB on Python 3.10-3.13.
+    err = _check_under_memory_limit(tmp_path, 50)
+    assert err == "error: out of memory\n"
 
 
-def test_a_report_that_exhausts_memory_when_written_exits_2():
-    # `check --json` of the refute L = 128 model, a 5.6 MB report, died in
-    # stream.write with a MemoryError traceback and exit 1 under 36-40 MB.
-    # Written without a copy, that report now runs out alone in a window
-    # of at most 1 MB, if any, above the limits where the parse does.
-    # `refute --lambda-size 128 --json` parses no file, and the write of
-    # its 5.2 MB report runs out alone in a window 4-5 MB wide, within
-    # 20-28 MB on Python 3.10-3.13: steps of 2 MB down from where it fits
-    # land in it.
-    for megabytes in range(32, 16, -2):
-        proc = _limited(megabytes, "refute", "--lambda-size", "128", "--json")
-        if proc.returncode:
+def test_exhausted_memory_exits_0_or_2_at_every_limit():
+    # Under child limits of about 20-28 MB (Python 3.10-3.13), nogo died of
+    # a MemoryError in nogo._build and refute in dumps_canonical's final
+    # join, each with a traceback and exit 1. Step the limit down from where
+    # both fit to where the interpreter itself runs out before `main`:
+    # there `--version` fails too, and the sweep ends.
+    commands = [["nogo", "--lambda-size", "64", "--json"],
+                ["refute", "--lambda-size", "128", "--json"]]
+    codes = []
+    for megabytes in range(36, 0, -2):
+        procs = [_run_cli(*argv, megabytes=megabytes) for argv in commands]
+        if any(p.returncode not in (0, 2) for p in procs) and _run_cli(
+                "--version", megabytes=megabytes).returncode:
             break
-    assert proc.returncode == 2, proc.stderr[-500:]
-    assert proc.stdout == ""
-    assert proc.stderr == "error: cannot write to stdout: out of memory\n"
+        for proc in procs:
+            assert proc.returncode in (0, 2), (megabytes, proc.stderr[-500:])
+            if proc.returncode == 2:
+                assert proc.stdout == ""
+                assert proc.stderr.startswith("error: ")
+                assert proc.stderr.count("\n") == 1
+                assert "Traceback" not in proc.stderr
+        codes.append([p.returncode for p in procs])
+    assert codes and codes[0] == [0, 0], codes
+    assert all(2 in c for c in zip(*codes)), codes
 
 
 def _feed_fifo(path, size: int) -> threading.Thread:
@@ -761,14 +771,6 @@ def test_sample_rejects_huge_n_before_sampling(capsys, n):
 # numerator and denominator do not.
 _LONG_A = "1/" + "7" * 4000
 _LONG_B = "1/" + "3" * 3999 + "1"
-
-
-def _run_cli(*argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE):
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-m", "pbrlab.cli", *argv],
-                          stdout=stdout, stderr=stderr, text=True,
-                          env=env, timeout=60)
 
 
 @pytest.mark.parametrize("command", ["check", "sample", "contradiction"])
