@@ -13,6 +13,8 @@ invalid input they find, and OSError for a file they cannot read or write.
 reported the same way; a stderr that cannot be written still exits 2,
 silently.
 `check` prints its verdict on an invalid model as a report and exits 2.
+A file a command writes (`refute --out`) is moved onto its path only once
+the report is written, so a run that exits 2 changes no file.
 Arguments are read against the table COMMANDS by exact name: no prefixes,
 no clusters of short flags, and `--` is an unknown option like any other.
 A usage error is one more ModelError.
@@ -33,8 +35,8 @@ from .serialize import (REFUTE_MAX_LAMBDA, _quoted, _table_to_json,
                         _targets_to_json, digest, dumps_canonical, fmt_frac,
                         loads, model_from_json, model_to_json,
                         rho_pair_from_json)
-from .values import (CONTEXTS, EpistemicState, ModelError, _shown,
-                     support_overlap)
+from .values import (CONTEXTS, NONCONTEXTUAL_ONLY, EpistemicState,
+                     ModelError, _shown, support_overlap)
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
@@ -43,8 +45,9 @@ EXIT_NOT_APPLICABLE = 4
 
 # nogo decides its LP on the quotient lambda-space (nogo.quotient): one
 # class per projective point [rho1 : rho2], so the solved LP has K^2 + 16
-# rows for K <= L classes, and only the unreduced audit of a certificate or
-# the witness check grows as L^2. The worst case is K = L, distinct
+# rows for K <= L classes. The unreduced LP is never built: only the lift,
+# the certificate's audit, which reads rho and not A, and the witness check
+# grow as L^2. The worst case is K = L, distinct
 # overlapping weights: 0.5-1.3 s from process start to exit at L = 64 for
 # weights of up to 3 digits, where uniform, disjoint or partly overlapping
 # rho take under 0.5 s (Python 3.11, 2 vCPUs). Longer weights take longer:
@@ -105,6 +108,26 @@ def _write(stream, *texts: str) -> None:
         if stream is sys.stdout and isinstance(e, OSError):
             raise ModelError(f"cannot write to stdout: {e}") from e
         raise
+
+
+def _stage(args, path: str, *texts: str) -> None:
+    """Write `texts` for `path`, or raise an OSError naming `path`. A
+    regular file, or a new one, is replaced: `texts` go to a new file beside
+    it, which `main` moves onto it once the report is written, or removes if
+    the run fails, so a run that exits 2 leaves `path` as it was. Anything
+    else, such as a symbolic link, /dev/null or a pipe, is written in
+    place."""
+    replace = not os.path.lexists(path) or (
+        os.path.isfile(path) and not os.path.islink(path))
+    head, tail = os.path.split(path)
+    new = os.path.join(head, f".{tail}.{os.getpid()}.tmp") if replace else path
+    try:
+        with open(new, "x" if replace else "w") as fh:
+            if replace:
+                args.staged.append((new, path))
+            fh.writelines(texts)
+    except OSError as e:
+        raise OSError(e.errno, e.strerror, path) from e
 
 
 def _load_json_file(path: str):
@@ -233,12 +256,16 @@ def cmd_nogo(args) -> tuple:
 
 
 def cmd_contradiction(args) -> tuple:
+    document = _load_json_file(args.model)
+    # A file whose response kind is contextual is refused, valid or not,
+    # before it is read into a model; any other shape is read in full.
+    response = (document.get("response") if isinstance(document, dict)
+                else None)
+    if isinstance(response, dict) and response.get("kind") == "contextual":
+        raise ModelError(NONCONTEXTUAL_ONLY)
     from . import nogo, ontology
-    model = model_from_json(_load_json_file(args.model))
-    # A contextual model goes straight to derive_contradiction, which
-    # refuses it whether or not it is valid.
-    if not model.contextual:
-        ontology._require_valid(model)
+    model = model_from_json(document)
+    ontology._require_valid(model)
     result = nogo.derive_contradiction(model)
 
     inputs = {"model": model_to_json(model) if args.json else None}
@@ -274,8 +301,7 @@ def cmd_refute(args) -> tuple:
     report_data = contextual.refutation_report(model)
     document = model_to_json(model) if args.out or args.json else None
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(dumps_canonical(document) + "\n")
+        _stage(args, args.out, dumps_canonical(document), "\n")
 
     inputs = {"lambda_size": L,
               "targets": _targets_to_json(hilbert.born_targets())}
@@ -425,14 +451,18 @@ def _parse(argv):
 
 
 def main(argv=None) -> int:
+    staged = []  # (new file, path) for each file a command wrote (_stage)
     try:
         args = _parse(sys.argv[1:] if argv is None else list(argv))
         if isinstance(args, str):  # --help or --version
             _write(sys.stdout, args)
             return EXIT_OK
+        args.staged = staged
         t0 = time.perf_counter()
         code, inputs, payload, lines = args.func(args)
         _emit(args, inputs, payload, lines, time.perf_counter() - t0)
+        for new, path in staged:
+            os.replace(new, path)
         return code
     except (ModelError, OSError, MemoryError) as e:
         try:
@@ -441,6 +471,10 @@ def main(argv=None) -> int:
         except (OSError, MemoryError):
             pass  # stderr cannot be written either: the exit code tells
         return EXIT_BAD_INPUT
+    finally:
+        for new, _ in staged:
+            if os.path.lexists(new):  # not moved onto its path: the run failed
+                os.remove(new)
 
 
 def run() -> None:

@@ -24,37 +24,48 @@ quotient is the problem itself. `solve_feasibility` lifts the answer back:
   weights are proportional with factors summing to 1, so y^T b is never
   below the quotient's.
 
-Certificates are therefore over the unreduced rows of ROW_ORDER_NOTE, and
-`verify_certificate` audits them on the unreduced problem, which shares no
-code with the reduction.
+Certificates are over the unreduced rows of ROW_ORDER_NOTE, but that LP
+is built only if its A, b or row labels are read: `verify_certificate`
+audits from rho and the targets, sharing no code with the reduction.
 """
 
 from fractions import Fraction
 from math import lcm
 
 from .simplex import solve_equalities
-from .values import (CONTEXTS, EpistemicState, LambdaSpace, ModelError,
-                     OntologicalModel, Record, ResponseTable,
-                     _over_common_denominator, _require_inputs,
-                     support_overlap)
+from .values import (CONTEXTS, NONCONTEXTUAL_ONLY, EpistemicState,
+                     LambdaSpace, ModelError, OntologicalModel, Record,
+                     ResponseTable, _over_common_denominator,
+                     _require_inputs, support_overlap)
 
 _ONE = Fraction(1)
 
 # Row order: the L^2 normalization rows (lambda-major), then the 16 Born
 # rows (outcome-major, context-minor). Column order: variable x[i][lam][lamp]
 # at ((i-1)*L + lam)*L + lamp. Fixed so certificates compare across runs.
-# A row lists only its nonzero coefficients, by increasing column: a
-# normalization row has 4, a Born row at most L^2.
 ROW_ORDER_NOTE = ("normalization rows (lambda-major), then Born rows "
                   "(outcome-major, context-minor in order 11,12,21,22); "
                   "columns x[i][lambda][lambda'] outcome-major")
 
 
-class FeasibilityProblem(Record):
-    # targets: 4 x 4, rows by context, columns by outcome; A: L^2 + 16 rows
-    # of (column, coefficient) pairs.
-    __slots__ = ("lambda_size", "rho1", "rho2", "targets", "A", "b",
-                 "row_labels")
+class _Derived(Record):
+    __slots__ = ("A", "b", "row_labels")  # set from the fields on first read
+
+    def __getattr__(self, name):  # called while the slot `name` is unset
+        if name not in ("A", "b", "row_labels"):
+            raise AttributeError(name)
+        derived = ({name: _labels(self)} if name == "row_labels"
+                   else dict(zip("Ab", _build(self))))
+        for key, value in derived.items():
+            object.__setattr__(self, key, value)
+        return derived[name]
+
+
+class FeasibilityProblem(_Derived):
+    # targets: 4 x 4, rows by context, columns by outcome. A, b and
+    # row_labels are derived on first read and kept; a row of A lists its
+    # nonzero (column, coefficient) pairs by column, 4 or at most L^2.
+    __slots__ = ("lambda_size", "rho1", "rho2", "targets")
 
     @property
     def num_vars(self) -> int:
@@ -88,65 +99,54 @@ class NoOverlap(Record):
     __slots__ = ()
 
 
-def _var(i: int, lam: int, lamp: int, L: int) -> int:
-    return (i * L + lam) * L + lamp
-
-
 def build_feasibility(r1: EpistemicState, r2: EpistemicState,
                       targets) -> FeasibilityProblem:
     _require_inputs(r1, r2, r1.size, targets)
-    return _build(r1, r2, targets)
+    return FeasibilityProblem(lambda_size=r1.size, rho1=r1, rho2=r2,
+                              targets=tuple(tuple(r) for r in targets))
 
 
-class _Products(dict):
-    """Integer numerator n -> the Fraction n / den, made once per n."""
-
-    def __init__(self, den: int):
-        self.den = den
-
-    def __missing__(self, n: int) -> Fraction:
-        self[n] = value = Fraction(n, self.den)
-        return value
-
-
-def _build(r1, r2, targets) -> FeasibilityProblem:
-    """build_feasibility's LP, for inputs already validated."""
-    L = r1.size
+def _build(p: FeasibilityProblem) -> tuple:
+    """(A, b): p's LP, in ROW_ORDER_NOTE's order."""
+    L = p.lambda_size
     LL = L * L
     A = [((cell, _ONE), (cell + LL, _ONE), (cell + 2 * LL, _ONE),
           (cell + 3 * LL, _ONE)) for cell in range(LL)]
     b = [_ONE] * LL
-    labels = [f"norm lambda={lam} lambda'={lamp}"
-              for lam in range(L) for lamp in range(L)]
 
     # Each context's weights rho_j(lambda) * rho_k(lambda') over the cells
     # lambda * L + lambda' they do not vanish on, shared by its 4 Born rows.
     # With rho = a / d, a weight is the integer a_j * a_k over d^2, and each
     # distinct one is one Fraction: uniform rho has one for all L^2 cells.
-    scaled, d = _over_common_denominator(r1.weights + r2.weights)
+    scaled, d = _over_common_denominator(p.rho1.weights + p.rho2.weights)
     a = {1: scaled[:L], 2: scaled[L:]}
-    weight = _Products(d * d)
+    weight = {}  # numerator n -> Fraction(n, d^2)
     products = []
     for j, k in CONTEXTS:
         lamps = [lamp for lamp, n in enumerate(a[k]) if n]
         nums = [n for n in a[k] if n]
-        cells, weights = [], []
+        cells, ints = [], []
         for lam, a_lam in enumerate(a[j]):
             if a_lam:
                 cells.extend(map((lam * L).__add__, lamps))
-                weights.extend(map(weight.__getitem__, map(a_lam.__mul__, nums)))
-        products.append((cells, weights))
+                ints.extend(map(a_lam.__mul__, nums))
+        for n in set(ints).difference(weight):
+            weight[n] = Fraction(n, d * d)
+        products.append((cells, list(map(weight.__getitem__, ints))))
     for i in range(4):
         offset = i * LL
-        for c, (j, k) in enumerate(CONTEXTS):
-            cells, weights = products[c]
+        for c, (cells, weights) in enumerate(products):
             A.append(tuple(zip(map(offset.__add__, cells), weights)))
-            b.append(Fraction(targets[c][i]))
-            labels.append(f"born outcome={i + 1} context={j}{k}")
+            b.append(Fraction(p.targets[c][i]))
+    return tuple(A), tuple(b)
 
-    return FeasibilityProblem(lambda_size=L, rho1=r1, rho2=r2,
-                              targets=tuple(tuple(r) for r in targets),
-                              A=tuple(A), b=tuple(b), row_labels=tuple(labels))
+
+def _labels(p: FeasibilityProblem) -> tuple:
+    L = p.lambda_size
+    return tuple([f"norm lambda={lam} lambda'={lamp}"
+                  for lam in range(L) for lamp in range(L)]
+                 + [f"born outcome={i + 1} context={j}{k}"
+                    for i in range(4) for j, k in CONTEXTS])
 
 
 def lambda_classes(r1: EpistemicState, r2: EpistemicState) -> tuple:
@@ -161,9 +161,9 @@ def lambda_classes(r1: EpistemicState, r2: EpistemicState) -> tuple:
 
 
 def quotient(p: FeasibilityProblem) -> tuple:
-    """(classes, q): the class of each lambda, and the LP built on the
-    class masses. With one lambda per class the classes are the identity
-    and q is p itself."""
+    """(classes, q): the class of each lambda, and the problem posed on the
+    class masses, its LP unbuilt. With one lambda per class the classes are
+    the identity and q is p itself."""
     classes = lambda_classes(p.rho1, p.rho2)
     K = max(classes) + 1
     if K == p.lambda_size:
@@ -173,8 +173,9 @@ def quotient(p: FeasibilityProblem) -> tuple:
         masses[0][kappa] += a
         masses[1][kappa] += b
     # The class masses are sums of p's validated weights.
-    return classes, _build(EpistemicState(tuple(masses[0])),
-                           EpistemicState(tuple(masses[1])), p.targets)
+    return classes, FeasibilityProblem(
+        lambda_size=K, rho1=EpistemicState(tuple(masses[0])),
+        rho2=EpistemicState(tuple(masses[1])), targets=p.targets)
 
 
 def solve_feasibility(p: FeasibilityProblem) -> FeasibilityOutcome:
@@ -191,9 +192,8 @@ def solve_feasibility(p: FeasibilityProblem) -> FeasibilityOutcome:
     # on entry identity, checks each distinct cell once.
     shared = {}
     x = [shared.setdefault(v, v) for v in result.witness]
-    table = tuple(tuple(tuple(x[_var(i, kappa, kappa_p, K)]
-                              for kappa_p in classes)
-                        for kappa in classes)
+    table = tuple(tuple(tuple(x[(i * K + kappa) * K + kappa_p]
+                              for kappa_p in classes) for kappa in classes)
                   for i in range(4))
     return FeasibilityOutcome(feasible=True, witness=ResponseTable(table),
                               certificate=None)
@@ -231,30 +231,33 @@ def verify_certificate(p: FeasibilityProblem, y) -> bool:
     """Independent Farkas audit: y^T A <= 0 columnwise and y^T b > 0,
     all exact. True iff y proves {Ax = b, x >= 0} unsolvable.
 
-    y is put over one common denominator, and the rows y uses over
-    another, so each column sum is a sum of integer products over the
-    nonzeros; both denominators are positive, so its sign is the sign
-    of the exact column of y^T A. A coefficient object that the rows
-    repeat is scaled to its integer once, keyed by its id while p holds
-    it."""
-    if len(y) != len(p.A):
-        raise ModelError(f"certificate has {len(y)} entries for {len(p.A)} rows")
-    y_den = lcm(*(yr.denominator for yr in y))
-    used = [(r, yr.numerator * (y_den // yr.denominator))
-            for r, yr in enumerate(y) if yr]
-    coefficients = {id(a): a for r, _ in used for _, a in p.A[r]}
-    a_den = lcm(*(a.denominator for a in coefficients.values()))
-    scaled = {key: a.numerator * (a_den // a.denominator)
-              for key, a in coefficients.items()}
-    cols = {}
-    for r, yr in used:
-        for col, a in p.A[r]:
-            cols[col] = cols.get(col, 0) + yr * scaled[id(a)]
-    if any(c > 0 for c in cols.values()):
-        return False
-    b_den = lcm(*(p.b[r].denominator for r, _ in used))
-    return sum(yr * p.b[r].numerator * (b_den // p.b[r].denominator)
-               for r, yr in used) > 0
+    It reads rho and the targets, not A: column (i, lambda, lambda') of
+    y^T A is y_norm(lambda, lambda') + sum_c y_B[i, c] rho_j(lambda)
+    rho_k(lambda'). With y = Y / e, rho = r / d and u_k = sum_j Y_B[i, (j, k)]
+    r_j(lambda), e d^2 > 0 times it is Y_norm d^2 + sum_k u_k r_k(lambda')."""
+    L = p.lambda_size
+    LL = L * L
+    if len(y) != LL + 16:
+        raise ModelError(f"certificate has {len(y)} entries for {LL + 16} rows")
+    e = lcm(*(v.denominator for v in y))
+    Y = [v.numerator * (e // v.denominator) for v in y]
+    weights = p.rho1.weights + p.rho2.weights
+    d = lcm(*(w.denominator for w in weights))
+    r = [w.numerator * (d // w.denominator) for w in weights]
+    r1, r2 = r[:L], r[L:]
+    norm = list(map((d * d).__mul__, Y[:LL]))
+    for lam in range(L):
+        cells = norm[lam * L: lam * L + L]
+        for c in range(LL, LL + 16, 4):  # one outcome, contexts 11, 12, 21, 22
+            u1 = Y[c] * r1[lam] + Y[c + 2] * r2[lam]
+            u2 = Y[c + 1] * r1[lam] + Y[c + 3] * r2[lam]
+            if any(n + u1 * s1 + u2 * s2 > 0
+                   for n, s1, s2 in zip(cells, r1, r2)):
+                return False
+    t = lcm(*(q.denominator for row in p.targets for q in row))
+    return t * sum(Y[:LL]) + sum(
+        Y[LL + 4 * i + c] * q.numerator * (t // q.denominator)
+        for c, row in enumerate(p.targets) for i, q in enumerate(row)) > 0
 
 
 def witness_model(p: FeasibilityProblem,
@@ -274,10 +277,9 @@ def derive_contradiction(m: OntologicalModel):
 
     Returns a ContradictionProof, or NoOverlap() when the supports are
     disjoint. Noncontextual models only: a response that may depend on the
-    prepared states escapes the argument.
-    """
+    prepared states escapes the argument."""
     if m.contextual:
-        raise ModelError("the forcing argument applies to noncontextual models")
+        raise ModelError(NONCONTEXTUAL_ONLY)
 
     zero_contexts = []
     for i in range(1, 5):
@@ -292,14 +294,12 @@ def derive_contradiction(m: OntologicalModel):
     if overlap.disjoint:
         return NoOverlap()
 
-    rho = {1: m.rho1, 2: m.rho2}
     lam_star = next(i for i, (w1, w2) in
                     enumerate(zip(m.rho1.weights, m.rho2.weights)) if w1 * w2 > 0)
-    steps = []
-    for i, (j, k) in enumerate(zero_contexts, start=1):
-        weight = rho[j].weights[lam_star] * rho[k].weights[lam_star]
-        steps.append(ForcingStep(outcome=i, context=(j, k), weight=weight))
-    return ContradictionProof(lambda_star=lam_star, steps=tuple(steps),
+    w = {1: m.rho1.weights[lam_star], 2: m.rho2.weights[lam_star]}
+    steps = tuple(ForcingStep(outcome=i, context=(j, k), weight=w[j] * w[k])
+                  for i, (j, k) in enumerate(zero_contexts, start=1))
+    return ContradictionProof(lambda_star=lam_star, steps=steps,
                               total=Fraction(0))
 
 

@@ -21,6 +21,10 @@ class ModelError(ValueError):
     """Raised when an operation receives an invalid model."""
 
 
+# Why the forcing argument refuses a contextual model.
+NONCONTEXTUAL_ONLY = "the forcing argument applies to noncontextual models"
+
+
 class StateError(ValueError):
     """Raised for unnormalized states, dimension mismatches and unknown
     contexts."""

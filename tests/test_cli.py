@@ -90,6 +90,34 @@ def test_nogo_builds_and_validates_once(capsys, monkeypatch):
     assert calls == ["build_feasibility", "_require_inputs"]
 
 
+@pytest.mark.parametrize("argv, golden, built", [
+    (["--lambda-size", "12"], "nogo_uniform_L12", [1]),
+    (["--lambda-size", "5", "--rho", "rho_L5_seed5_classes"],
+     "nogo_L5_seed5_classes", [4]),
+    (["--lambda-size", "7", "--rho", "rho_L7_seed7_disjoint"],
+     "nogo_L7_seed7_disjoint", [2]),
+    (["--lambda-size", "7", "--rho", "rho_L7_seed7_overlap"],
+     "nogo_L7_seed7_overlap", [7]),
+], ids=["uniform-certificate", "classes-certificate", "disjoint-witness",
+        "K=L-certificate"])
+def test_nogo_builds_only_the_lp_it_solves(capsys, monkeypatch, argv, golden,
+                                           built):
+    # Below K = L the unreduced LP over L^2 cells is never built, for a
+    # certificate or a witness: only the class-mass LP, once. At K = L
+    # that LP is the problem's own, built once too.
+    from pbrlab import nogo
+    sizes = []
+    original = nogo._build
+    monkeypatch.setattr(nogo, "_build", lambda p: sizes.append(p.lambda_size)
+                        or original(p))
+    argv = [str(GOLDEN / f"{a}.json") if a.startswith("rho_") else a
+            for a in argv]
+    code, out, _ = run(capsys, "nogo", *argv, "--json")
+    assert code == 0
+    assert out == (GOLDEN / f"{golden}.json").read_text()
+    assert sizes == built
+
+
 def test_nogo_malformed_rho_file(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
@@ -190,6 +218,45 @@ def test_contradiction_invalid_model(capsys, tmp_path):
     code, _, err = run(capsys, "contradiction", "--model", str(path))
     assert code == 2
     assert "invalid model" in err
+
+
+_CONTEXTUAL_SHAPES = {  # a contextual response kind, and the rest
+    "valid": lambda doc: doc,
+    "float-mode": lambda doc: {**doc, "mode": "float"},
+    "no-rho": lambda doc: {k: v for k, v in doc.items() if k != "rho1"},
+    "no-tables": lambda doc: {**doc, "response": {"kind": "contextual"}},
+    "kind-only": lambda doc: {"response": {"kind": "contextual"}},
+}
+
+
+@pytest.mark.parametrize("shape", _CONTEXTUAL_SHAPES)
+def test_contradiction_refuses_a_contextual_file_unread(capsys, monkeypatch,
+                                                        tmp_path, shape):
+    # Its response kind alone refuses it, valid or not: no model is built.
+    doc = json.loads((GOLDEN / "model_L3_contextual.json").read_text())
+    path = tmp_path / "contextual.json"
+    path.write_text(json.dumps(_CONTEXTUAL_SHAPES[shape](doc)))
+    monkeypatch.setattr(cli, "model_from_json",
+                        lambda d: pytest.fail("read into a model"))
+    code, out, err = run(capsys, "contradiction", "--model", str(path),
+                         "--json")
+    assert (code, out) == (2, "")
+    assert err == f"error: {values.NONCONTEXTUAL_ONLY}\n"
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([1], "malformed model: list indices must be integers"),
+    ({"response": "contextual"}, "malformed model: 'mode'"),
+    ({"mode": "exact", "response": {"kind": ["contextual"]}},
+     "malformed model: 'lambda_size'"),
+], ids=["list", "response-string", "kind-list"])
+def test_contradiction_reads_any_other_shape_in_full(capsys, tmp_path, doc,
+                                                     message):
+    path = tmp_path / "other.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "contradiction", "--model", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
 def test_refute_affirms_and_writes_model(capsys, tmp_path):
@@ -392,7 +459,11 @@ def test_malformed_response_table_exits_2(capsys, tmp_path, command, how):
     code, out, err = run(capsys, command, "--model", str(path), *extra, "--json")
     assert code == 2
     assert out == ""
-    assert "malformed model" in err
+    if command == "contradiction" and how == "missing-slice":
+        # refused by its contextual response kind before it is read further
+        assert err == f"error: {values.NONCONTEXTUAL_ONLY}\n"
+    else:
+        assert "malformed model" in err
 
 
 def test_sample_rejects_model_invalid_in_another_context(capsys, tmp_path):
@@ -464,15 +535,62 @@ def test_refute_unwritable_out_exits_2(capsys, tmp_path):
     assert "error" in err and "no_such_dir" in err
 
 
+def test_refute_out_onto_a_directory_names_it(capsys, tmp_path):
+    code, out, err = run(capsys, "refute", "--lambda-size", "2",
+                         "--out", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.endswith(f"Is a directory: {str(tmp_path)!r}\n")
+    assert os.listdir(tmp_path) == []
+
+
+def test_refute_out_is_replaced_once_the_report_is_written(capsys, tmp_path):
+    # A stdout that cannot be written fails the run after the model was
+    # written beside --out: the file keeps its bytes, and the new one goes.
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    out_path = tmp_path / "model.json"
+    out_path.write_bytes(b"old bytes\n")
+    argv = ["refute", "--lambda-size", "2", "--out", str(out_path), "--json"]
+    with open("/dev/full", "w") as full:
+        proc = _run_cli(*argv, stdout=full)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: cannot write to stdout")
+    assert out_path.read_bytes() == b"old bytes\n"
+    assert os.listdir(tmp_path) == ["model.json"]
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    assert out_path.read_text() == (GOLDEN / "refute_L2_out.json").read_text()
+    assert os.listdir(tmp_path) == ["model.json"]
+
+
+def test_refute_out_writes_through_a_link_and_into_a_device(capsys,
+                                                             tmp_path):
+    # only a regular file, or a new one, is replaced
+    target = tmp_path / "target.json"
+    target.write_text("old")
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    code, _, _ = run(capsys, "refute", "--lambda-size", "2", "--out",
+                     str(link))
+    assert code == 0
+    assert link.is_symlink()
+    assert target.read_text() == (GOLDEN / "refute_L2_out.json").read_text()
+    assert sorted(os.listdir(tmp_path)) == ["link.json", "target.json"]
+    code, _, _ = run(capsys, "refute", "--lambda-size", "2", "--out",
+                     os.devnull)
+    assert code == 0
+
+
 GOLDEN = Path(__file__).parent / "golden"
 SRC = str(Path(__file__).parents[1] / "src")
 
 
-def _run_cli(*argv, megabytes=None, stdout=subprocess.PIPE,
-             stderr=subprocess.PIPE):
-    """`pbr ARGV` in a child process, so the exit code and the streams are
-    the real ones; with `megabytes` of address space, set on the child
-    alone, if given."""
+def _start_cli(*argv, megabytes=None, stdout=subprocess.PIPE,
+               stderr=subprocess.PIPE) -> subprocess.Popen:
+    """`pbr ARGV` started in a child process, so the exit code and the
+    streams are the real ones; with `megabytes` of address space, set on the
+    child alone, if given."""
     limit_memory = None
     if megabytes is not None:
         resource = pytest.importorskip("resource")
@@ -482,9 +600,24 @@ def _run_cli(*argv, megabytes=None, stdout=subprocess.PIPE,
             resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-m", "pbrlab.cli", *argv],
-                          stdout=stdout, stderr=stderr, text=True, env=env,
-                          preexec_fn=limit_memory, timeout=60)
+    return subprocess.Popen([sys.executable, "-m", "pbrlab.cli", *argv],
+                            stdout=stdout, stderr=stderr, text=True, env=env,
+                            preexec_fn=limit_memory)
+
+
+def _finish(proc: subprocess.Popen) -> subprocess.CompletedProcess:
+    try:
+        out, err = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        proc.communicate()
+        raise
+    return subprocess.CompletedProcess(proc.args, proc.returncode, out, err)
+
+
+def _run_cli(*argv, **kwargs) -> subprocess.CompletedProcess:
+    """`pbr ARGV` run to its end by _start_cli."""
+    return _finish(_start_cli(*argv, **kwargs))
 
 
 @pytest.mark.parametrize("argv", [
@@ -627,19 +760,48 @@ def test_a_model_that_exhausts_memory_when_parsed_exits_2(tmp_path):
     assert err == "error: out of memory\n"
 
 
-def test_exhausted_memory_exits_0_or_2_at_every_limit():
+def _distinct_rho_file(path, L: int, seed: int) -> None:
+    """A rho file over L lambdas whose weights, drawn from 1..1000 by
+    `random.Random(seed)`, are distinct: K = L classes, so nogo solves the
+    unreduced LP."""
+    import random
+    rng = random.Random(seed)
+    weights = [rng.sample(range(1, 1001), L) for _ in range(2)]
+    path.write_text(json.dumps(
+        {"lambda_size": L, **{f"rho{i + 1}": [str(Fraction(w, sum(ws)))
+                                              for w in ws]
+                              for i, ws in enumerate(weights)}}))
+
+
+def test_exhausted_memory_exits_0_or_2_at_every_limit(tmp_path):
     # Under child limits of about 20-28 MB (Python 3.10-3.13), nogo died of
     # a MemoryError in nogo._build and refute in dumps_canonical's final
     # join, each with a traceback and exit 1. Step the limit down from where
-    # both fit to where the interpreter itself runs out before `main`:
-    # there `--version` fails too, and the sweep ends.
-    commands = [["nogo", "--lambda-size", "64", "--json"],
-                ["refute", "--lambda-size", "128", "--json"]]
-    codes = []
-    for megabytes in range(36, 0, -2):
-        procs = [_run_cli(*argv, megabytes=megabytes) for argv in commands]
-        if any(p.returncode not in (0, 2) for p in procs) and _run_cli(
-                "--version", megabytes=megabytes).returncode:
+    # all fit to where the interpreter itself runs out before `main`: there
+    # `--version` fails too, and the sweep ends. nogo runs a K = L file: the
+    # uniform LP at L = 64 is solved on one class, and no longer runs out
+    # above that floor. refute --out writes onto a file that a run exiting 2
+    # must leave as it was, with no new file beside it.
+    rho = tmp_path / "rho.json"
+    _distinct_rho_file(rho, 64, 1)
+    out = tmp_path / "out" / "model.json"
+    out.parent.mkdir()
+    commands = [["nogo", "--lambda-size", "64", "--rho", str(rho), "--json"],
+                ["refute", "--lambda-size", "128", "--json"],
+                ["refute", "--lambda-size", "128", "--out", str(out),
+                 "--json"]]
+    codes, written = [], set()
+    for megabytes in range(44, 0, -2):
+        out.write_bytes(b"old bytes\n")
+        # the three run side by side
+        procs = [_start_cli(*argv, megabytes=megabytes) for argv in commands]
+        procs = [_finish(proc) for proc in procs]
+        # The floor is not sharp: at 18 MB, 1 of 8 `--version` runs and 5 of
+        # 8 `nogo --lambda-size 2` runs got through (Python 3.11.7), so it
+        # is where one of three `--version` runs fails.
+        if any(p.returncode not in (0, 2) for p in procs) and any(
+                _run_cli("--version", megabytes=megabytes).returncode
+                for _ in range(3)):
             break
         for proc in procs:
             assert proc.returncode in (0, 2), (megabytes, proc.stderr[-500:])
@@ -648,9 +810,16 @@ def test_exhausted_memory_exits_0_or_2_at_every_limit():
                 assert proc.stderr.startswith("error: ")
                 assert proc.stderr.count("\n") == 1
                 assert "Traceback" not in proc.stderr
+        if procs[2].returncode == 2:
+            assert out.read_bytes() == b"old bytes\n", megabytes
+        else:
+            written.add(out.read_bytes())
+        assert os.listdir(out.parent) == ["model.json"], megabytes
         codes.append([p.returncode for p in procs])
-    assert codes and codes[0] == [0, 0], codes
+    assert codes and codes[0] == [0, 0, 0], codes
     assert all(2 in c for c in zip(*codes)), codes
+    # every run that exited 0 wrote the one model
+    assert len(written) == 1 and written.pop().startswith(b"{"), codes
 
 
 def _feed_fifo(path, size: int) -> threading.Thread:

@@ -13,9 +13,9 @@ from pbrlab.nogo import (ContradictionProof, NoOverlap, build_feasibility,
                          solve_feasibility, theorem_expected_verdict,
                          verify_certificate, witness_model)
 from pbrlab.ontology import predict, validate_model
+from pbrlab.simplex import solve_equalities
 from pbrlab.values import (EpistemicState, LambdaSpace, ModelError,
                            OntologicalModel, ResponseTable)
-from records import replace
 
 PBR = born_targets()
 
@@ -124,7 +124,8 @@ def test_certificate_with_zero_objective_rejected():
 def test_audit_shares_no_code_with_simplex():
     # the audit checks the solver's certificates and their lift, so it must
     # not run any of the solver's code, nor the lift's integer scaling, nor
-    # the builder's shared coefficients
+    # the builder's shared coefficients; it reads rho and the targets, and
+    # never the LP's A or b, which it would build
     import types
 
     import pbrlab.nogo as nogo
@@ -138,8 +139,8 @@ def test_audit_shares_no_code_with_simplex():
     for name in names(verify_certificate.__code__):
         used = getattr(nogo, name, None)
         assert getattr(used, "__module__", None) != "pbrlab.simplex", name
-        assert name not in {"_over_common_denominator", "_Products", "_build",
-                            "quotient", "_tight_lift"}, name
+        assert name not in {"_over_common_denominator", "_build", "_labels",
+                            "quotient", "_tight_lift", "A", "b"}, name
 
 
 def test_certificate_fails_on_feasible_problem():
@@ -487,11 +488,14 @@ def test_shared_coefficients_change_no_row_and_no_verdict(pair):
            for i in range(4) for j, k in CONTEXTS])
     born = [a for row in p.A[L * L:] for _, a in row]
     assert len({id(a) for a in born}) == len(set(born))
-    entrywise = replace(p, A=rows)
+    # the entrywise rows give the solver the same pivots, and the dense
+    # audit of them accepts the certificate solve_feasibility lifts
+    assert (solve_equalities(rows, p.b, p.num_vars)
+            == solve_equalities(p.A, p.b, p.num_vars))
     out = solve_feasibility(p)
-    assert solve_feasibility(entrywise) == out
     if not out.feasible:
-        assert verify_certificate(entrywise, out.certificate)
+        assert dense_verify_certificate(densify(rows, p.num_vars), p.b,
+                                        out.certificate)
 
 
 def _forcing_certificate(p, proof):

@@ -82,6 +82,18 @@ def test_only_a_witness_or_a_model_command_loads_ontology(name):
     assert ("pbrlab.ontology" in loaded) == loads
 
 
+def test_contradiction_refuses_a_contextual_file_before_loading_nogo():
+    # the file's response kind alone refuses it, so neither the forcing
+    # argument nor the model checks are loaded
+    loaded = _fresh("import contextlib, io, pbrlab.cli\n"
+                    "with contextlib.redirect_stderr(io.StringIO()):\n"
+                    "    assert pbrlab.cli.main(['contradiction', '--model', "
+                    f"{str(GOLDEN / 'model_L3_contextual.json')!r}]) == 2\n"
+                    + _LOADED, "-S")
+    assert loaded == ["pbrlab", "pbrlab.cli", "pbrlab.serialize",
+                      "pbrlab.values"]
+
+
 @pytest.mark.parametrize("argv", [
     ["check", "--model", str(GOLDEN / "model_L3_contextual.json")],
     ["sample", "--model", str(GOLDEN / "model_L3_contextual.json"),
