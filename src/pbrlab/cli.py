@@ -13,8 +13,9 @@ invalid input they find, and OSError for a file they cannot read or write.
 reported the same way; a stderr that cannot be written still exits 2,
 silently.
 `check` prints its verdict on an invalid model as a report and exits 2.
-A file a command writes (`refute --out`) is moved onto its path only once
-the report is written, so a run that exits 2 changes no file.
+A file a command writes (`refute --out`) is, where it can be replaced,
+moved onto its path only once the report is written (`outfile.stage`), so
+a run that exits 2 leaves it as it was.
 Arguments are read against the table COMMANDS by exact name: no prefixes,
 no clusters of short flags, and `--` is an unknown option like any other.
 A usage error is one more ModelError.
@@ -108,26 +109,6 @@ def _write(stream, *texts: str) -> None:
         if stream is sys.stdout and isinstance(e, OSError):
             raise ModelError(f"cannot write to stdout: {e}") from e
         raise
-
-
-def _stage(args, path: str, *texts: str) -> None:
-    """Write `texts` for `path`, or raise an OSError naming `path`. A
-    regular file, or a new one, is replaced: `texts` go to a new file beside
-    it, which `main` moves onto it once the report is written, or removes if
-    the run fails, so a run that exits 2 leaves `path` as it was. Anything
-    else, such as a symbolic link, /dev/null or a pipe, is written in
-    place."""
-    replace = not os.path.lexists(path) or (
-        os.path.isfile(path) and not os.path.islink(path))
-    head, tail = os.path.split(path)
-    new = os.path.join(head, f".{tail}.{os.getpid()}.tmp") if replace else path
-    try:
-        with open(new, "x" if replace else "w") as fh:
-            if replace:
-                args.staged.append((new, path))
-            fh.writelines(texts)
-    except OSError as e:
-        raise OSError(e.errno, e.strerror, path) from e
 
 
 def _load_json_file(path: str):
@@ -301,7 +282,8 @@ def cmd_refute(args) -> tuple:
     report_data = contextual.refutation_report(model)
     document = model_to_json(model) if args.out or args.json else None
     if args.out:
-        _stage(args, args.out, dumps_canonical(document), "\n")
+        from .outfile import stage
+        stage(args.staged, args.out, dumps_canonical(document), "\n")
 
     inputs = {"lambda_size": L,
               "targets": _targets_to_json(hilbert.born_targets())}
@@ -451,7 +433,7 @@ def _parse(argv):
 
 
 def main(argv=None) -> int:
-    staged = []  # (new file, path) for each file a command wrote (_stage)
+    staged = []  # (new file, path) for each file outfile.stage wrote
     try:
         args = _parse(sys.argv[1:] if argv is None else list(argv))
         if isinstance(args, str):  # --help or --version

@@ -24,9 +24,8 @@ quotient is the problem itself. `solve_feasibility` lifts the answer back:
   weights are proportional with factors summing to 1, so y^T b is never
   below the quotient's.
 
-Certificates are over the unreduced rows of ROW_ORDER_NOTE, but that LP
-is built only if its A, b or row labels are read: `verify_certificate`
-audits from rho and the targets, sharing no code with the reduction.
+Certificates are over the unreduced rows of ROW_ORDER_NOTE, an LP built
+only when read: `verify_certificate` audits them from rho and the targets.
 """
 
 from fractions import Fraction
@@ -40,9 +39,7 @@ from .values import (CONTEXTS, NONCONTEXTUAL_ONLY, EpistemicState,
 
 _ONE = Fraction(1)
 
-# Row order: the L^2 normalization rows (lambda-major), then the 16 Born
-# rows (outcome-major, context-minor). Column order: variable x[i][lam][lamp]
-# at ((i-1)*L + lam)*L + lamp. Fixed so certificates compare across runs.
+# Fixed so certificates compare across runs; x[i][lam][lamp] is _var.
 ROW_ORDER_NOTE = ("normalization rows (lambda-major), then Born rows "
                   "(outcome-major, context-minor in order 11,12,21,22); "
                   "columns x[i][lambda][lambda'] outcome-major")
@@ -52,19 +49,24 @@ class _Derived(Record):
     __slots__ = ("A", "b", "row_labels")  # set from the fields on first read
 
     def __getattr__(self, name):  # called while the slot `name` is unset
-        if name not in ("A", "b", "row_labels"):
+        if name == "row_labels":
+            L = self.lambda_size
+            derived = {name: tuple([f"norm lambda={lam} lambda'={lamp}"
+                                    for lam in range(L) for lamp in range(L)]
+                                   + [f"born outcome={i + 1} context={j}{k}"
+                                      for i in range(4) for j, k in CONTEXTS])}
+        elif name in ("A", "b"):
+            derived = dict(zip("Ab", _build(self)))
+        else:
             raise AttributeError(name)
-        derived = ({name: _labels(self)} if name == "row_labels"
-                   else dict(zip("Ab", _build(self))))
         for key, value in derived.items():
             object.__setattr__(self, key, value)
         return derived[name]
 
 
 class FeasibilityProblem(_Derived):
-    # targets: 4 x 4, rows by context, columns by outcome. A, b and
-    # row_labels are derived on first read and kept; a row of A lists its
-    # nonzero (column, coefficient) pairs by column, 4 or at most L^2.
+    # targets: 4 x 4, rows by context, columns by outcome; a row of A lists
+    # its nonzero (column, coefficient) pairs by column, 4 or at most L^2.
     __slots__ = ("lambda_size", "rho1", "rho2", "targets")
 
     @property
@@ -97,6 +99,10 @@ class ContradictionProof(Record):
 class NoOverlap(Record):
     """Returned when the supports are disjoint and the argument does not bite."""
     __slots__ = ()
+
+
+def _var(i: int, lam: int, lamp: int, L: int) -> int:
+    return (i * L + lam) * L + lamp
 
 
 def build_feasibility(r1: EpistemicState, r2: EpistemicState,
@@ -141,14 +147,6 @@ def _build(p: FeasibilityProblem) -> tuple:
     return tuple(A), tuple(b)
 
 
-def _labels(p: FeasibilityProblem) -> tuple:
-    L = p.lambda_size
-    return tuple([f"norm lambda={lam} lambda'={lamp}"
-                  for lam in range(L) for lamp in range(L)]
-                 + [f"born outcome={i + 1} context={j}{k}"
-                    for i in range(4) for j, k in CONTEXTS])
-
-
 def lambda_classes(r1: EpistemicState, r2: EpistemicState) -> tuple:
     """The class of each lambda, numbered in order of first appearance:
     lambdas share a class when (rho1, rho2) at them are proportional, i.e.
@@ -161,9 +159,8 @@ def lambda_classes(r1: EpistemicState, r2: EpistemicState) -> tuple:
 
 
 def quotient(p: FeasibilityProblem) -> tuple:
-    """(classes, q): the class of each lambda, and the problem posed on the
-    class masses, its LP unbuilt. With one lambda per class the classes are
-    the identity and q is p itself."""
+    """(classes, q): the class of each lambda, and the problem on the class
+    masses; with one lambda per class, q is p itself."""
     classes = lambda_classes(p.rho1, p.rho2)
     K = max(classes) + 1
     if K == p.lambda_size:
@@ -192,8 +189,9 @@ def solve_feasibility(p: FeasibilityProblem) -> FeasibilityOutcome:
     # on entry identity, checks each distinct cell once.
     shared = {}
     x = [shared.setdefault(v, v) for v in result.witness]
-    table = tuple(tuple(tuple(x[(i * K + kappa) * K + kappa_p]
-                              for kappa_p in classes) for kappa in classes)
+    table = tuple(tuple(tuple(x[_var(i, kappa, kappa_p, K)]
+                              for kappa_p in classes)
+                        for kappa in classes)
                   for i in range(4))
     return FeasibilityOutcome(feasible=True, witness=ResponseTable(table),
                               certificate=None)
@@ -231,10 +229,9 @@ def verify_certificate(p: FeasibilityProblem, y) -> bool:
     """Independent Farkas audit: y^T A <= 0 columnwise and y^T b > 0,
     all exact. True iff y proves {Ax = b, x >= 0} unsolvable.
 
-    It reads rho and the targets, not A: column (i, lambda, lambda') of
-    y^T A is y_norm(lambda, lambda') + sum_c y_B[i, c] rho_j(lambda)
-    rho_k(lambda'). With y = Y / e, rho = r / d and u_k = sum_j Y_B[i, (j, k)]
-    r_j(lambda), e d^2 > 0 times it is Y_norm d^2 + sum_k u_k r_k(lambda')."""
+    From rho and the targets, not A: with y = Y / e and rho = r / d, e d^2
+    times column (i, lambda, lambda') of y^T A is Y_norm d^2 + sum_k u_k
+    r_k(lambda'), where u_k = sum_j Y_B[i, (j, k)] r_j(lambda)."""
     L = p.lambda_size
     LL = L * L
     if len(y) != LL + 16:
@@ -277,7 +274,8 @@ def derive_contradiction(m: OntologicalModel):
 
     Returns a ContradictionProof, or NoOverlap() when the supports are
     disjoint. Noncontextual models only: a response that may depend on the
-    prepared states escapes the argument."""
+    prepared states escapes the argument.
+    """
     if m.contextual:
         raise ModelError(NONCONTEXTUAL_ONLY)
 
@@ -294,12 +292,14 @@ def derive_contradiction(m: OntologicalModel):
     if overlap.disjoint:
         return NoOverlap()
 
+    rho = {1: m.rho1, 2: m.rho2}
     lam_star = next(i for i, (w1, w2) in
                     enumerate(zip(m.rho1.weights, m.rho2.weights)) if w1 * w2 > 0)
-    w = {1: m.rho1.weights[lam_star], 2: m.rho2.weights[lam_star]}
-    steps = tuple(ForcingStep(outcome=i, context=(j, k), weight=w[j] * w[k])
-                  for i, (j, k) in enumerate(zero_contexts, start=1))
-    return ContradictionProof(lambda_star=lam_star, steps=steps,
+    steps = []
+    for i, (j, k) in enumerate(zero_contexts, start=1):
+        weight = rho[j].weights[lam_star] * rho[k].weights[lam_star]
+        steps.append(ForcingStep(outcome=i, context=(j, k), weight=weight))
+    return ContradictionProof(lambda_star=lam_star, steps=tuple(steps),
                               total=Fraction(0))
 
 

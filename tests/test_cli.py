@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -582,6 +583,82 @@ def test_refute_out_writes_through_a_link_and_into_a_device(capsys,
     assert code == 0
 
 
+def test_refute_out_replaces_a_file_with_its_mode(capsys, tmp_path):
+    out_path = tmp_path / "model.json"
+    out_path.write_text("old")
+    out_path.chmod(0o640)
+    code, _, _ = run(capsys, "refute", "--lambda-size", "2", "--out",
+                     str(out_path))
+    assert code == 0
+    assert out_path.read_text() == (GOLDEN / "refute_L2_out.json").read_text()
+    assert out_path.stat().st_mode & 0o777 == 0o640
+    assert os.listdir(tmp_path) == ["model.json"]
+
+
+def test_refute_out_onto_a_read_only_file(capsys, tmp_path):
+    # as open(path, "w") would: refused, or, for a user whom the mode does
+    # not bind, written, and the file keeps its mode
+    out_path = tmp_path / "model.json"
+    out_path.write_text("old")
+    out_path.chmod(0o444)
+    code, out, err = run(capsys, "refute", "--lambda-size", "2", "--out",
+                         str(out_path))
+    if os.access(out_path, os.W_OK):
+        assert code == 0
+        assert out_path.read_text() == (
+            GOLDEN / "refute_L2_out.json").read_text()
+    else:
+        assert (code, out) == (2, "")
+        assert err == (f"error: [Errno 13] Permission denied: "
+                       f"{str(out_path)!r}\n")
+        assert out_path.read_text() == "old"
+    assert out_path.stat().st_mode & 0o777 == 0o444
+    assert os.listdir(tmp_path) == ["model.json"]
+
+
+def test_refute_out_writes_in_place_where_it_cannot_replace(capsys,
+                                                            monkeypatch,
+                                                            tmp_path):
+    # in a directory this user may not write, onto a file with a second
+    # link and onto another user's file, the file is written in place: its
+    # inode is kept
+    folder = tmp_path / "locked"
+    folder.mkdir()
+    locked = folder / "model.json"
+    locked.write_text("old")
+    linked = tmp_path / "model.json"
+    linked.write_text("old")
+    other = tmp_path / "other.json"
+    os.link(linked, other)
+    paths = [locked, linked]
+    if os.geteuid() == 0:  # only root can give a file to another user
+        foreign = tmp_path / "foreign.json"
+        foreign.write_text("old")
+        os.chown(foreign, 65534, 65534)
+        paths.append(foreign)
+    folder.chmod(0o555)
+    try:
+        if os.access(folder, os.W_OK):  # a user whom the mode does not bind
+            access = os.access
+            monkeypatch.setattr(os, "access", lambda path, mode: (
+                os.path.abspath(path) != str(folder) and access(path, mode)))
+        for path in paths:
+            inode = path.stat().st_ino
+            code, _, _ = run(capsys, "refute", "--lambda-size", "2", "--out",
+                             str(path))
+            assert code == 0
+            assert path.stat().st_ino == inode
+            assert path.read_text() == (
+                GOLDEN / "refute_L2_out.json").read_text()
+        assert os.listdir(folder) == ["model.json"]
+        assert other.read_text() == linked.read_text()
+        assert sorted(os.listdir(tmp_path)) == sorted(
+            ["locked", "model.json", "other.json"]
+            + [p.name for p in paths[2:]])
+    finally:
+        folder.chmod(0o755)
+
+
 GOLDEN = Path(__file__).parent / "golden"
 SRC = str(Path(__file__).parents[1] / "src")
 
@@ -773,12 +850,20 @@ def _distinct_rho_file(path, L: int, seed: int) -> None:
                               for i, ws in enumerate(weights)}}))
 
 
+# A child that dies before `main`, starting the interpreter or compiling and
+# importing pbrlab.cli, says so on stderr; a traceback through `main` or
+# `run` is an error that `main` let escape.
+_BEFORE_MAIN = re.compile(r'File "<frozen runpy>"|^Fatal Python error|'
+                          r"error while loading shared libraries", re.M)
+_IN_MAIN = re.compile(r'pbrlab[/\\]cli\.py", line \d+, in (main|run)\b')
+
+
 def test_exhausted_memory_exits_0_or_2_at_every_limit(tmp_path):
     # Under child limits of about 20-28 MB (Python 3.10-3.13), nogo died of
     # a MemoryError in nogo._build and refute in dumps_canonical's final
     # join, each with a traceback and exit 1. Step the limit down from where
-    # all fit to where the interpreter itself runs out before `main`: there
-    # `--version` fails too, and the sweep ends. nogo runs a K = L file: the
+    # all fit to where the interpreter itself runs out before `main`, and
+    # the sweep ends. nogo runs a K = L file: the
     # uniform LP at L = 64 is solved on one class, and no longer runs out
     # above that floor. refute --out writes onto a file that a run exiting 2
     # must leave as it was, with no new file beside it.
@@ -796,12 +881,17 @@ def test_exhausted_memory_exits_0_or_2_at_every_limit(tmp_path):
         # the three run side by side
         procs = [_start_cli(*argv, megabytes=megabytes) for argv in commands]
         procs = [_finish(proc) for proc in procs]
-        # The floor is not sharp: at 18 MB, 1 of 8 `--version` runs and 5 of
-        # 8 `nogo --lambda-size 2` runs got through (Python 3.11.7), so it
-        # is where one of three `--version` runs fails.
-        if any(p.returncode not in (0, 2) for p in procs) and any(
-                _run_cli("--version", megabytes=megabytes).returncode
-                for _ in range(3)):
+        # The floor is not sharp: at 18 MB, 4 of 12 `--version` runs got
+        # through and 10 of 12 runs of each of nogo and refute --out died
+        # compiling pbrlab/cli.py (Python 3.11.7). So the sweep ends at the
+        # first step where a child exits otherwise, and each such child must
+        # have died before `main`.
+        failed = [p for p in procs if p.returncode not in (0, 2)]
+        for proc in failed:
+            assert (_BEFORE_MAIN.search(proc.stderr)
+                    and not _IN_MAIN.search(proc.stderr)), (
+                megabytes, proc.returncode, proc.stderr[-500:])
+        if failed:
             break
         for proc in procs:
             assert proc.returncode in (0, 2), (megabytes, proc.stderr[-500:])

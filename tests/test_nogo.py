@@ -139,7 +139,7 @@ def test_audit_shares_no_code_with_simplex():
     for name in names(verify_certificate.__code__):
         used = getattr(nogo, name, None)
         assert getattr(used, "__module__", None) != "pbrlab.simplex", name
-        assert name not in {"_over_common_denominator", "_build", "_labels",
+        assert name not in {"_over_common_denominator", "_build", "row_labels",
                             "quotient", "_tight_lift", "A", "b"}, name
 
 

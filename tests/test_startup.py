@@ -110,10 +110,12 @@ def test_model_commands_skip_the_born_table_and_the_lp(argv):
 
 @pytest.mark.parametrize("argv, loads, skips", [
     (["refute", "--lambda-size", "2"], {"pbrlab.contextual", "pbrlab.hilbert"},
-     {"pbrlab.nogo", "pbrlab.simplex"}),
+     {"pbrlab.nogo", "pbrlab.simplex", "pbrlab.outfile"}),
+    (["refute", "--lambda-size", "2", "--out", os.devnull],
+     {"pbrlab.contextual", "pbrlab.outfile"}, {"pbrlab.nogo"}),
     (["nogo", "--lambda-size", "2"], {"pbrlab.nogo", "pbrlab.simplex"},
-     {"pbrlab.contextual"}),
-], ids=["refute", "nogo"])
+     {"pbrlab.contextual", "pbrlab.outfile"}),
+], ids=["refute", "refute-out", "nogo"])
 def test_refute_and_nogo_load_only_their_layers(argv, loads, skips):
     loaded = _fresh("import contextlib, io, pbrlab.cli\n"
                     "with contextlib.redirect_stdout(io.StringIO()):\n"
