@@ -22,10 +22,11 @@ _SOURCES = {  # public name -> the submodule defining it
                      "support_overlap"), "values"),
     **dict.fromkeys(("chi_square_statistic", "predict", "sample",
                      "validate_model"), "ontology"),
-    **dict.fromkeys(("ContradictionProof", "FeasibilityOutcome",
-                     "FeasibilityProblem", "NoOverlap", "build_feasibility",
-                     "derive_contradiction", "solve_feasibility",
+    **dict.fromkeys(("FeasibilityOutcome", "FeasibilityProblem",
+                     "build_feasibility", "solve_feasibility",
                      "verify_certificate", "witness_model"), "nogo"),
+    **dict.fromkeys(("ContradictionProof", "NoOverlap",
+                     "derive_contradiction"), "forcing"),
     **dict.fromkeys(("RefutationReport", "build_interval_model",
                      "refutation_report"), "contextual"),
 }

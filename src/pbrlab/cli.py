@@ -22,6 +22,10 @@ A usage error is one more ModelError.
 
 `run` is the program entry, for `pbr` and `python -m pbrlab.cli`. `main`
 leaves the process as it found it, for callers in the same process.
+
+The direct forcing argument of `contradiction` lives in `forcing`, and the
+amplitude printer of `basis` in `basis`; neither module imports this one,
+which runs as `__main__` under `python -m pbrlab.cli`.
 """
 
 import gc
@@ -75,6 +79,7 @@ SAMPLE_MAX_N = 10 ** 7
 # The largest file pbr writes, `refute --lambda-size 128 --out`, holds about
 # 4.5 MB. Larger model and rho files are refused once one byte more is read.
 INPUT_MAX_BYTES = 16 * 2 ** 20
+READ_CHUNK_BYTES = 2 ** 20
 
 
 def _emit(args, inputs: dict, payload: dict, human_lines, elapsed) -> None:
@@ -116,13 +121,21 @@ def _load_json_file(path: str):
     be it regular, a pipe or a device. A file that is longer, is not UTF-8
     JSON, holds an integer of more than 4300 digits or nests too deep raises
     ModelError."""
+    chunks, size = [], 0
     with open(path, "rb") as fh:
-        data = fh.read(INPUT_MAX_BYTES + 1)
-    if len(data) > INPUT_MAX_BYTES:
+        # A read of n bytes reserves n bytes before it reads: read in
+        # chunks, so a small file does not reserve the whole cap.
+        while size <= INPUT_MAX_BYTES:
+            chunk = fh.read(min(READ_CHUNK_BYTES, INPUT_MAX_BYTES + 1 - size))
+            if not chunk:
+                break
+            chunks.append(chunk)
+            size += len(chunk)
+    if size > INPUT_MAX_BYTES:
         raise ModelError(f"{path} holds more than {INPUT_MAX_BYTES} bytes, "
                          "the cap on input files")
     try:
-        return loads(data.decode())
+        return loads(b"".join(chunks).decode())
     except (ValueError, RecursionError) as e:
         raise ModelError(str(e)) from e
 
@@ -145,32 +158,8 @@ def _in_range(name: str, value: int, low: int, high: int,
 # sampling, which only its witness branch needs.
 
 def cmd_basis(args) -> tuple:
-    from . import hilbert
-    basis = hilbert.pbr_basis()
-    g = hilbert.gram(basis)
-    targets = hilbert.born_targets()
-    anchors = [fmt_frac(hilbert.born(basis.effects[i], hilbert.product_state(j, k)))
-               for i, (j, k) in enumerate(hilbert.CONTEXTS)]
-    payload = {
-        "arithmetic": "exact",
-        "effects": basis.to_json(),
-        "gram": [[hilbert.amplitude_json(e, 1) for e in row] for row in g],
-        "anchors": anchors,
-        "contexts": [f"{j}{k}" for (j, k) in hilbert.CONTEXTS],
-        "targets": _targets_to_json(targets),
-    }
-    lines = ["measurement basis (4 effects, dim 4):"]
-    for i, e in enumerate(basis.effects):
-        n = e.norm_sq()
-        lines.append(f"  xi_{i + 1}: "
-                     + ", ".join(hilbert.amplitude_str(u, n) for u in e.ray))
-    # pbr_basis raises unless its effects are orthogonal.
-    lines.append("gram matrix: exact identity")
-    lines.append("zero anchors born(xi_i, context_i): " + " ".join(anchors))
-    lines.append("born targets (rows = contexts 11,12,21,22):")
-    for (j, k), row in zip(hilbert.CONTEXTS, targets):
-        lines.append(f"  {j}{k}: " + " ".join(fmt_frac(q) for q in row))
-    return EXIT_OK, {}, payload, lines
+    from .basis import report
+    return (EXIT_OK, *report())
 
 
 def cmd_nogo(args) -> tuple:
@@ -244,34 +233,10 @@ def cmd_contradiction(args) -> tuple:
                 else None)
     if isinstance(response, dict) and response.get("kind") == "contextual":
         raise ModelError(NONCONTEXTUAL_ONLY)
-    from . import nogo, ontology
-    model = model_from_json(document)
-    ontology._require_valid(model)
-    result = nogo.derive_contradiction(model)
-
-    inputs = {"model": model_to_json(model) if args.json else None}
-    if isinstance(result, nogo.NoOverlap):
-        return EXIT_NOT_APPLICABLE, inputs, {"no_overlap": True}, [
-            "supports are disjoint: the forcing argument does not apply "
-            "(NoOverlap)"]
-
-    payload = {
-        "no_overlap": False,
-        "lambda_star": result.lambda_star,
-        "steps": [{"outcome": s.outcome,
-                   "context": f"{s.context[0]}{s.context[1]}",
-                   "weight": fmt_frac(s.weight)} for s in result.steps],
-        "forced_total": fmt_frac(result.total),
-        "conclusion": result.conclusion,
-    }
-    lines = [f"overlap point lambda* = {result.lambda_star}"]
-    for s in result.steps:
-        lines.append(
-            f"  outcome {s.outcome}: Born target 0 in context "
-            f"{s.context[0]}{s.context[1]} with weight {fmt_frac(s.weight)} > 0 "
-            f"forces P(xi_{s.outcome}|lambda*,lambda*) = 0")
-    lines.append(result.conclusion)
-    return EXIT_OK, inputs, payload, lines
+    from .forcing import report
+    inputs, payload, lines = report(model_from_json(document), args.json)
+    code = EXIT_NOT_APPLICABLE if payload["no_overlap"] else EXIT_OK
+    return code, inputs, payload, lines
 
 
 def cmd_refute(args) -> tuple:

@@ -6,7 +6,8 @@ A state is held as a ray: a tuple of integers, not all zero, standing for
 the unit vector ray/|ray|. Every state and effect in scope has such a
 representative, and the Born rule on rays is the rational
 <u,v>^2 / (<u,u><v,v>), so the Born table is built from integers alone.
-sqrt 2 appears only when an amplitude u/|ray| is printed.
+sqrt 2 appears only when an amplitude u/|ray| is printed, which `basis`
+does for `pbr basis`.
 
 Tensor index convention is row-major throughout:
 index = (first-factor index) * (second-factor dim) + (second-factor index).
@@ -14,44 +15,11 @@ index = (first-factor index) * (second-factor dim) + (second-factor index).
 
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
 
 # Defined in values, which every command imports, so `check` and `sample`
 # never import this module; re-exported here for callers of the
 # Hilbert-space layer.
 from .values import CONTEXTS, Record, StateError, context_index
-
-
-def _sqrt2_parts(u, n: int):
-    """u/sqrt(n) as (p, q), Fractions meaning p + q*sqrt2: u/s when
-    n = s^2, (u/2s)*sqrt2 when n = 2 s^2. Any other n raises StateError."""
-    s = isqrt(n)
-    if s * s == n:
-        return Fraction(u, s), Fraction(0)
-    s = isqrt(n // 2)
-    if 2 * s * s == n:
-        return Fraction(0), Fraction(u, 2 * s)
-    raise StateError(f"{u}/sqrt({n}) is not in Q(sqrt2)")
-
-
-def _parts_json(p: Fraction, q: Fraction) -> dict:
-    return {"num": str(p.numerator), "den": str(p.denominator),
-            "snum": str(q.numerator), "sden": str(q.denominator)}
-
-
-_ZERO_JSON = _parts_json(Fraction(0), Fraction(0))
-
-
-def amplitude_json(u, n: int) -> dict:
-    """The amplitude u/sqrt(n) as JSON. Every one in scope is real, but the
-    schema keeps the complex form and writes the zero imaginary part."""
-    return {"re": _parts_json(*_sqrt2_parts(u, n)), "im": _ZERO_JSON}
-
-
-def amplitude_str(u, n: int) -> str:
-    """The amplitude u/sqrt(n) as text, e.g. 1/2 or 1/2*sqrt2."""
-    p, q = _sqrt2_parts(u, n)
-    return f"{q}*sqrt2" if q else str(p)
 
 
 class PureState(Record):
@@ -63,10 +31,6 @@ class PureState(Record):
 
     def norm_sq(self) -> int:
         return inner(self, self)
-
-    def to_json(self) -> list:
-        n = self.norm_sq()
-        return [amplitude_json(u, n) for u in self.ray]
 
 
 def make_state(ray) -> PureState:
@@ -128,21 +92,6 @@ def product_state(j: int, k: int) -> PureState:
 
 class MeasurementBasis(Record):
     __slots__ = ("effects",)  # 4 PureStates of dim 4
-
-    def to_json(self) -> list:
-        return [e.to_json() for e in self.effects]
-
-
-def gram(basis: MeasurementBasis):
-    """The normalised Gram entries <a|b>/(|a||b|) as Fractions; an entry
-    with a sqrt2 part raises StateError."""
-    def entry(a, b):
-        p, q = _sqrt2_parts(inner(a, b), a.norm_sq() * b.norm_sq())
-        if q:
-            raise StateError(f"Gram entry {q}*sqrt2 is not rational")
-        return p
-    return tuple(tuple(entry(a, b) for b in basis.effects)
-                 for a in basis.effects)
 
 
 def _superpose(u: PureState, v: PureState) -> PureState:

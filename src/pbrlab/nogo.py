@@ -2,9 +2,9 @@
 
 Encodes "does a preparation-independent, non-contextual response table
 reproduce the Born targets for these epistemic states?" as an exact LP
-feasibility problem, solves it, audits infeasibility via Farkas
-certificates, and derives the direct normalization contradiction for
-overlapping supports.
+feasibility problem, solves it and audits infeasibility via Farkas
+certificates. The direct normalization contradiction for overlapping
+supports, which needs no LP, is derived in `forcing`.
 
 The LP is solved on the quotient lambda-space. Cell (lambda, lambda')
 carries the context weights (rho1(lambda), rho2(lambda)) tensor
@@ -32,10 +32,10 @@ from fractions import Fraction
 from math import lcm
 
 from .simplex import solve_equalities
-from .values import (CONTEXTS, NONCONTEXTUAL_ONLY, EpistemicState,
-                     LambdaSpace, ModelError, OntologicalModel, Record,
-                     ResponseTable, _over_common_denominator,
-                     _require_inputs, support_overlap)
+from .values import (CONTEXTS, EpistemicState, LambdaSpace, ModelError,
+                     OntologicalModel, Record, ResponseTable,
+                     _over_common_denominator, _require_inputs,
+                     support_overlap)
 
 _ONE = Fraction(1)
 
@@ -76,29 +76,6 @@ class FeasibilityProblem(_Derived):
 
 class FeasibilityOutcome(Record):
     __slots__ = ("feasible", "witness", "certificate")  # either may be None
-
-
-class ForcingStep(Record):
-    # The 1-based outcome, the (j, k) context whose Born target for it
-    # vanishes, and the weight rho_j(l*) * rho_k(l*) > 0.
-    __slots__ = ("outcome", "context", "weight")
-
-
-class ContradictionProof(Record):
-    # steps: one ForcingStep per outcome; total: the forced sum of the
-    # response probabilities at (l*, l*).
-    __slots__ = ("lambda_star", "steps", "total")
-
-    @property
-    def conclusion(self) -> str:
-        return (f"sum of outcome probabilities at (lambda*={self.lambda_star}, "
-                f"lambda*={self.lambda_star}) is forced to {self.total}, "
-                "but normalization requires 1")
-
-
-class NoOverlap(Record):
-    """Returned when the supports are disjoint and the argument does not bite."""
-    __slots__ = ()
 
 
 def _var(i: int, lam: int, lamp: int, L: int) -> int:
@@ -265,42 +242,6 @@ def witness_model(p: FeasibilityProblem,
     return OntologicalModel(lambda_space=LambdaSpace(p.lambda_size),
                             rho1=p.rho1, rho2=p.rho2, response=(outcome.witness,),
                             born_targets=p.targets)
-
-
-def derive_contradiction(m: OntologicalModel):
-    """The direct argument: at any lambda* carried by both epistemic states,
-    each outcome's zero-target context forces its response probability to
-    vanish, so the four probabilities cannot sum to 1.
-
-    Returns a ContradictionProof, or NoOverlap() when the supports are
-    disjoint. Noncontextual models only: a response that may depend on the
-    prepared states escapes the argument.
-    """
-    if m.contextual:
-        raise ModelError(NONCONTEXTUAL_ONLY)
-
-    zero_contexts = []
-    for i in range(1, 5):
-        ctx = next((c for c in CONTEXTS if m.target(i, c) == 0), None)
-        if ctx is None:
-            raise ModelError(
-                f"outcome {i} has no context with Born target exactly 0; "
-                "the forcing argument does not apply")
-        zero_contexts.append(ctx)
-
-    overlap = support_overlap(m.rho1, m.rho2)
-    if overlap.disjoint:
-        return NoOverlap()
-
-    rho = {1: m.rho1, 2: m.rho2}
-    lam_star = next(i for i, (w1, w2) in
-                    enumerate(zip(m.rho1.weights, m.rho2.weights)) if w1 * w2 > 0)
-    steps = []
-    for i, (j, k) in enumerate(zero_contexts, start=1):
-        weight = rho[j].weights[lam_star] * rho[k].weights[lam_star]
-        steps.append(ForcingStep(outcome=i, context=(j, k), weight=weight))
-    return ContradictionProof(lambda_star=lam_star, steps=tuple(steps),
-                              total=Fraction(0))
 
 
 def theorem_expected_verdict(r1: EpistemicState, r2: EpistemicState) -> bool:

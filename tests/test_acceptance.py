@@ -13,11 +13,12 @@ import pytest
 
 from hull_oracle import hull_feasible
 from pbrlab.cli import main
+from pbrlab.basis import gram
 from pbrlab.contextual import build_interval_model, refutation_report
-from pbrlab.hilbert import (CONTEXTS, born, born_targets, gram, pbr_basis,
+from pbrlab.forcing import ContradictionProof, NoOverlap, derive_contradiction
+from pbrlab.hilbert import (CONTEXTS, born, born_targets, pbr_basis,
                             product_state)
-from pbrlab.nogo import (ContradictionProof, NoOverlap, build_feasibility,
-                         derive_contradiction, solve_feasibility,
+from pbrlab.nogo import (build_feasibility, solve_feasibility,
                          verify_certificate, witness_model)
 from pbrlab.ontology import chi_square_statistic, predict, sample
 from pbrlab.values import EpistemicState, support_overlap

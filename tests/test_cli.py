@@ -837,6 +837,22 @@ def test_a_model_that_exhausts_memory_when_parsed_exits_2(tmp_path):
     assert err == "error: out of memory\n"
 
 
+@pytest.mark.parametrize("argv, golden", [
+    (["nogo", "--lambda-size", "3", "--rho",
+      str(GOLDEN / "rho_L3_seed3_overlap.json"), "--json"],
+     "nogo_L3_seed3_overlap.json"),
+    (["check", "--model", str(GOLDEN / "model_L3_contextual.json"), "--json"],
+     "check_L3_contextual.json"),
+], ids=["nogo-rho", "check"])
+def test_a_small_input_file_reads_under_a_tight_memory_limit(argv, golden):
+    # Reading a file with one read of INPUT_MAX_BYTES + 1 bytes reserved
+    # 16 MiB first, so under 26-34 MB both exited 2 out of memory, where
+    # `nogo --lambda-size 12`, which reads no file, ran.
+    proc = _run_cli(*argv, megabytes=34)
+    assert proc.returncode == 0, proc.stderr[-500:]
+    assert proc.stdout == (GOLDEN / golden).read_text()
+
+
 def _distinct_rho_file(path, L: int, seed: int) -> None:
     """A rho file over L lambdas whose weights, drawn from 1..1000 by
     `random.Random(seed)`, are distinct: K = L classes, so nogo solves the

@@ -5,8 +5,8 @@ import pytest
 
 from pbrlab import ontology
 from pbrlab.contextual import build_interval_model, refutation_report
+from pbrlab.forcing import ContradictionProof, derive_contradiction
 from pbrlab.hilbert import CONTEXTS, born_targets
-from pbrlab.nogo import ContradictionProof, derive_contradiction
 from pbrlab.ontology import predict, validate_model
 from pbrlab.serialize import dumps_canonical, model_from_json, model_to_json
 from pbrlab.values import EpistemicState, ModelError, support_overlap

@@ -5,10 +5,10 @@ from fractions import Fraction
 import pytest
 
 from pbrlab import hilbert
-from pbrlab.hilbert import (CONTEXTS, StateError, amplitude_json, born,
-                            born_targets, inner, ket0, ket1, ket_minus,
-                            ket_plus, make_state, pbr_basis, product_state,
-                            psi, tensor)
+from pbrlab.basis import amplitude_json, gram, state_json
+from pbrlab.hilbert import (CONTEXTS, StateError, born, born_targets, inner,
+                            ket0, ket1, ket_minus, ket_plus, make_state,
+                            pbr_basis, product_state, psi, tensor)
 
 # ---------------------------------------------------------------------------
 # Float oracle: the same vectors built with plain floats, for the exact/float
@@ -141,7 +141,7 @@ def test_born_vector_context_22():
 
 
 def test_pbr_basis_gram_identity():
-    g = hilbert.gram(pbr_basis())
+    g = gram(pbr_basis())
     for r in range(4):
         for c in range(4):
             assert g[r][c] == (1 if r == c else 0)
@@ -151,7 +151,7 @@ def test_pbr_basis_gram_identity():
 def test_gram_refuses_an_irrational_entry():
     basis = hilbert.MeasurementBasis((ket0(), ket_plus()))
     with pytest.raises(StateError, match="not rational"):
-        hilbert.gram(basis)
+        gram(basis)
 
 
 def test_pbr_basis_four_anchors():
@@ -204,6 +204,6 @@ def test_psi_labels():
 
 
 def test_state_json():
-    payload = psi(2).to_json()
+    payload = state_json(psi(2))
     assert payload[0]["re"]["snum"] == "1"
     assert payload[0]["re"]["sden"] == "2"

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 from dense_simplex import (densify, dense_solve_equalities,
                            dense_verify_certificate)
 from pbrlab.contextual import build_interval_model
+from pbrlab.forcing import ContradictionProof, NoOverlap, derive_contradiction
 from pbrlab.hilbert import CONTEXTS, born_targets
-from pbrlab.nogo import (ContradictionProof, NoOverlap, build_feasibility,
-                         derive_contradiction, lambda_classes, quotient,
+from pbrlab.nogo import (build_feasibility, lambda_classes, quotient,
                          solve_feasibility, theorem_expected_verdict,
                          verify_certificate, witness_model)
 from pbrlab.ontology import predict, validate_model

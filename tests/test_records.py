@@ -7,9 +7,9 @@ import pickle
 import pytest
 
 from pbrlab.contextual import RefutationReport
+from pbrlab.forcing import ContradictionProof, ForcingStep, NoOverlap
 from pbrlab.hilbert import MeasurementBasis, PureState
-from pbrlab.nogo import (ContradictionProof, FeasibilityOutcome,
-                         FeasibilityProblem, ForcingStep, NoOverlap)
+from pbrlab.nogo import FeasibilityOutcome, FeasibilityProblem
 from pbrlab.values import (EpistemicState, LambdaSpace, OntologicalModel,
                            OutcomeCounts, Record, ResponseTable,
                            SupportOverlap)

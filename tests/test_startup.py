@@ -124,6 +124,69 @@ def test_refute_and_nogo_load_only_their_layers(argv, loads, skips):
     assert not skips & set(loaded)
 
 
+# `basis` and `contradiction` build their reports in modules of their own,
+# which no other command compiles. Each case runs the real entry, `python
+# -m pbrlab.cli`, where `cli` is `__main__`: a module that imported
+# `pbrlab.cli` would compile it a second time, under that name.
+_REPORT_MODULES = {"pbrlab.basis", "pbrlab.forcing"}
+_BOUNDARIES = {
+    "nogo-certificate": (["nogo", "--lambda-size", "12", "--json"], 0,
+                         {"pbrlab.hilbert", "pbrlab.nogo", "pbrlab.simplex"},
+                         _REPORT_MODULES),
+    "nogo-witness": (["nogo", "--lambda-size", "3", "--rho",
+                      str(GOLDEN / "rho_L3_seed3_disjoint.json"), "--json"],
+                     0, {"pbrlab.nogo", "pbrlab.ontology"}, _REPORT_MODULES),
+    "refute": (["refute", "--lambda-size", "2", "--json"], 0,
+               {"pbrlab.contextual", "pbrlab.hilbert"}, _REPORT_MODULES),
+    "check": (["check", "--model", str(GOLDEN / "model_L3_contextual.json"),
+               "--json"], 0, {"pbrlab.ontology"}, _REPORT_MODULES),
+    "sample": (["sample", "--model", str(GOLDEN / "model_L3_contextual.json"),
+                "--context", "12", "--n", "100", "--seed", "1"], 0,
+               {"pbrlab.ontology"}, _REPORT_MODULES),
+    "version": (["--version"], 0, set(), _REPORT_MODULES | HEAVY),
+    "contradiction": (["contradiction", "--model",
+                       str(GOLDEN / "model_L3_disjoint.json"), "--json"], 4,
+                      {"pbrlab.forcing", "pbrlab.ontology"},
+                      {"pbrlab.nogo", "pbrlab.simplex", "pbrlab.hilbert"}),
+    "contradiction-proof": (["contradiction", "--model",
+                             str(GOLDEN / "model_L3_noncontextual.json")], 0,
+                            {"pbrlab.forcing", "pbrlab.ontology"},
+                            {"pbrlab.nogo", "pbrlab.simplex",
+                             "pbrlab.hilbert"}),
+    "basis": (["basis", "--json"], 0, {"pbrlab.hilbert", "pbrlab.basis"},
+              {"pbrlab.nogo", "pbrlab.forcing"}),
+}
+
+# Imported by `site` at start-up; `run` runs the atexit handlers before it
+# ends the process.
+_AT_EXIT_PROBE = """import atexit, os, sys
+
+def _probe():
+    with open(os.environ["PBRLAB_LOADED"], "w") as fh:
+        fh.write(" ".join(sorted(m for m in sys.modules
+                                 if m.split(".")[0] == "pbrlab")))
+
+atexit.register(_probe)
+"""
+
+
+@pytest.mark.parametrize("name", _BOUNDARIES)
+def test_program_loads_each_report_module_only_for_its_command(name,
+                                                               tmp_path):
+    argv, code, loads, skips = _BOUNDARIES[name]
+    (tmp_path / "sitecustomize.py").write_text(_AT_EXIT_PROBE)
+    env = _env()
+    env["PYTHONPATH"] += os.pathsep + str(tmp_path)
+    env["PBRLAB_LOADED"] = str(tmp_path / "loaded.txt")
+    done = subprocess.run([sys.executable, "-m", "pbrlab.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == code, done.stderr
+    loaded = set((tmp_path / "loaded.txt").read_text().split())
+    assert "pbrlab" in loaded and "pbrlab.cli" not in loaded
+    assert loads <= loaded
+    assert not skips & loaded
+
+
 def test_public_names_resolve_lazily():
     result = _fresh(
         "import json, pbrlab\n"
