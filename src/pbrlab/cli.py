@@ -38,8 +38,7 @@ from types import SimpleNamespace
 from . import __version__
 from .serialize import (REFUTE_MAX_LAMBDA, _quoted, _table_to_json,
                         _targets_to_json, digest, dumps_canonical, fmt_frac,
-                        loads, model_from_json, model_to_json,
-                        rho_pair_from_json)
+                        model_from_json, model_to_json, rho_pair_from_json)
 from .values import (CONTEXTS, NONCONTEXTUAL_ONLY, EpistemicState,
                      ModelError, _shown, support_overlap)
 
@@ -134,6 +133,9 @@ def _load_json_file(path: str):
     if size > INPUT_MAX_BYTES:
         raise ModelError(f"{path} holds more than {INPUT_MAX_BYTES} bytes, "
                          "the cap on input files")
+    # Imported here, so that a command that reads no file never compiles
+    # the reader.
+    from .reader import loads
     try:
         return loads(b"".join(chunks).decode())
     except (ValueError, RecursionError) as e:

@@ -3,14 +3,14 @@
 Exact numbers cross every boundary as "num/den" strings ("3/4", "1", "0")
 so reports stay re-verifiable by third parties; floats appear only in
 sampling statistics. Canonical dumps sort keys so golden-file comparisons
-are byte-stable. `loads` and `dumps_canonical` read and write JSON text
-with json's own C functions, without importing json.
+are byte-stable. `dumps_canonical` writes JSON text with json's own C
+function, without importing json. The reader of model and rho files,
+`loads` with the literal checks and record builders, lives in `reader`,
+which only a command that reads a file loads; `model_from_json` and
+`rho_pair_from_json` stay here and import it when called.
 """
 
-import re
-import sys
 from fractions import Fraction
-from types import SimpleNamespace
 
 # The C functions that json and hashlib themselves call. Importing json
 # compiles its decoder's regexes, 2-3 ms of a process (Python 3.11,
@@ -29,8 +29,8 @@ except ImportError:
     except ImportError:
         from hashlib import sha256 as _sha256
 
-from .values import (CONTEXTS, EpistemicState, LambdaSpace, ModelError,
-                     OntologicalModel, ResponseTable)
+from .values import (CONTEXTS, LambdaSpace, ModelError, OntologicalModel,
+                     ResponseTable)
 
 
 def fmt_frac(x: Fraction) -> str:
@@ -47,12 +47,6 @@ def fmt_frac(x: Fraction) -> str:
         raise ModelError("an exact number has too many digits to print") from e
 
 
-# An optional sign, ASCII digits, and optionally "/" and ASCII digits.
-# Fraction itself also reads decimals and exponents, and expands
-# "1e10000000" into a 10-million-digit integer before anything can check it.
-_EXACT_TEXT = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
-
-
 # How much of a refused value an error message quotes: a file of up to
 # INPUT_MAX_BYTES may hold one value of nearly that length.
 _QUOTE_MAX = 60
@@ -67,23 +61,6 @@ def _quoted(x) -> str:
     return f"{text[:_QUOTE_MAX]}... ({len(text)} characters)"
 
 
-def parse_frac(s) -> Fraction:
-    if isinstance(s, str):
-        if _EXACT_TEXT.fullmatch(s):
-            try:
-                return Fraction(s)
-            except ZeroDivisionError as e:
-                raise ModelError(f"{_quoted(s)} has a zero denominator") from e
-            except ValueError as e:  # a part longer than int() reads
-                raise ModelError(
-                    f"{_quoted(s)} has more than {sys.get_int_max_str_digits()}"
-                    " digits in its numerator or denominator") from e
-    # bool is a subclass of int; JSON true/false is not a number.
-    elif isinstance(s, int) and not isinstance(s, bool):
-        return Fraction(s)
-    raise ModelError(f"expected an exact 'num/den' string, got {_quoted(s)}")
-
-
 # refute builds, checks and prints an exact model of 16 L^2 entries: about
 # 4.5 MB of JSON at L = 128, where `refute --out` takes 0.3-0.5 s from
 # process start to exit and peaks at 36 MB RSS (Python 3.11, 2 vCPUs).
@@ -93,75 +70,8 @@ def parse_frac(s) -> Fraction:
 REFUTE_MAX_LAMBDA = 128
 
 
-def parse_size(x) -> int:
-    """A JSON integer, taken as is: 2.7, "2" and true are rejected, and so
-    is one over REFUTE_MAX_LAMBDA."""
-    if not isinstance(x, int) or isinstance(x, bool):
-        raise ModelError(f"lambda_size must be a JSON integer, got {_quoted(x)}")
-    if x > REFUTE_MAX_LAMBDA:
-        raise ModelError(f"lambda_size must be <= {REFUTE_MAX_LAMBDA}, the "
-                         "largest model pbr writes")
-    return x
-
-
-def _capped(values):
-    """`values`, or ModelError for a list longer than REFUTE_MAX_LAMBDA: no
-    list of a model or rho file holds more than lambda_size items."""
-    if isinstance(values, list) and len(values) > REFUTE_MAX_LAMBDA:
-        raise ModelError(f"a list of {len(values)} items; lists in model "
-                         f"and rho files hold at most {REFUTE_MAX_LAMBDA}")
-    return values
-
-
-class _Literals(dict):
-    """One shared Fraction per exact literal of one model file, looked up by
-    `map` in C, and one shared tuple per distinct row. Keys are JSON strings
-    and (numerator, denominator) pairs, not numbers, as true == 1.0 == 1: an
-    integer finds its value's pair in each new row. So "1", 1 and "2/2" load
-    as one object, validated once."""
-
-    def __init__(self):
-        super().__init__()
-        self.rows = {}  # row literals (and their types) -> the row
-
-    def __missing__(self, literal):
-        if type(literal) is int and (literal, 1) in self:
-            return self[literal, 1]
-        value = parse_frac(literal)
-        value = self.setdefault(value.as_integer_ratio(), value)
-        return self.setdefault(literal, value) if type(literal) is str else value
-
-    def row(self, values) -> tuple:
-        """The row of these JSON values. A row of strings is keyed by its
-        literals alone, as a string equals only a string; any other by its
-        literals and their JSON types, so [1], [1.0] and [true] stay apart
-        and the refused ones are refused."""
-        # map would read a string's characters and an object's keys
-        if not isinstance(values, list):
-            raise ModelError(f"expected a JSON list, got {_quoted(values)}")
-        key = tuple(_capped(values))
-        try:
-            row = self.rows.get(key)
-        except TypeError:  # an unhashable value, named by parse_frac
-            return tuple(map(parse_frac, values))
-        if row is None:
-            types = tuple(map(type, key))
-            if types.count(str) < len(types):
-                key = (types, key)
-                row = self.rows.get(key)
-            if row is None:
-                row = self.rows[key] = tuple(map(self.__getitem__, values))
-        return row
-
-
 def _targets_to_json(targets):
     return [[fmt_frac(q) for q in row] for row in targets]
-
-
-def _targets_from_json(rows, literals):
-    if len(rows) != 4 or any(len(r) != 4 for r in rows):
-        raise ModelError("born_targets must be 4x4")
-    return tuple(map(literals.row, rows))
 
 
 def _table_to_json(t: ResponseTable, shown: dict):
@@ -180,11 +90,6 @@ def _table_to_json(t: ResponseTable, shown: dict):
         return out
     get = shown.get
     return [[get(id(row)) or fmt_row(row) for row in plane] for plane in t.p]
-
-
-def _table_from_json(p, literals) -> ResponseTable:
-    return ResponseTable(tuple(tuple(map(literals.row, _capped(plane)))
-                               for plane in _capped(p)))
 
 
 def model_to_json(m) -> dict:
@@ -208,18 +113,12 @@ def model_to_json(m) -> dict:
     return d
 
 
-# What reading a malformed model or rho file raises (ModelError included).
-_MALFORMED = (KeyError, TypeError, ValueError, ArithmeticError)
-
-
-def _states(d: dict, literals: _Literals) -> tuple:
-    """(lambda_size, rho1, rho2) of a model or rho file."""
-    return (parse_size(d["lambda_size"]),
-            EpistemicState(literals.row(d["rho1"])),
-            EpistemicState(literals.row(d["rho2"])))
-
-
 def model_from_json(d: dict):
+    # `cli` imports this function, and the benchmark's tracer wraps it at
+    # that name, so it stays here; what it calls is compiled only by a
+    # command that reads a file.
+    from .reader import (_MALFORMED, _Literals, _states, _table_from_json,
+                         _targets_from_json)
     try:
         if d["mode"] != "exact":
             raise ModelError(f"unknown mode {_quoted(d['mode'])}; "
@@ -245,6 +144,9 @@ def model_from_json(d: dict):
 
 def rho_pair_from_json(d: dict):
     """Side file for the no-go command: two exact distributions."""
+    # As in model_from_json: this name stays for `cli` and the tracer, and
+    # the reader loads only when a file is read.
+    from .reader import _MALFORMED, _Literals, _states
     try:
         L, r1, r2 = _states(d, _Literals())
     except _MALFORMED as e:
@@ -340,70 +242,6 @@ def _scalar(obj) -> str:
         return float.__repr__(obj)
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON "
                     "serializable")
-
-
-# What json's decoder skips around a value.
-_WHITESPACE = " \t\n\r"
-
-
-def loads(text: str):
-    """json.loads(text): a leading BOM is refused, whitespace is skipped on
-    both sides of one value, and what is left raises json.JSONDecodeError
-    with json's text, which alone imports json. An integer longer than
-    int() reads raises ModelError naming it."""
-    try:
-        return _decode(text, _scanner(int))
-    except ValueError as e:
-        # Bad syntax raises json's subclass of ValueError, and an integer
-        # longer than int() reads ValueError itself.
-        if type(e) is ValueError:
-            _decode(text, _scanner(_json_int))  # raises, naming it
-        raise
-
-
-def _scanner(parse_int):
-    """The `scan_once` of json's default decoder, but with `parse_int`:
-    json's C scanner, set up as that decoder sets it up. A build without
-    the C module takes json's decoder."""
-    try:
-        from _json import make_scanner
-    except ImportError:
-        from json import JSONDecoder
-        return JSONDecoder(parse_int=parse_int).scan_once
-    constants = {"NaN": _NAN, "Infinity": _INFINITY, "-Infinity": -_INFINITY}
-    return make_scanner(SimpleNamespace(
-        strict=True, object_hook=None, object_pairs_hook=None,
-        parse_float=float, parse_int=parse_int,
-        parse_constant=constants.__getitem__))
-
-
-def _decode(text: str, scan):
-    """json's `JSONDecoder.decode`, with `scan` for its scanner."""
-    if text.startswith("\ufeff"):
-        raise _decode_error("Unexpected UTF-8 BOM (decode using utf-8-sig)",
-                            text, 0)
-    try:
-        value, end = scan(text, len(text) - len(text.lstrip(_WHITESPACE)))
-    except StopIteration as e:
-        raise _decode_error("Expecting value", text, e.value) from None
-    rest = text[end:].lstrip(_WHITESPACE)
-    if rest:
-        raise _decode_error("Extra data", text, len(text) - len(rest))
-    return value
-
-
-def _decode_error(message: str, text: str, pos: int):
-    from json import JSONDecodeError
-    return JSONDecodeError(message, text, pos)
-
-
-def _json_int(literal: str) -> int:
-    """int(literal), or ModelError quoting a literal too long for int()."""
-    try:
-        return int(literal)
-    except ValueError as e:
-        raise ModelError(f"the JSON integer {_quoted(literal)} has more than "
-                         f"{sys.get_int_max_str_digits()} digits") from e
 
 
 # Importing hashlib loads OpenSSL, about 3.2 ms of a process, and hashes

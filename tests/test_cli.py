@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from pbrlab import __version__, cli, ontology, serialize, values
+from pbrlab import __version__, cli, ontology, reader, serialize, values
 from pbrlab.cli import INPUT_MAX_BYTES, main
 from pbrlab.contextual import build_interval_model
 from pbrlab.hilbert import born_targets
@@ -755,13 +755,17 @@ def test_hostile_json_exits_2(tmp_path, command, content):
     assert proc.stderr.startswith("error: ")
 
 
+def _golden_file(name: str):
+    """The golden rho file for a "rho-file" case, else the golden model."""
+    if name.startswith("rho-file"):
+        return json.loads((GOLDEN / "rho_L3_seed3_overlap.json").read_text())
+    return json.loads((GOLDEN / "model_L3_contextual.json").read_text())
+
+
 def _oversize(name: str):
     """A golden model or rho file with one part one item over the cap."""
     n = serialize.REFUTE_MAX_LAMBDA + 1
-    if name.startswith("rho-file"):
-        doc = json.loads((GOLDEN / "rho_L3_seed3_overlap.json").read_text())
-    else:
-        doc = json.loads((GOLDEN / "model_L3_contextual.json").read_text())
+    doc = _golden_file(name)
     table = doc.get("response", {}).get("p", {}).get("11")
     part = name.rpartition(":")[2]
     if part == "lambda_size":
@@ -785,8 +789,13 @@ def test_an_oversize_file_is_refused_before_its_literals(monkeypatch, name):
     read = (serialize.rho_pair_from_json if name.startswith("rho-file")
             else serialize.model_from_json)
     parsed = []
-    monkeypatch.setattr(serialize, "parse_frac",
+    # `_Literals` looks parse_frac up in the module that defines it
+    monkeypatch.setattr(reader, "parse_frac",
                         lambda s: parsed.append(s) or Fraction(0))
+    # the patch is live: a file of normal size has its literals parsed
+    read(_golden_file(name))
+    assert parsed
+    parsed.clear()
     with pytest.raises(ModelError, match=str(serialize.REFUTE_MAX_LAMBDA)):
         read(doc)
     if name.endswith("lambda_size"):

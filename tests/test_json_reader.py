@@ -1,4 +1,4 @@
-"""`cli._load_json_file` parses with `serialize.loads`, which runs json's C
+"""`cli._load_json_file` parses with `reader.loads`, which runs json's C
 scanner without importing `json`: it must read every text as `json.loads`
 does, and refuse every other text with the same error line as when it
 called `json.loads`."""
@@ -9,15 +9,22 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pbrlab import cli, serialize
+from pbrlab import cli, reader
 from pbrlab.values import ModelError
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 LONG_INTEGER = "[" + "9" * 4301 + "]"
 DEEP = "[" * 100_000 + "]" * 100_000
+# Texts json refuses: empty, a BOM, extra data, a bad escape or control
+# character, cut short inside a value, an integer longer than int() reads,
+# nesting too deep.
+MALFORMED = ["", "\ufeff{}", "1 2", '"\\x"', '"\x01"', '{"a\x01": 1}',
+             '{"a": [1, 2', '{"a": 1', "[1, 2", '{"a"', "{", '"abc',
+             '{"mode": "exact"', LONG_INTEGER, DEEP]
 
 
 def json_loads_reader(text: str):
@@ -30,7 +37,7 @@ def json_loads_reader(text: str):
         except json.JSONDecodeError:
             raise
         except ValueError:
-            json.loads(text, parse_int=serialize._json_int)
+            json.loads(text, parse_int=reader._json_int)
             raise
     except (ValueError, RecursionError) as e:
         raise ModelError(str(e)) from e
@@ -96,7 +103,7 @@ _FALLBACK = """import sys
 sys.modules["_json"] = None
 import json
 sys.path.insert(0, {tests!r})
-from pbrlab import cli, serialize
+from pbrlab import cli, reader
 from test_json_reader import json_loads_reader, outcome
 texts = json.loads(sys.stdin.read())
 paths = [f"{{i}}.json" for i in range(len(texts))]
@@ -104,7 +111,7 @@ for path, text in zip(paths, texts):
     with open(path, "wb") as fh:
         fh.write(text.encode())
 print(json.dumps({{
-    "scanner": type(serialize._scanner(int)).__name__,
+    "scanner": type(reader._scanner(int)).__name__,
     "differ": [text[:40] for path, text in zip(paths, texts)
                if outcome(cli._load_json_file, path)
                != outcome(json_loads_reader, text)]}}))
@@ -112,9 +119,8 @@ print(json.dumps({{
 
 
 def test_reader_without_the_c_scanner_reads_as_json_loads(tmp_path):
-    samples = ["", "NaN", " [Infinity, -Infinity, NaN]\n", "\ufeff{}", "1 2",
-               '"\\x"', '"\x01"', '{"a\x01": 1}', '{"a": [1, 2.5, "\xe9"]} ',
-               '{"a": [1, 2', LONG_INTEGER, "[" * 50 + "]" * 50, DEEP]
+    samples = ["NaN", " [Infinity, -Infinity, NaN]\n",
+               '{"a": [1, 2.5, "\xe9"]} ', "[" * 50 + "]" * 50, *MALFORMED]
     done = subprocess.run(
         [sys.executable, "-c",
          _FALLBACK.format(tests=str(Path(__file__).resolve().parent))],
@@ -124,3 +130,20 @@ def test_reader_without_the_c_scanner_reads_as_json_loads(tmp_path):
     assert done.returncode == 0, done.stderr
     # json's Python scanner is a function, its C scanner a Scanner
     assert json.loads(done.stdout) == {"scanner": "function", "differ": []}
+
+
+# Before Python 3.12 json's C scanner raises an error inside a value as
+# json.decoder's error, which it finds only if json.decoder is imported:
+# pytest has imported it here, `pbr` never does.
+@pytest.mark.parametrize("text", MALFORMED, ids=map(str, range(len(MALFORMED))))
+def test_a_malformed_file_exits_2_in_a_process_without_json(tmp_path, text):
+    path = tmp_path / "malformed.json"
+    path.write_bytes(text.encode())
+    done = subprocess.run(
+        [sys.executable, "-S", "-m", "pbrlab.cli", "check", "--model",
+         str(path)], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=60)
+    kind, message = outcome(json_loads_reader, text)
+    assert kind == "error"
+    assert (done.returncode, done.stdout, done.stderr) == (
+        2, "", f"error: {message}\n")

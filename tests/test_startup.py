@@ -16,6 +16,8 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 GOLDEN = Path(__file__).parent / "golden"
 HEAVY = {"pbrlab.hilbert", "pbrlab.nogo", "pbrlab.simplex",
          "pbrlab.contextual"}
+# The JSON file reader, which only a command that reads a file loads.
+READER = "pbrlab.reader"
 
 
 def _env():
@@ -90,8 +92,8 @@ def test_contradiction_refuses_a_contextual_file_before_loading_nogo():
                     "    assert pbrlab.cli.main(['contradiction', '--model', "
                     f"{str(GOLDEN / 'model_L3_contextual.json')!r}]) == 2\n"
                     + _LOADED, "-S")
-    assert loaded == ["pbrlab", "pbrlab.cli", "pbrlab.serialize",
-                      "pbrlab.values"]
+    assert loaded == ["pbrlab", "pbrlab.cli", "pbrlab.reader",
+                      "pbrlab.serialize", "pbrlab.values"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -110,12 +112,16 @@ def test_model_commands_skip_the_born_table_and_the_lp(argv):
 
 @pytest.mark.parametrize("argv, loads, skips", [
     (["refute", "--lambda-size", "2"], {"pbrlab.contextual", "pbrlab.hilbert"},
-     {"pbrlab.nogo", "pbrlab.simplex", "pbrlab.outfile"}),
+     {"pbrlab.nogo", "pbrlab.simplex", "pbrlab.outfile", READER}),
     (["refute", "--lambda-size", "2", "--out", os.devnull],
-     {"pbrlab.contextual", "pbrlab.outfile"}, {"pbrlab.nogo"}),
+     {"pbrlab.contextual", "pbrlab.outfile"}, {"pbrlab.nogo", READER}),
     (["nogo", "--lambda-size", "2"], {"pbrlab.nogo", "pbrlab.simplex"},
+     {"pbrlab.contextual", "pbrlab.outfile", READER}),
+    (["nogo", "--lambda-size", "3", "--rho",
+      str(GOLDEN / "rho_L3_seed3_overlap.json")],
+     {"pbrlab.nogo", "pbrlab.simplex", READER},
      {"pbrlab.contextual", "pbrlab.outfile"}),
-], ids=["refute", "refute-out", "nogo"])
+], ids=["refute", "refute-out", "nogo", "nogo-rho"])
 def test_refute_and_nogo_load_only_their_layers(argv, loads, skips):
     loaded = _fresh("import contextlib, io, pbrlab.cli\n"
                     "with contextlib.redirect_stdout(io.StringIO()):\n"
@@ -125,36 +131,45 @@ def test_refute_and_nogo_load_only_their_layers(argv, loads, skips):
 
 
 # `basis` and `contradiction` build their reports in modules of their own,
-# which no other command compiles. Each case runs the real entry, `python
-# -m pbrlab.cli`, where `cli` is `__main__`: a module that imported
+# which no other command compiles, and only a command that reads a file
+# compiles the reader. Each case runs the real entry, `python -m
+# pbrlab.cli`, where `cli` is `__main__`: a module that imported
 # `pbrlab.cli` would compile it a second time, under that name.
 _REPORT_MODULES = {"pbrlab.basis", "pbrlab.forcing"}
 _BOUNDARIES = {
     "nogo-certificate": (["nogo", "--lambda-size", "12", "--json"], 0,
                          {"pbrlab.hilbert", "pbrlab.nogo", "pbrlab.simplex"},
-                         _REPORT_MODULES),
+                         _REPORT_MODULES | {READER}),
+    "nogo-rho-certificate": (["nogo", "--lambda-size", "7", "--rho",
+                              str(GOLDEN / "rho_L7_seed7_overlap.json"),
+                              "--json"], 0,
+                             {"pbrlab.nogo", "pbrlab.simplex", READER},
+                             _REPORT_MODULES | {"pbrlab.ontology"}),
     "nogo-witness": (["nogo", "--lambda-size", "3", "--rho",
                       str(GOLDEN / "rho_L3_seed3_disjoint.json"), "--json"],
-                     0, {"pbrlab.nogo", "pbrlab.ontology"}, _REPORT_MODULES),
+                     0, {"pbrlab.nogo", "pbrlab.ontology", READER},
+                     _REPORT_MODULES),
     "refute": (["refute", "--lambda-size", "2", "--json"], 0,
-               {"pbrlab.contextual", "pbrlab.hilbert"}, _REPORT_MODULES),
+               {"pbrlab.contextual", "pbrlab.hilbert"},
+               _REPORT_MODULES | {READER}),
     "check": (["check", "--model", str(GOLDEN / "model_L3_contextual.json"),
-               "--json"], 0, {"pbrlab.ontology"}, _REPORT_MODULES),
+               "--json"], 0, {"pbrlab.ontology", READER}, _REPORT_MODULES),
     "sample": (["sample", "--model", str(GOLDEN / "model_L3_contextual.json"),
                 "--context", "12", "--n", "100", "--seed", "1"], 0,
-               {"pbrlab.ontology"}, _REPORT_MODULES),
-    "version": (["--version"], 0, set(), _REPORT_MODULES | HEAVY),
+               {"pbrlab.ontology", READER}, _REPORT_MODULES),
+    "version": (["--version"], 0, set(), _REPORT_MODULES | HEAVY | {READER}),
+    "usage-error": (["nogo"], 2, set(), _REPORT_MODULES | HEAVY | {READER}),
     "contradiction": (["contradiction", "--model",
                        str(GOLDEN / "model_L3_disjoint.json"), "--json"], 4,
-                      {"pbrlab.forcing", "pbrlab.ontology"},
+                      {"pbrlab.forcing", "pbrlab.ontology", READER},
                       {"pbrlab.nogo", "pbrlab.simplex", "pbrlab.hilbert"}),
     "contradiction-proof": (["contradiction", "--model",
                              str(GOLDEN / "model_L3_noncontextual.json")], 0,
-                            {"pbrlab.forcing", "pbrlab.ontology"},
+                            {"pbrlab.forcing", "pbrlab.ontology", READER},
                             {"pbrlab.nogo", "pbrlab.simplex",
                              "pbrlab.hilbert"}),
     "basis": (["basis", "--json"], 0, {"pbrlab.hilbert", "pbrlab.basis"},
-              {"pbrlab.nogo", "pbrlab.forcing"}),
+              {"pbrlab.nogo", "pbrlab.forcing", READER}),
 }
 
 # Imported by `site` at start-up; `run` runs the atexit handlers before it
