@@ -23,24 +23,24 @@ A usage error is one more ModelError.
 `run` is the program entry, for `pbr` and `python -m pbrlab.cli`. `main`
 leaves the process as it found it, for callers in the same process.
 
-The direct forcing argument of `contradiction` lives in `forcing`, and the
-amplitude printer of `basis` in `basis`; neither module imports this one,
-which runs as `__main__` under `python -m pbrlab.cli`.
+Each command checks its arguments, reads its file and hands off to the
+report beside the layer that does the work: `basis.report`, `nogo.report`,
+`forcing.report`, `contextual.report`, `ontology.check_report` and
+`ontology.sample_report`. So a process compiles the reports of only the
+layers its command loads. No module imports this one, which runs as
+`__main__` under `python -m pbrlab.cli`.
 """
 
 import gc
 import os
 import sys
 import time
-from math import lcm
 from types import SimpleNamespace
 
 from . import __version__
-from .serialize import (REFUTE_MAX_LAMBDA, _quoted, _table_to_json,
-                        _targets_to_json, digest, dumps_canonical, fmt_frac,
+from .serialize import (REFUTE_MAX_LAMBDA, _quoted, digest, dumps_canonical,
                         model_from_json, model_to_json, rho_pair_from_json)
-from .values import (CONTEXTS, NONCONTEXTUAL_ONLY, EpistemicState,
-                     ModelError, _shown, support_overlap)
+from .values import NONCONTEXTUAL_ONLY, ModelError
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
@@ -55,30 +55,14 @@ EXIT_NOT_APPLICABLE = 4
 # overlapping weights: 0.5-1.3 s from process start to exit at L = 64 for
 # weights of up to 3 digits, where uniform, disjoint or partly overlapping
 # rho take under 0.5 s (Python 3.11, 2 vCPUs). Longer weights take longer:
-# the table under NOGO_MAX_RHO_BITS gives up to 10.8 s at L = 64. At
+# the table under nogo.NOGO_MAX_RHO_BITS gives up to 10.8 s at L = 64. At
 # K = L = 128 the solve alone takes 1.1-3.5 s, so the cap stays at 64.
 # Larger sizes are refused before building.
 NOGO_MAX_LAMBDA = 64
-# Exact pivots grow with the bits of the rho pair's common denominator: each
-# tableau entry is a ratio of subdeterminants (Edmonds 1967, Bareiss 1968).
-# K = L pairs, bits -> seconds from process start to exit, one run each
-# (Python 3.11, 2 vCPUs):
-#   L = 7:  24 -> 0.08, 256 -> 0.10-0.15, 669 -> 0.18
-#   L = 16: 256 -> 0.13-0.36, 670 -> 0.33, 2,000 -> 3.2; 1,000 digits per
-#           weight -> 39
-#   L = 32: 207 -> 0.42, 256 -> 0.44-2.1, 672 -> 4.1
-#   L = 64: 31 -> 0.77, 75 -> 1.2, 128 -> 3.7, 144 -> 2.0, 207 -> 3.1,
-#           256 -> 4.9-10.8
-# A pair over a larger denominator is refused before building.
-NOGO_MAX_RHO_BITS = 256
 # sample draws exactly, at a few microseconds per trial: 10^7 trials take
 # 18-25 s (the L = 3 and L = 40 interval models, Python 3.11, 2 vCPUs).
 # Larger counts are refused before sampling.
 SAMPLE_MAX_N = 10 ** 7
-# The largest file pbr writes, `refute --lambda-size 128 --out`, holds about
-# 4.5 MB. Larger model and rho files are refused once one byte more is read.
-INPUT_MAX_BYTES = 16 * 2 ** 20
-READ_CHUNK_BYTES = 2 ** 20
 
 
 def _emit(args, inputs: dict, payload: dict, human_lines, elapsed) -> None:
@@ -115,31 +99,11 @@ def _write(stream, *texts: str) -> None:
         raise
 
 
-def _load_json_file(path: str):
-    """The parsed file, of which at most INPUT_MAX_BYTES + 1 bytes are read,
-    be it regular, a pipe or a device. A file that is longer, is not UTF-8
-    JSON, holds an integer of more than 4300 digits or nests too deep raises
-    ModelError."""
-    chunks, size = [], 0
-    with open(path, "rb") as fh:
-        # A read of n bytes reserves n bytes before it reads: read in
-        # chunks, so a small file does not reserve the whole cap.
-        while size <= INPUT_MAX_BYTES:
-            chunk = fh.read(min(READ_CHUNK_BYTES, INPUT_MAX_BYTES + 1 - size))
-            if not chunk:
-                break
-            chunks.append(chunk)
-            size += len(chunk)
-    if size > INPUT_MAX_BYTES:
-        raise ModelError(f"{path} holds more than {INPUT_MAX_BYTES} bytes, "
-                         "the cap on input files")
-    # Imported here, so that a command that reads no file never compiles
-    # the reader.
-    from .reader import loads
-    try:
-        return loads(b"".join(chunks).decode())
-    except (ValueError, RecursionError) as e:
-        raise ModelError(str(e)) from e
+def _read(path: str):
+    """The parsed JSON file at `path` (`reader.load_json_file`): only a
+    command that reads a file compiles the reader."""
+    from .reader import load_json_file
+    return load_json_file(path)
 
 
 def _in_range(name: str, value: int, low: int, high: int,
@@ -154,10 +118,12 @@ def _in_range(name: str, value: int, low: int, high: int,
 
 # Each command returns (exit code, inputs, payload, human lines) for `main`
 # to print, with its model's JSON document only for --json (or refute
-# --out). It imports the layers it runs: `check` and `sample` never load
-# the Born table, the LP or the interval model, and a `nogo` certificate
-# run never loads `ontology`, the checks of a whole model, prediction and
-# sampling, which only its witness branch needs.
+# --out). It imports the layer whose report it returns: `check` and
+# `sample` never load the Born table, the LP or the interval model, and a
+# `nogo` certificate run never loads `ontology`, the checks of a whole
+# model, prediction and sampling, which only its witness branch needs.
+# The model and rho files are read and the model written by the names
+# imported above, which the benchmark's tracer wraps here.
 
 def cmd_basis(args) -> tuple:
     from .basis import report
@@ -165,70 +131,17 @@ def cmd_basis(args) -> tuple:
 
 
 def cmd_nogo(args) -> tuple:
-    from . import hilbert, nogo
     L = _in_range("lambda_size", args.lambda_size, 1, NOGO_MAX_LAMBDA,
                   " for nogo")
-    if args.rho:
-        r1, r2 = rho_pair_from_json(_load_json_file(args.rho))
-        if r1.size != L:
-            raise ModelError(f"rho file is over L={r1.size}, not {L}")
-        bits = lcm(*(w.denominator for w in r1.weights + r2.weights)
-                   ).bit_length()
-        if bits > NOGO_MAX_RHO_BITS:
-            raise ModelError(f"the rho pair's common denominator has {bits} "
-                             f"bits; nogo takes at most {NOGO_MAX_RHO_BITS}")
-    else:
-        r1 = r2 = EpistemicState.uniform(L)
-
-    targets = hilbert.born_targets()
-    problem = nogo.build_feasibility(r1, r2, targets)
-    outcome = nogo.solve_feasibility(problem)
-    overlap = support_overlap(r1, r2)
-    expect_feasible = nogo.theorem_expected_verdict(r1, r2)
-
-    inputs = {"lambda_size": L,
-              "rho1": [fmt_frac(w) for w in r1.weights],
-              "rho2": [fmt_frac(w) for w in r2.weights],
-              "targets": _targets_to_json(targets)}
-    payload = {"arithmetic": "exact",
-               "row_order": nogo.ROW_ORDER_NOTE,
-               "overlap": {"disjoint": overlap.disjoint,
-                           "overlap_mass": fmt_frac(overlap.overlap_mass)},
-               "verdict": "feasible" if outcome.feasible else "infeasible",
-               "expected_verdict": "feasible" if expect_feasible else "infeasible"}
-    lines = [f"lambda_size: {L}",
-             f"supports disjoint: {overlap.disjoint} "
-             f"(overlap mass {fmt_frac(overlap.overlap_mass)})",
-             f"verdict: {payload['verdict']}"]
-
-    consistent = outcome.feasible == expect_feasible
-    if outcome.feasible:
-        from . import ontology
-        model = nogo.witness_model(problem, outcome)
-        reproduced = not ontology.validate_model(model) and all(
-            ontology._predict(model, ctx) == targets[c]
-            for c, ctx in enumerate(CONTEXTS))
-        payload["witness"] = {"p": _table_to_json(outcome.witness, {}),
-                              "reproduces_targets": reproduced}
-        lines.append(f"witness reproduces targets exactly: {reproduced}")
-        consistent = consistent and reproduced
-    else:
-        verified = nogo.verify_certificate(problem, outcome.certificate)
-        payload["certificate"] = {
-            "rows": list(problem.row_labels),
-            "y": [fmt_frac(v) for v in outcome.certificate],
-            "verified": verified}
-        lines.append(f"Farkas certificate verifies: {verified}")
-        consistent = consistent and verified
-
-    payload["theorem_consistent"] = consistent
-    lines.append(f"consistent with the no-go theorem: {consistent}")
-    code = EXIT_OK if consistent else EXIT_THEOREM_VIOLATED
+    rho = None if args.rho is None else rho_pair_from_json(_read(args.rho))
+    from .nogo import report
+    inputs, payload, lines = report(L, rho)
+    code = EXIT_OK if payload["theorem_consistent"] else EXIT_THEOREM_VIOLATED
     return code, inputs, payload, lines
 
 
 def cmd_contradiction(args) -> tuple:
-    document = _load_json_file(args.model)
+    document = _read(args.model)
     # A file whose response kind is contextual is refused, valid or not,
     # before it is read into a model; any other shape is read in full.
     response = (document.get("response") if isinstance(document, dict)
@@ -242,80 +155,35 @@ def cmd_contradiction(args) -> tuple:
 
 
 def cmd_refute(args) -> tuple:
-    from . import contextual, hilbert
     L = _in_range("lambda_size", args.lambda_size, 1, REFUTE_MAX_LAMBDA,
                   " for refute")
-    model = contextual.build_interval_model(L, hilbert.born_targets())
-    report_data = contextual.refutation_report(model)
-    document = model_to_json(model) if args.out or args.json else None
-    if args.out:
+    from .contextual import report
+    model, inputs, payload, lines = report(L, args.out)
+    document = payload["model"] = (
+        model_to_json(model) if args.out is not None or args.json else None)
+    if args.out is not None:
         from .outfile import stage
         stage(args.staged, args.out, dumps_canonical(document), "\n")
-
-    inputs = {"lambda_size": L,
-              "targets": _targets_to_json(hilbert.born_targets())}
-    payload = {"arithmetic": "exact",
-               "born_reproduced": report_data.born_reproduced,
-               "overlap_mass": fmt_frac(report_data.overlap_mass),
-               "eq2_violated": report_data.eq2_violated,
-               "collapse": report_data.collapse,
-               "verdict": report_data.verdict,
-               "model": document}
-    lines = [f"interval model over L = {L} (uniform epistemic states)",
-             f"Born targets reproduced exactly: {report_data.born_reproduced}",
-             f"overlap mass: {fmt_frac(report_data.overlap_mass)}",
-             f"disjoint-support condition violated: {report_data.eq2_violated}",
-             f"verdict: {report_data.verdict}"]
-    if args.out:
-        lines.append(f"model written to {args.out}")
-    code = EXIT_OK if report_data.collapse else EXIT_THEOREM_VIOLATED
+    code = EXIT_OK if payload["collapse"] else EXIT_THEOREM_VIOLATED
     return code, inputs, payload, lines
 
 
 def cmd_check(args) -> tuple:
-    from . import ontology
-    model = model_from_json(_load_json_file(args.model))
-    violations = _shown(ontology.validate_model(model))
-    lines = (["model is valid"] if not violations
-             else ["model is invalid:"] + [f"  {v}" for v in violations])
-    return (EXIT_OK if not violations else EXIT_BAD_INPUT,
-            {"model": model_to_json(model) if args.json else None},
-            {"valid": not violations, "violations": violations}, lines)
-
-
-def _parse_context(s: str):
-    spellings = [f"{j}{k}" for j, k in CONTEXTS]
-    if s not in spellings:
-        raise ModelError(f"context must be one of {', '.join(spellings)}; "
-                         f"got {s!r}")
-    return CONTEXTS[spellings.index(s)]
+    model = model_from_json(_read(args.model))
+    from .ontology import check_report
+    inputs, payload, lines = check_report(model)
+    inputs["model"] = model_to_json(model) if args.json else None
+    code = EXIT_OK if payload["valid"] else EXIT_BAD_INPUT
+    return code, inputs, payload, lines
 
 
 def cmd_sample(args) -> tuple:
-    from . import ontology
-    model = model_from_json(_load_json_file(args.model))
-    context = _parse_context(args.context)
+    model = model_from_json(_read(args.model))
+    from .ontology import parse_context, sample_report
+    context = parse_context(args.context)
     _in_range("n", args.n, 0, SAMPLE_MAX_N)
-    counts = ontology.sample(model, context, args.n, args.seed)
-    predicted = ontology._predict(model, context)
-    stat = ontology.chi_square_statistic(counts, predicted)
-
-    inputs = {"model": model_to_json(model) if args.json else None,
-              "context": f"{context[0]}{context[1]}",
-              "n": args.n, "seed": args.seed}
-    payload = {
-        "generator": ontology.PRNG_NAME,
-        "counts": list(counts.counts),
-        "predicted": [fmt_frac(p) for p in predicted],
-        "frequencies": [float(f"{c / args.n:.6g}") if args.n else 0.0
-                        for c in counts.counts],
-        "chi_square": float(f"{stat:.6g}"),
-    }
-    lines = [f"context {context[0]}{context[1]}, n = {args.n}, seed = {args.seed}",
-             f"generator: {ontology.PRNG_NAME}",
-             "counts:    " + " ".join(str(c) for c in counts.counts),
-             "predicted: " + " ".join(fmt_frac(p) for p in predicted),
-             f"chi-square: {stat:.6g}"]
+    inputs, payload, lines = sample_report(model, context, args.n, args.seed)
+    inputs["model"] = model_to_json(model) if args.json else None
     return EXIT_OK, inputs, payload, lines
 
 

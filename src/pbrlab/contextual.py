@@ -3,12 +3,15 @@
 A contextual model lets the response probabilities depend on which quantum
 states were prepared. The interval builder below makes the strongest
 possible witness: identical (maximally overlapping) epistemic states that
-still reproduce every Born target exactly.
+still reproduce every Born target exactly. `report` builds and checks it
+for `pbr refute`.
 """
 
 from fractions import Fraction
 
+from . import hilbert
 from .ontology import _predict, _require_valid
+from .serialize import _targets_to_json, fmt_frac
 from .values import (CONTEXTS, EpistemicState, LambdaSpace, ModelError,
                      OntologicalModel, Record, ResponseTable,
                      _over_common_denominator, _require_inputs,
@@ -127,3 +130,28 @@ def refutation_report(m: OntologicalModel) -> RefutationReport:
     return RefutationReport(born_reproduced=reproduced,
                             overlap_mass=overlap.overlap_mass,
                             eq2_violated=eq2_violated, verdict=verdict)
+
+
+def report(L: int, out) -> tuple:
+    """(model, inputs, payload, human lines) of `pbr refute`: the interval
+    model over L uniformly weighted hidden states, for `cli` to write to
+    the path `out` (or None); the payload's `collapse` says whether it
+    refutes the theorem's premise."""
+    targets = hilbert.born_targets()
+    model = build_interval_model(L, targets)
+    found = refutation_report(model)
+    inputs = {"lambda_size": L, "targets": _targets_to_json(targets)}
+    payload = {"arithmetic": "exact",
+               "born_reproduced": found.born_reproduced,
+               "overlap_mass": fmt_frac(found.overlap_mass),
+               "eq2_violated": found.eq2_violated,
+               "collapse": found.collapse,
+               "verdict": found.verdict}
+    lines = [f"interval model over L = {L} (uniform epistemic states)",
+             f"Born targets reproduced exactly: {found.born_reproduced}",
+             f"overlap mass: {fmt_frac(found.overlap_mass)}",
+             f"disjoint-support condition violated: {found.eq2_violated}",
+             f"verdict: {found.verdict}"]
+    if out is not None:
+        lines.append(f"model written to {out}")
+    return model, inputs, payload, lines

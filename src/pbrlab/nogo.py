@@ -26,11 +26,14 @@ quotient is the problem itself. `solve_feasibility` lifts the answer back:
 
 Certificates are over the unreduced rows of ROW_ORDER_NOTE, an LP built
 only when read: `verify_certificate` audits them from rho and the targets.
+`report` decides and audits the Born targets' LP for `pbr nogo`.
 """
 
 from fractions import Fraction
 from math import lcm
 
+from . import hilbert
+from .serialize import _table_to_json, _targets_to_json, fmt_frac
 from .simplex import solve_equalities
 from .values import (CONTEXTS, EpistemicState, LambdaSpace, ModelError,
                      OntologicalModel, Record, ResponseTable,
@@ -38,6 +41,19 @@ from .values import (CONTEXTS, EpistemicState, LambdaSpace, ModelError,
                      support_overlap)
 
 _ONE = Fraction(1)
+
+# Exact pivots grow with the bits of the rho pair's common denominator: each
+# tableau entry is a ratio of subdeterminants (Edmonds 1967, Bareiss 1968).
+# K = L pairs, bits -> seconds from process start to exit, one run each
+# (Python 3.11, 2 vCPUs):
+#   L = 7:  24 -> 0.08, 256 -> 0.10-0.15, 669 -> 0.18
+#   L = 16: 256 -> 0.13-0.36, 670 -> 0.33, 2,000 -> 3.2; 1,000 digits per
+#           weight -> 39
+#   L = 32: 207 -> 0.42, 256 -> 0.44-2.1, 672 -> 4.1
+#   L = 64: 31 -> 0.77, 75 -> 1.2, 128 -> 3.7, 144 -> 2.0, 207 -> 3.1,
+#           256 -> 4.9-10.8
+# A pair over a larger denominator is refused before building.
+NOGO_MAX_RHO_BITS = 256
 
 # Fixed so certificates compare across runs; x[i][lam][lamp] is _var.
 ROW_ORDER_NOTE = ("normalization rows (lambda-major), then Born rows "
@@ -248,3 +264,64 @@ def theorem_expected_verdict(r1: EpistemicState, r2: EpistemicState) -> bool:
     """The verdict the no-go theorem predicts: feasible iff supports are
     disjoint (for targets carrying one zero per outcome, as here)."""
     return support_overlap(r1, r2).disjoint
+
+
+def report(L: int, rho) -> tuple:
+    """(inputs, payload, human lines) of `pbr nogo` over L hidden states,
+    for the (rho1, rho2) pair of a rho file, or uniform rho for None; the
+    payload's `theorem_consistent` says whether the verdict agrees with the
+    theorem and its certificate or witness checks out. Only a witness, which
+    is checked as a model, loads `ontology`."""
+    if rho is None:
+        r1 = r2 = EpistemicState.uniform(L)
+    else:
+        r1, r2 = rho
+        if r1.size != L:
+            raise ModelError(f"rho file is over L={r1.size}, not {L}")
+        d = _over_common_denominator(r1.weights + r2.weights)[1]
+        if d.bit_length() > NOGO_MAX_RHO_BITS:
+            raise ModelError("the rho pair's common denominator has "
+                             f"{d.bit_length()} bits; nogo takes at most "
+                             f"{NOGO_MAX_RHO_BITS}")
+    targets = hilbert.born_targets()
+    problem = build_feasibility(r1, r2, targets)
+    outcome = solve_feasibility(problem)
+    overlap = support_overlap(r1, r2)
+    expect_feasible = theorem_expected_verdict(r1, r2)
+    mass = fmt_frac(overlap.overlap_mass)
+
+    inputs = {"lambda_size": L,
+              "rho1": list(map(fmt_frac, r1.weights)),
+              "rho2": list(map(fmt_frac, r2.weights)),
+              "targets": _targets_to_json(targets)}
+    payload = {"arithmetic": "exact",
+               "row_order": ROW_ORDER_NOTE,
+               "overlap": {"disjoint": overlap.disjoint,
+                           "overlap_mass": mass},
+               "verdict": "feasible" if outcome.feasible else "infeasible",
+               "expected_verdict": "feasible" if expect_feasible else "infeasible"}
+    lines = [f"lambda_size: {L}",
+             f"supports disjoint: {overlap.disjoint} (overlap mass {mass})",
+             f"verdict: {payload['verdict']}"]
+
+    if outcome.feasible:
+        from . import ontology
+        model = witness_model(problem, outcome)
+        checked = not ontology.validate_model(model) and all(
+            ontology._predict(model, ctx) == row
+            for ctx, row in zip(CONTEXTS, targets))
+        payload["witness"] = {"p": _table_to_json(outcome.witness, {}),
+                              "reproduces_targets": checked}
+        lines.append(f"witness reproduces targets exactly: {checked}")
+    else:
+        checked = verify_certificate(problem, outcome.certificate)
+        payload["certificate"] = {
+            "rows": list(problem.row_labels),
+            "y": list(map(fmt_frac, outcome.certificate)),
+            "verified": checked}
+        lines.append(f"Farkas certificate verifies: {checked}")
+
+    consistent = outcome.feasible == expect_feasible and checked
+    payload["theorem_consistent"] = consistent
+    lines.append(f"consistent with the no-go theorem: {consistent}")
+    return inputs, payload, lines

@@ -5,13 +5,17 @@ Every number is exact: response entries, like the weights and targets
 `values` checks, are ints or Fractions, compared with no tolerance, since
 the no-go argument turns on probabilities that are exactly 0.
 `validate_model` reports any other value, a float or a bool included.
+`check_report` and `sample_report` are the reports of `pbr check` and
+`pbr sample`.
 """
 
 from fractions import Fraction
 
+from .serialize import fmt_frac
 from .values import (CONTEXTS, ModelError, OntologicalModel, OutcomeCounts,
                      _check_distribution, _exact, _joined, _not_exact,
-                     _over_common_denominator, _show, _target_complaints)
+                     _over_common_denominator, _show, _shown,
+                     _target_complaints)
 
 # random.random() returns k / 2**53 for an integer k in [0, 2**53).
 _RANDOM_SCALE = 1 << 53
@@ -213,3 +217,44 @@ def chi_square_statistic(counts: OutcomeCounts, probs) -> float:
             continue
         stat += (obs - expected) ** 2 / expected
     return stat
+
+
+def check_report(m: OntologicalModel) -> tuple:
+    """(inputs, payload, human lines) of `pbr check` for `m`, the model's
+    JSON document aside; the payload's `valid` says whether it is."""
+    violations = _shown(validate_model(m))
+    lines = ["model is invalid:" if violations else "model is valid"]
+    lines += [f"  {v}" for v in violations]
+    return {}, {"valid": not violations, "violations": violations}, lines
+
+
+def parse_context(s: str):
+    """The (j, k) context spelled "jk", or ModelError."""
+    spellings = [f"{j}{k}" for j, k in CONTEXTS]
+    if s not in spellings:
+        raise ModelError(f"context must be one of {', '.join(spellings)}; "
+                         f"got {s!r}")
+    return CONTEXTS[spellings.index(s)]
+
+
+def sample_report(m: OntologicalModel, context, n: int, seed: int) -> tuple:
+    """(inputs, payload, human lines) of `pbr sample`, the model's JSON
+    document aside: `n` trials in `context` from `seed`, their counts
+    against the prediction."""
+    counts = sample(m, context, n, seed)
+    predicted = _predict(m, context)
+    stat = f"{chi_square_statistic(counts, predicted):.6g}"
+    name = f"{context[0]}{context[1]}"
+    shown = list(map(fmt_frac, predicted))
+    payload = {"generator": PRNG_NAME,
+               "counts": list(counts.counts),
+               "predicted": shown,
+               "frequencies": [float(f"{c / n:.6g}") if n else 0.0
+                               for c in counts.counts],
+               "chi_square": float(stat)}
+    lines = [f"context {name}, n = {n}, seed = {seed}",
+             f"generator: {PRNG_NAME}",
+             "counts:    " + " ".join(map(str, counts.counts)),
+             "predicted: " + " ".join(shown),
+             f"chi-square: {stat}"]
+    return {"context": name, "n": n, "seed": seed}, payload, lines

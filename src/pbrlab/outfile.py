@@ -12,17 +12,18 @@ def stage(staged: list, path: str, *texts: str) -> None:
     file, or a regular file of this user's with one link that this user
     may write, in a directory this user may write, is replaced: `texts` go
     to a new file beside it, with its mode, and (new file, `path`) is added
-    to `staged`. Anything else, such as a symbolic link, a device, a pipe
-    or a file that may not be replaced, is written in place, as
-    `open(path, "w")` would."""
+    to `staged`. Anything else, such as a symbolic link, a device, a pipe,
+    a file that may not be replaced or an empty path, is written in place,
+    as `open(path, "w")` would."""
     head, tail = os.path.split(path)
     try:
         st = os.lstat(path)
     except OSError:
         st = None  # a new file, or one that cannot be opened either
-    replace = os.access(head or ".", os.W_OK) and (st is None or (
-        stat.S_ISREG(st.st_mode) and st.st_nlink == 1
-        and st.st_uid == os.geteuid() and os.access(path, os.W_OK)))
+    replace = bool(tail) and os.access(head or ".", os.W_OK) and (
+        st is None or (stat.S_ISREG(st.st_mode) and st.st_nlink == 1
+                       and st.st_uid == os.geteuid()
+                       and os.access(path, os.W_OK)))
     new = os.path.join(head, f".{tail}.{os.getpid()}.tmp") if replace else path
     try:
         with open(new, "x" if replace else "w") as fh:

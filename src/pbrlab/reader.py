@@ -1,10 +1,11 @@
-"""Reading model and rho files: the JSON text parser and the exact records.
+"""Reading model and rho files: the capped file read, the JSON text parser
+and the exact records.
 
-`loads` reads JSON text with json's own C scanner, without importing json.
-The literal checks and record builders turn a parsed model or rho file into
-exact values for `serialize.model_from_json` and
-`serialize.rho_pair_from_json`. Only a command that reads a file loads this
-module, so no other compiles it.
+`load_json_file` reads a file of at most INPUT_MAX_BYTES, and `loads` parses
+it with json's own C scanner, without importing json. `model_from_json` and
+`rho_pair_from_json`, with the literal checks and record builders they call,
+turn a parsed model or rho file into exact values. Only a command that
+reads a file loads this module, so no other compiles it.
 """
 
 import re
@@ -13,7 +14,13 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 from .serialize import _INFINITY, _NAN, REFUTE_MAX_LAMBDA, _quoted
-from .values import EpistemicState, ModelError, ResponseTable
+from .values import (CONTEXTS, EpistemicState, LambdaSpace, ModelError,
+                     OntologicalModel, ResponseTable)
+
+# The largest file pbr writes, `refute --lambda-size 128 --out`, holds about
+# 4.5 MB. Larger model and rho files are refused once one byte more is read.
+INPUT_MAX_BYTES = 16 * 2 ** 20
+READ_CHUNK_BYTES = 2 ** 20
 
 # An optional sign, ASCII digits, and optionally "/" and ASCII digits.
 # Fraction itself also reads decimals and exponents, and expands
@@ -119,6 +126,65 @@ def _states(d: dict, literals: _Literals) -> tuple:
     return (parse_size(d["lambda_size"]),
             EpistemicState(literals.row(d["rho1"])),
             EpistemicState(literals.row(d["rho2"])))
+
+
+def model_from_json(d: dict):
+    try:
+        if d["mode"] != "exact":
+            raise ModelError(f"unknown mode {_quoted(d['mode'])}; "
+                             "models are exact")
+        literals = _Literals()
+        L, rho1, rho2 = _states(d, literals)
+        targets = _targets_from_json(d["born_targets"], literals)
+        resp = d["response"]
+        kind = resp["kind"]
+        if kind == "noncontextual":
+            response = (_table_from_json(resp["p"], literals),)
+        elif kind == "contextual":
+            response = tuple(_table_from_json(resp["p"][f"{j}{k}"], literals)
+                             for (j, k) in CONTEXTS)
+        else:
+            raise ModelError(f"unknown response kind {_quoted(kind)}")
+    except _MALFORMED as e:
+        raise ModelError(f"malformed model: {e}") from e
+
+    return OntologicalModel(lambda_space=LambdaSpace(L), rho1=rho1, rho2=rho2,
+                            response=response, born_targets=targets)
+
+
+def rho_pair_from_json(d: dict):
+    """Side file for the no-go command: two exact distributions."""
+    try:
+        L, r1, r2 = _states(d, _Literals())
+    except _MALFORMED as e:
+        raise ModelError(f"malformed rho file: {e}") from e
+    if r1.size != L or r2.size != L:
+        raise ModelError("rho lengths disagree with lambda_size")
+    return r1, r2
+
+
+def load_json_file(path: str):
+    """The parsed file, of which at most INPUT_MAX_BYTES + 1 bytes are read,
+    be it regular, a pipe or a device. A file that is longer, is not UTF-8
+    JSON, holds an integer of more than 4300 digits or nests too deep raises
+    ModelError."""
+    chunks, size = [], 0
+    with open(path, "rb") as fh:
+        # A read of n bytes reserves n bytes before it reads: read in
+        # chunks, so a small file does not reserve the whole cap.
+        while size <= INPUT_MAX_BYTES:
+            chunk = fh.read(min(READ_CHUNK_BYTES, INPUT_MAX_BYTES + 1 - size))
+            if not chunk:
+                break
+            chunks.append(chunk)
+            size += len(chunk)
+    if size > INPUT_MAX_BYTES:
+        raise ModelError(f"{path} holds more than {INPUT_MAX_BYTES} bytes, "
+                         "the cap on input files")
+    try:
+        return loads(b"".join(chunks).decode())
+    except (ValueError, RecursionError) as e:
+        raise ModelError(str(e)) from e
 
 
 # What json's decoder skips around a value.

@@ -4,10 +4,8 @@ Exact numbers cross every boundary as "num/den" strings ("3/4", "1", "0")
 so reports stay re-verifiable by third parties; floats appear only in
 sampling statistics. Canonical dumps sort keys so golden-file comparisons
 are byte-stable. `dumps_canonical` writes JSON text with json's own C
-function, without importing json. The reader of model and rho files,
-`loads` with the literal checks and record builders, lives in `reader`,
-which only a command that reads a file loads; `model_from_json` and
-`rho_pair_from_json` stay here and import it when called.
+function, without importing json. The reader of model and rho files lives
+in `reader`, which only a command that reads a file loads.
 """
 
 from fractions import Fraction
@@ -29,8 +27,7 @@ except ImportError:
     except ImportError:
         from hashlib import sha256 as _sha256
 
-from .values import (CONTEXTS, LambdaSpace, ModelError, OntologicalModel,
-                     ResponseTable)
+from .values import CONTEXTS, ModelError, ResponseTable
 
 
 def fmt_frac(x: Fraction) -> str:
@@ -113,47 +110,16 @@ def model_to_json(m) -> dict:
     return d
 
 
+# `cli` imports these two names, where the benchmark's tracer wraps them.
+# They forward to `reader`, which only a command that reads a file loads.
 def model_from_json(d: dict):
-    # `cli` imports this function, and the benchmark's tracer wraps it at
-    # that name, so it stays here; what it calls is compiled only by a
-    # command that reads a file.
-    from .reader import (_MALFORMED, _Literals, _states, _table_from_json,
-                         _targets_from_json)
-    try:
-        if d["mode"] != "exact":
-            raise ModelError(f"unknown mode {_quoted(d['mode'])}; "
-                             "models are exact")
-        literals = _Literals()
-        L, rho1, rho2 = _states(d, literals)
-        targets = _targets_from_json(d["born_targets"], literals)
-        resp = d["response"]
-        kind = resp["kind"]
-        if kind == "noncontextual":
-            response = (_table_from_json(resp["p"], literals),)
-        elif kind == "contextual":
-            response = tuple(_table_from_json(resp["p"][f"{j}{k}"], literals)
-                             for (j, k) in CONTEXTS)
-        else:
-            raise ModelError(f"unknown response kind {_quoted(kind)}")
-    except _MALFORMED as e:
-        raise ModelError(f"malformed model: {e}") from e
-
-    return OntologicalModel(lambda_space=LambdaSpace(L), rho1=rho1, rho2=rho2,
-                            response=response, born_targets=targets)
+    from . import reader
+    return reader.model_from_json(d)
 
 
 def rho_pair_from_json(d: dict):
-    """Side file for the no-go command: two exact distributions."""
-    # As in model_from_json: this name stays for `cli` and the tracer, and
-    # the reader loads only when a file is read.
-    from .reader import _MALFORMED, _Literals, _states
-    try:
-        L, r1, r2 = _states(d, _Literals())
-    except _MALFORMED as e:
-        raise ModelError(f"malformed rho file: {e}") from e
-    if r1.size != L or r2.size != L:
-        raise ModelError("rho lengths disagree with lambda_size")
-    return r1, r2
+    from . import reader
+    return reader.rho_pair_from_json(d)
 
 
 def dumps_canonical(obj) -> str:

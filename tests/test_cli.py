@@ -12,9 +12,10 @@ from pathlib import Path
 import pytest
 
 from pbrlab import __version__, cli, ontology, reader, serialize, values
-from pbrlab.cli import INPUT_MAX_BYTES, main
+from pbrlab.cli import main
 from pbrlab.contextual import build_interval_model
 from pbrlab.hilbert import born_targets
+from pbrlab.reader import INPUT_MAX_BYTES
 from pbrlab.serialize import dumps_canonical, model_to_json
 from pbrlab.values import EpistemicState, ModelError
 from records import replace
@@ -162,7 +163,8 @@ _D = 2 ** 255  # the largest power of two of NOGO_MAX_RHO_BITS = 256 bits
 ], ids=["at-the-cap", "one-bit-over", "over-in-common"])
 def test_nogo_caps_the_rho_pairs_common_denominator(capsys, tmp_path, rho1,
                                                     rho2, code):
-    assert cli.NOGO_MAX_RHO_BITS == 256
+    from pbrlab import nogo
+    assert nogo.NOGO_MAX_RHO_BITS == 256
     path = tmp_path / "rho.json"
     path.write_text(json.dumps({"lambda_size": 2, "rho1": rho1, "rho2": rho2}))
     got, out, err = run(capsys, "nogo", "--lambda-size", "2",
@@ -534,6 +536,24 @@ def test_refute_unwritable_out_exits_2(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "error" in err and "no_such_dir" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["nogo", "--lambda-size", "3", "--rho", ""],
+    ["nogo", "--lambda-size", "3", "--rho="],
+    ["refute", "--lambda-size", "2", "--out", ""],
+    ["refute", "--lambda-size", "2", "--out="],
+], ids=["rho", "rho-equals", "out", "out-equals"])
+def test_an_empty_path_is_refused_when_opened(capsys, tmp_path, monkeypatch,
+                                              argv):
+    # An empty --rho once decided uniform rho, and an empty --out wrote no
+    # file, each exiting 0; now the path is opened like any other.
+    monkeypatch.chdir(tmp_path)
+    for extra in ([], ["--json"]):
+        code, out, err = run(capsys, *argv, *extra)
+        assert (code, out) == (2, "")
+        assert err == "error: [Errno 2] No such file or directory: ''\n"
+        assert os.listdir(tmp_path) == []
 
 
 def test_refute_out_onto_a_directory_names_it(capsys, tmp_path):

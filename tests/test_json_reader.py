@@ -1,4 +1,4 @@
-"""`cli._load_json_file` parses with `reader.loads`, which runs json's C
+"""`reader.load_json_file` parses with `reader.loads`, which runs json's C
 scanner without importing `json`: it must read every text as `json.loads`
 does, and refuse every other text with the same error line as when it
 called `json.loads`."""
@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pbrlab import cli, reader
+from pbrlab import reader
 from pbrlab.values import ModelError
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -28,7 +28,7 @@ MALFORMED = ["", "\ufeff{}", "1 2", '"\\x"', '"\x01"', '{"a\x01": 1}',
 
 
 def json_loads_reader(text: str):
-    """What `_load_json_file` did with `json.loads`: the parsed text, or
+    """What `load_json_file` did with `json.loads`: the parsed text, or
     ModelError with the text of json's error, or of `_json_int`'s for an
     integer longer than int() reads."""
     try:
@@ -93,7 +93,7 @@ def texts(draw):
 def test_reader_reads_as_json_loads(tmp_path_factory, text):
     path = tmp_path_factory.getbasetemp() / "reader.json"
     path.write_bytes(text.encode())
-    assert (outcome(cli._load_json_file, str(path))
+    assert (outcome(reader.load_json_file, str(path))
             == outcome(json_loads_reader, text))
 
 
@@ -103,7 +103,7 @@ _FALLBACK = """import sys
 sys.modules["_json"] = None
 import json
 sys.path.insert(0, {tests!r})
-from pbrlab import cli, reader
+from pbrlab import reader
 from test_json_reader import json_loads_reader, outcome
 texts = json.loads(sys.stdin.read())
 paths = [f"{{i}}.json" for i in range(len(texts))]
@@ -113,7 +113,7 @@ for path, text in zip(paths, texts):
 print(json.dumps({{
     "scanner": type(reader._scanner(int)).__name__,
     "differ": [text[:40] for path, text in zip(paths, texts)
-               if outcome(cli._load_json_file, path)
+               if outcome(reader.load_json_file, path)
                != outcome(json_loads_reader, text)]}}))
 """
 

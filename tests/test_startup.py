@@ -1,6 +1,7 @@
 """What a `pbr` process loads: each check runs in a fresh interpreter, so
 modules imported by other tests cannot hide a heavy import."""
 
+import ast
 import gc
 import json
 import os
@@ -185,10 +186,10 @@ atexit.register(_probe)
 """
 
 
-@pytest.mark.parametrize("name", _BOUNDARIES)
-def test_program_loads_each_report_module_only_for_its_command(name,
-                                                               tmp_path):
-    argv, code, loads, skips = _BOUNDARIES[name]
+def _program_loads(name, tmp_path) -> set:
+    """The `pbrlab` modules `python -m pbrlab.cli` imports in case `name`
+    of _BOUNDARIES, which exits with the case's code."""
+    argv, code, _, _ = _BOUNDARIES[name]
     (tmp_path / "sitecustomize.py").write_text(_AT_EXIT_PROBE)
     env = _env()
     env["PYTHONPATH"] += os.pathsep + str(tmp_path)
@@ -196,10 +197,49 @@ def test_program_loads_each_report_module_only_for_its_command(name,
     done = subprocess.run([sys.executable, "-m", "pbrlab.cli", *argv],
                           env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == code, done.stderr
-    loaded = set((tmp_path / "loaded.txt").read_text().split())
+    return set((tmp_path / "loaded.txt").read_text().split())
+
+
+@pytest.mark.parametrize("name", _BOUNDARIES)
+def test_program_loads_each_report_module_only_for_its_command(name,
+                                                               tmp_path):
+    _, _, loads, skips = _BOUNDARIES[name]
+    loaded = _program_loads(name, tmp_path)
     assert "pbrlab" in loaded and "pbrlab.cli" not in loaded
     assert loads <= loaded
     assert not skips & loaded
+
+
+# With PYTHONDONTWRITEBYTECODE=1, as the benchmark runs `pbr`, a process
+# compiles every `pbrlab` module it imports, and `cli` as `__main__`, from
+# source, in a time that follows their AST node count. The most nodes each
+# case of _BOUNDARIES compiles; the counts are the same on Python 3.10-3.13.
+# A change that adds code to a command's path raises its entry, and says why.
+_COMPILE_BUDGET = {
+    "nogo-certificate": 8709,
+    "nogo-rho-certificate": 10063,
+    "nogo-witness": 11894,
+    "refute": 8087,
+    "check": 7567,
+    "sample": 7567,
+    "version": 4382,
+    "usage-error": 4382,
+    "contradiction": 8112,
+    "contradiction-proof": 8112,
+    "basis": 5778,
+}
+
+
+def _ast_nodes(module: str) -> int:
+    path = SRC.joinpath(*module.split(".")[:2])
+    path = path / "__init__.py" if path.is_dir() else path.with_suffix(".py")
+    return sum(1 for _ in ast.walk(ast.parse(path.read_text())))
+
+
+@pytest.mark.parametrize("name", _BOUNDARIES)
+def test_each_command_compiles_within_its_budget(name, tmp_path):
+    compiled = _program_loads(name, tmp_path) | {"pbrlab.cli"}
+    assert sum(map(_ast_nodes, compiled)) <= _COMPILE_BUDGET[name]
 
 
 def test_public_names_resolve_lazily():
