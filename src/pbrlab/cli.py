@@ -85,16 +85,22 @@ def _write(stream, *texts: str) -> None:
     """Write `texts` to `stream` and flush it. If that fails, the stream's
     descriptor is pointed at the null device, so what is left in the buffer
     cannot fail again at exit, and the error is raised again, an OSError of
-    stdout as ModelError naming stdout."""
+    stdout, or a text it cannot encode, as ModelError naming stdout. A
+    stream whose descriptor was closed when the process started is None,
+    and fails as a closed descriptor does."""
     try:
+        if stream is None:
+            import errno
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         for text in texts:
             stream.write(text)
         stream.flush()
-    except (OSError, MemoryError) as e:
-        null = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(null, stream.fileno())
-        os.close(null)
-        if stream is sys.stdout and isinstance(e, OSError):
+    except (OSError, MemoryError, UnicodeEncodeError) as e:
+        if stream:
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, stream.fileno())
+            os.close(null)
+        if stream is sys.stdout and not isinstance(e, MemoryError):
             raise ModelError(f"cannot write to stdout: {e}") from e
         raise
 
@@ -285,7 +291,7 @@ def main(argv=None) -> int:
         try:
             _write(sys.stderr, "error: out of memory\n"
                    if isinstance(e, MemoryError) else f"error: {e}\n")
-        except (OSError, MemoryError):
+        except (ValueError, OSError, MemoryError):
             pass  # stderr cannot be written either: the exit code tells
         return EXIT_BAD_INPUT
     finally:

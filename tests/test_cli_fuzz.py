@@ -12,8 +12,8 @@ reads among them), null or an empty container, a list wrapped, emptied,
 cut short, grown, or written as a string of its items or an object keyed
 by them, the mode switched, or 400 digits appended to a string, which
 gives "1/3" a 401-digit denominator, past `nogo`'s cap on a ρ pair's. The
-example count keeps the test to a few seconds. A `nogo --rho` run that
-exits 0 must also pass the independent checker on the file's ρ pair.
+example count keeps the test to a few seconds. Every run that prints a
+report must also pass the judge, tests/judge.py, on the file it read.
 """
 
 import contextlib
@@ -26,7 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from independent_checker import nogo_errors, rho_pair
+import judge
 from pbrlab.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -88,13 +88,14 @@ def _mutate(doc, data):
     return doc
 
 
-def _run(argv, out=None):
-    err = io.StringIO()
-    with contextlib.redirect_stdout(out or io.StringIO()), \
-            contextlib.redirect_stderr(err):
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     # at most one error line, which never tells a user to call Python
     assert err.getvalue().count("\n") <= 1 and "sys." not in err.getvalue()
+    if out.getvalue():
+        assert judge.errors(argv, code, out.getvalue()) == [], argv
     return code
 
 
@@ -127,9 +128,5 @@ def test_mutated_rho_files_keep_the_exit_codes(scratch, data):
     path = scratch / "rho.json"
     path.write_text(json.dumps(doc))
     L = data.draw(st.sampled_from(["2", "3"]))
-    out = io.StringIO()
-    code = _run(["nogo", "--lambda-size", L, "--rho", str(path), "--json"],
-                out)
-    assert code in CONTRACT
-    if code == 0:
-        assert nogo_errors(out.getvalue(), rho_pair(doc), int(L)) == []
+    assert _run(["nogo", "--lambda-size", L, "--rho", str(path),
+                 "--json"]) in CONTRACT

@@ -28,9 +28,9 @@ interval and so are all constant, is read back by `check`
 (`python tests/test_golden.py` has them read the models it has just made).
 The other input models are tests/golden/model_*.json: the L=3 interval model
 (`refute --lambda-size 3 --out`); a copy of it with rho1 summing to 7/6,
-entries 3/2 and -1/4, a short row in context 22 and a target row summing
-to 3/2; the context-12 slice of the L=3 interval model built on rho1 =
-(1/2, 1/3, 1/6) and rho2 = (1/5, 2/5, 2/5), which is a valid
+entries 3/2 and -1/4, a cell of context 22 summing to 8/7 and a target
+row summing to 3/2; the context-12 slice of the L=3 interval model built
+on rho1 = (1/2, 1/3, 1/6) and rho2 = (1/5, 2/5, 2/5), which is a valid
 noncontextual model with fractional entries; the same slice with
 `"mode": "float"` and float numbers, which `check` refuses on reading
 (exit 2, empty stdout), since every model is exact; and the context-12
@@ -39,17 +39,16 @@ rho2 = (0, 0, 1), a valid noncontextual model with disjoint supports.
 `contradiction` proves the clash on the overlapping model (exit 0),
 refuses the contextual model (exit 2, empty stdout) and reports NoOverlap
 on the disjoint one (exit 4).
-Every `nogo`, `refute` and `sample` golden, and every `check` golden of a
-valid model, must also pass the benchmark's independent checker
-(`perfbench/checker.py`, which shares no code with pbrlab), so a wrong
-certificate, witness, model or sample cannot be pinned by regenerating it.
-The `basis` golden and the `contradiction` goldens of exit 0 and 4 must
-pass the oracles of tests/exact_oracle.py, which share no code with pbrlab
-either. Nothing judges a `check` of an invalid model or the refused
-contextual `contradiction`.
+Every golden, its exit code and, for `refute`, the model it wrote must
+pass the one judge, tests/judge.py, which shares no code with pbrlab: the
+benchmark's output checker for `nogo`, `refute`, `sample` and `check` of a
+valid model, its own oracles for `basis`, `contradiction` and the
+violations `check` lists for an invalid model, and exit 2 with an empty
+stdout for a refused input. So a wrong certificate, witness, model,
+sample, proof or violation list cannot be pinned by regenerating it.
 To regenerate after an intended change of output, run
 `PYTHONPATH=src python tests/test_golden.py` and review the diff; it
-writes nothing if any of those outputs fails its checker or oracle.
+writes nothing if the judge rejects any of those outputs.
 """
 
 import contextlib
@@ -61,9 +60,7 @@ from pathlib import Path
 
 import pytest
 
-from exact_oracle import basis_errors, contradiction_errors
-from independent_checker import (check_errors, nogo_errors, refute_errors,
-                                 rho_pair, sample_errors)
+import judge
 from pbrlab.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -120,15 +117,6 @@ OTHER_CASES = {
        for name in ("noncontextual", "contextual", "disjoint")},
 }
 CASES = {**NOGO_CASES, **CONTEXTUAL_CASES, **OTHER_CASES}
-# The contextual cases the independent checker judges: every refute and
-# sample, and check on the valid models.
-JUDGED_CONTEXTUAL = sorted(
-    [n for n in CONTEXTUAL_CASES if CASES[n][0] in ("refute", "sample")]
-    + ["check_L3_contextual", "check_L3_noncontextual",
-       "check_L4_contextual", "check_L7_contextual"])
-# The other cases the oracles judge: basis, and contradiction of exit 0 and 4.
-JUDGED_OTHER = ["basis", "contradiction_L3_disjoint",
-                "contradiction_L3_noncontextual"]
 
 
 def _argv(name, scratch: Path, refute_out: dict = GOLDEN_REFUTE):
@@ -147,41 +135,20 @@ def _run_case(name, scratch: Path, refute_out: dict = GOLDEN_REFUTE):
     return code, out.getvalue(), written
 
 
-def _checker_errors(argv, out: str, written=None) -> list:
-    """The independent checker's or oracle's complaints about the stdout
-    `out` of the command `argv`, and the model `written` that a `refute`
-    wrote."""
-    def arg(flag):
-        return argv[argv.index(flag) + 1]
-    if argv[0] == "basis":
-        return basis_errors(json.loads(out))
-    if argv[0] == "contradiction":
-        return contradiction_errors(json.loads(out))
-    if argv[0] == "nogo":
-        rho = None
-        if "--rho" in argv:
-            rho = rho_pair(json.loads(Path(arg("--rho")).read_text()))
-        return nogo_errors(out, rho, int(arg("--lambda-size")))
-    if argv[0] == "refute":
-        return refute_errors(out, written, int(arg("--lambda-size")))
-    model = json.loads(Path(arg("--model")).read_text())
-    if argv[0] == "check":
-        return check_errors(out, model)
-    return sample_errors(out, model, arg("--context"), int(arg("--n")),
-                         int(arg("--seed")))
-
-
 def _golden(name) -> str:
     return (GOLDEN / f"{name}.json").read_text()
 
 
+def _codes() -> dict:
+    return json.loads(_golden("exit_codes"))
+
+
 def _check(name, scratch: Path):
     code, out, written = _run_case(name, scratch)
-    expected_codes = json.loads((GOLDEN / "exit_codes.json").read_text())
-    assert code == expected_codes[name]
-    assert out == (GOLDEN / f"{name}.json").read_text()
+    assert code == _codes()[name]
+    assert out == _golden(name)
     if written is not None:
-        assert written == (GOLDEN / f"{name}_out.json").read_text()
+        assert written == _golden(f"{name}_out")
 
 
 @pytest.mark.parametrize("name", sorted(NOGO_CASES))
@@ -189,21 +156,9 @@ def test_nogo_matches_golden(name, tmp_path):
     _check(name, tmp_path)
 
 
-@pytest.mark.parametrize("name", sorted(NOGO_CASES))
-def test_nogo_golden_passes_independent_checker(name, tmp_path):
-    assert _checker_errors(_argv(name, tmp_path), _golden(name)) == []
-
-
 @pytest.mark.parametrize("name", sorted(CONTEXTUAL_CASES))
 def test_contextual_matches_golden(name, tmp_path):
     _check(name, tmp_path)
-
-
-@pytest.mark.parametrize("name", JUDGED_CONTEXTUAL)
-def test_contextual_golden_passes_independent_checker(name, tmp_path):
-    written = _golden(f"{name}_out") if CASES[name][0] == "refute" else None
-    assert _checker_errors(_argv(name, tmp_path), _golden(name),
-                           written) == []
 
 
 @pytest.mark.parametrize("name", sorted(OTHER_CASES))
@@ -211,15 +166,11 @@ def test_basis_and_contradiction_match_golden(name, tmp_path):
     _check(name, tmp_path)
 
 
-@pytest.mark.parametrize("name", JUDGED_OTHER)
-def test_basis_and_contradiction_golden_pass_oracle(name, tmp_path):
-    assert _checker_errors(_argv(name, tmp_path), _golden(name)) == []
-
-
-def test_fresh_basis_passes_oracle(tmp_path):
-    code, out, _ = _run_case("basis", tmp_path)
-    assert code == 0
-    assert basis_errors(json.loads(out)) == []
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_passes_judge(name, tmp_path):
+    written = _golden(f"{name}_out") if OUT in CASES[name] else None
+    assert judge.errors(_argv(name, tmp_path), _codes()[name], _golden(name),
+                        written) == []
 
 
 def _basis_human():
@@ -247,13 +198,12 @@ if __name__ == "__main__":
         # models it makes.
         for name in sorted(CASES, key=lambda n: (CASES[n][0] != "refute", n)):
             runs[name] = _run_case(name, scratch, fresh)
-        for name in sorted(NOGO_CASES) + JUDGED_CONTEXTUAL + JUDGED_OTHER:
-            _, out, written = runs[name]
-            errors = _checker_errors(_argv(name, scratch, fresh), out,
-                                     written)
+        for name, (code, out, written) in runs.items():
+            errors = judge.errors(_argv(name, scratch, fresh), code, out,
+                                  written)
             if errors:
-                sys.exit(f"{name}: the independent checker or oracle "
-                         f"rejects it, nothing written: {errors}")
+                sys.exit(f"{name}: the judge rejects it, nothing written: "
+                         f"{errors}")
     codes = {}
     for name, (codes[name], out, written) in runs.items():
         (GOLDEN / f"{name}.json").write_text(out)
