@@ -24,7 +24,9 @@ def stage(staged: list, path: str, *texts: str) -> None:
         st is None or (stat.S_ISREG(st.st_mode) and st.st_nlink == 1
                        and st.st_uid == os.geteuid()
                        and os.access(path, os.W_OK)))
-    new = os.path.join(head, f".{tail}.{os.getpid()}.tmp") if replace else path
+    # a random name, so that a file a killed run left is not in the way
+    new = (os.path.join(head, f".{tail}.{os.urandom(8).hex()}.tmp")
+           if replace else path)
     try:
         with open(new, "x" if replace else "w") as fh:
             if replace:

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import fresh
 import judge
 from pbrlab import __version__, cli, ontology, reader, serialize, values
 from pbrlab.cli import main
@@ -435,6 +436,20 @@ def test_refute_out_replaces_a_file_with_its_mode(capsys, tmp_path):
     assert os.listdir(tmp_path) == ["model.json"]
 
 
+def test_refute_out_passes_a_file_a_killed_run_left(capsys, monkeypatch,
+                                                    tmp_path):
+    # in a container `pbr` often runs with the same PID every time
+    monkeypatch.chdir(tmp_path)
+    left = tmp_path / f".m.json.{os.getpid()}.tmp"
+    left.write_text("left")
+    code, _, _ = run(capsys, "refute", "--lambda-size", "2", "--out", "m.json")
+    assert code == 0
+    assert (tmp_path / "m.json").read_text() == (
+        GOLDEN / "refute_L2_out.json").read_text()
+    assert left.read_text() == "left"
+    assert sorted(os.listdir(tmp_path)) == [left.name, "m.json"]
+
+
 def test_refute_out_onto_a_read_only_file(capsys, tmp_path):
     # as open(path, "w") would: refused, or, for a user whom the mode does
     # not bind, written, and the file keeps its mode
@@ -500,7 +515,6 @@ def test_refute_out_writes_in_place_where_it_cannot_replace(capsys,
 
 
 GOLDEN = Path(__file__).parent / "golden"
-SRC = str(Path(__file__).parents[1] / "src")
 
 
 def _start_cli(*argv, megabytes=None, closed=(), env=(),
@@ -518,11 +532,9 @@ def _start_cli(*argv, megabytes=None, closed=(), env=(),
             limit.setrlimit(limit.RLIMIT_AS, (size, size))
         for fd in closed:
             os.close(fd)
-    env = {**os.environ, **dict(env), "PYTHONPATH": os.pathsep.join(
-        filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
     return subprocess.Popen([sys.executable, "-m", "pbrlab.cli", *argv],
-                            stdout=stdout, stderr=stderr, text=True, env=env,
-                            preexec_fn=setup)
+                            stdout=stdout, stderr=stderr, text=True,
+                            env=fresh.env(**dict(env)), preexec_fn=setup)
 
 
 def _finish(proc: subprocess.Popen) -> subprocess.CompletedProcess:

@@ -4,19 +4,16 @@ does, and refuse every other text with the same error line as when it
 called `json.loads`."""
 
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fresh import python
 from pbrlab import reader
 from pbrlab.values import ModelError
 
-SRC = Path(__file__).resolve().parent.parent / "src"
 LONG_INTEGER = "[" + "9" * 4301 + "]"
 DEEP = "[" * 100_000 + "]" * 100_000
 # Texts json refuses: empty, a BOM, extra data, a bad escape or control
@@ -121,12 +118,9 @@ print(json.dumps({{
 def test_reader_without_the_c_scanner_reads_as_json_loads(tmp_path):
     samples = ["NaN", " [Infinity, -Infinity, NaN]\n",
                '{"a": [1, 2.5, "\xe9"]} ', "[" * 50 + "]" * 50, *MALFORMED]
-    done = subprocess.run(
-        [sys.executable, "-c",
-         _FALLBACK.format(tests=str(Path(__file__).resolve().parent))],
-        input=json.dumps(samples), capture_output=True, text=True,
-        cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(SRC)},
-        timeout=60)
+    done = python("-c",
+                  _FALLBACK.format(tests=str(Path(__file__).resolve().parent)),
+                  input=json.dumps(samples), cwd=tmp_path)
     assert done.returncode == 0, done.stderr
     # json's Python scanner is a function, its C scanner a Scanner
     assert json.loads(done.stdout) == {"scanner": "function", "differ": []}
@@ -139,10 +133,7 @@ def test_reader_without_the_c_scanner_reads_as_json_loads(tmp_path):
 def test_a_malformed_file_exits_2_in_a_process_without_json(tmp_path, text):
     path = tmp_path / "malformed.json"
     path.write_bytes(text.encode())
-    done = subprocess.run(
-        [sys.executable, "-S", "-m", "pbrlab.cli", "check", "--model",
-         str(path)], capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=60)
+    done = python("-S", "-m", "pbrlab.cli", "check", "--model", str(path))
     kind, message = outcome(json_loads_reader, text)
     assert kind == "error"
     assert (done.returncode, done.stdout, done.stderr) == (

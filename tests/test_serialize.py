@@ -4,15 +4,12 @@ that `hashlib` computes."""
 
 import hashlib
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fresh import python
 from pbrlab import serialize
 from pbrlab.contextual import build_interval_model
 from pbrlab.hilbert import born_targets
@@ -99,18 +96,14 @@ def test_digest_is_hashlibs_sha256(name):
 
 
 def test_only_a_text_over_the_cap_loads_hashlib():
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    done = subprocess.run(
-        [sys.executable, "-S", "-c",
-         "import sys\n"
-         "from pbrlab import serialize\n"
-         "n = serialize.BUILTIN_SHA256_MAX_BYTES\n"
-         "serialize.digest('x' * n)\n"
-         "print('hashlib' in sys.modules)\n"
-         "serialize.digest('x' * (n + 1))\n"
-         "print('hashlib' in sys.modules)"],
-        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
-        timeout=60)
+    done = python("-S", "-c",
+                  "import sys\n"
+                  "from pbrlab import serialize\n"
+                  "n = serialize.BUILTIN_SHA256_MAX_BYTES\n"
+                  "serialize.digest('x' * n)\n"
+                  "print('hashlib' in sys.modules)\n"
+                  "serialize.digest('x' * (n + 1))\n"
+                  "print('hashlib' in sys.modules)")
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["False", "True"]
 
@@ -119,19 +112,16 @@ def test_a_build_without_the_c_modules_writes_and_hashes_alike():
     # None in sys.modules makes an import raise ImportError, so serialize
     # falls back to hashlib's SHA-256 and json's pure-Python quoting
     text = _TEXTS["model-L40"]()
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run(
-        [sys.executable, "-S", "-c",
-         "import sys\n"
-         "sys.modules['_sha256'] = sys.modules['_sha2'] = None\n"
-         "sys.modules['_json'] = None\n"
-         "import hashlib, json\n"
-         "from pbrlab import serialize\n"
-         "assert serialize._sha256 is hashlib.sha256\n"
-         "assert serialize._quote is json.encoder.py_encode_basestring_ascii\n"
-         "doc = json.loads(sys.stdin.read())\n"
-         "print(serialize.digest(serialize.dumps_canonical(doc)))"],
-        input=text, env=env, capture_output=True, text=True, timeout=60)
+    done = python(
+        "-S", "-c",
+        "import sys\n"
+        "sys.modules['_sha256'] = sys.modules['_sha2'] = None\n"
+        "sys.modules['_json'] = None\n"
+        "import hashlib, json\n"
+        "from pbrlab import serialize\n"
+        "assert serialize._sha256 is hashlib.sha256\n"
+        "assert serialize._quote is json.encoder.py_encode_basestring_ascii\n"
+        "doc = json.loads(sys.stdin.read())\n"
+        "print(serialize.digest(serialize.dumps_canonical(doc)))", input=text)
     assert done.returncode == 0, done.stderr
     assert done.stdout == hashlib.sha256(text.encode()).hexdigest() + "\n"
