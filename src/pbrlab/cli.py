@@ -125,9 +125,9 @@ def _in_range(name: str, value: int, low: int, high: int,
 # Each command returns (exit code, inputs, payload, human lines) for `main`
 # to print, with its model's JSON document only for --json (or refute
 # --out). It imports the layer whose report it returns: `check` and
-# `sample` never load the Born table, the LP or the interval model, and a
-# `nogo` certificate run never loads `ontology`, the checks of a whole
-# model, prediction and sampling, which only its witness branch needs.
+# `sample` never load the Born table, the LP or the interval model, and no
+# `nogo` run loads `ontology`, the checks of a whole model, prediction and
+# sampling: its certificate and its witness are audited in the LP layer.
 # The model and rho files are read and the model written by the names
 # imported above, which the benchmark's tracer wraps here.
 

@@ -25,8 +25,9 @@ quotient is the problem itself. `solve_feasibility` lifts the answer back:
   below the quotient's.
 
 Certificates are over the unreduced rows of ROW_ORDER_NOTE, an LP built
-only when read: `verify_certificate` audits them from rho and the targets.
-`report` decides and audits the Born targets' LP for `pbr nogo`.
+only when read: `verify_certificate` audits them from rho and the targets,
+and `witness.verify_witness` a lifted witness from rho, the targets and
+its table. `report` decides and audits the Born targets' LP for `pbr nogo`.
 """
 
 from fractions import Fraction
@@ -177,15 +178,14 @@ def solve_feasibility(p: FeasibilityProblem) -> FeasibilityOutcome:
         if q is not p:
             y = _tight_lift(p, y[-16:])
         return FeasibilityOutcome(feasible=False, witness=None, certificate=y)
-    K = q.lambda_size
-    # One object per distinct value, so validate_model's cell memo, keyed
-    # on entry identity, checks each distinct cell once.
-    shared = {}
-    x = [shared.setdefault(v, v) for v in result.witness]
-    table = tuple(tuple(tuple(x[_var(i, kappa, kappa_p, K)]
-                              for kappa_p in classes)
-                        for kappa in classes)
-                  for i in range(4))
+    # One tuple per row (i, kappa) of the quotient's witness, shared by the
+    # lambdas of class kappa: the witness audit and the JSON writer, keyed
+    # on identity, take each row and each of its at most 3 entries once
+    # (a witness has disjoint supports, so K <= 3).
+    x, K = result.witness, q.lambda_size
+    rows = [[tuple(x[_var(i, kappa, kappa_p, K)] for kappa_p in classes)
+             for kappa in range(K)] for i in range(4)]
+    table = tuple(tuple(map(plane.__getitem__, classes)) for plane in rows)
     return FeasibilityOutcome(feasible=True, witness=ResponseTable(table),
                               certificate=None)
 
@@ -252,7 +252,8 @@ def verify_certificate(p: FeasibilityProblem, y) -> bool:
 
 def witness_model(p: FeasibilityProblem,
                   outcome: FeasibilityOutcome) -> OntologicalModel:
-    """Package a feasible witness for validation and prediction checks."""
+    """Package a feasible witness as the model `witness.verify_witness`
+    audits."""
     if not outcome.feasible:
         raise ModelError("no witness: the problem is infeasible")
     return OntologicalModel(lambda_space=LambdaSpace(p.lambda_size),
@@ -270,8 +271,10 @@ def report(L: int, rho) -> tuple:
     """(inputs, payload, human lines) of `pbr nogo` over L hidden states,
     for the (rho1, rho2) pair of a rho file, or uniform rho for None; the
     payload's `theorem_consistent` says whether the verdict agrees with the
-    theorem and its certificate or witness checks out. Only a witness, which
-    is checked as a model, loads `ontology`."""
+    theorem and its certificate or witness checks out. Both audits are
+    exact and read rho and the targets, never the LP's rows: a certificate
+    by `verify_certificate`, a witness by `witness.verify_witness`, which
+    only this branch loads. No `nogo` run loads `ontology`."""
     if rho is None:
         r1 = r2 = EpistemicState.uniform(L)
     else:
@@ -305,11 +308,8 @@ def report(L: int, rho) -> tuple:
              f"verdict: {payload['verdict']}"]
 
     if outcome.feasible:
-        from . import ontology
-        model = witness_model(problem, outcome)
-        checked = not ontology.validate_model(model) and all(
-            ontology._predict(model, ctx) == row
-            for ctx, row in zip(CONTEXTS, targets))
+        from .witness import verify_witness
+        checked = verify_witness(witness_model(problem, outcome))
         payload["witness"] = {"p": _table_to_json(outcome.witness, {}),
                               "reproduces_targets": checked}
         lines.append(f"witness reproduces targets exactly: {checked}")

@@ -2,10 +2,11 @@
 and the exact records.
 
 `load_json_file` reads a file of at most INPUT_MAX_BYTES, and `loads` parses
-it with json's own C scanner, without importing json. `model_from_json` and
-`rho_pair_from_json`, with the literal checks and record builders they call,
-turn a parsed model or rho file into exact values. Only a command that
-reads a file loads this module, so no other compiles it.
+it with json's own C scanner, without importing json. `rho_pair_from_json`,
+with the literal checks it shares with model files, turns a parsed rho file
+into exact values; `modelfile.model_from_json` builds on the same checks
+for a model file. Only a command that reads a file loads this module, so no
+other compiles it.
 """
 
 import re
@@ -14,8 +15,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 from .serialize import _INFINITY, _NAN, REFUTE_MAX_LAMBDA, _quoted
-from .values import (CONTEXTS, EpistemicState, LambdaSpace, ModelError,
-                     OntologicalModel, ResponseTable)
+from .values import EpistemicState, ModelError
 
 # The largest file pbr writes, `refute --lambda-size 128 --out`, holds about
 # 4.5 MB. Larger model and rho files are refused once one byte more is read.
@@ -56,13 +56,33 @@ def parse_size(x) -> int:
     return x
 
 
-def _capped(values):
-    """`values`, or ModelError for a list longer than REFUTE_MAX_LAMBDA: no
-    list of a model or rho file holds more than lambda_size items."""
-    if isinstance(values, list) and len(values) > REFUTE_MAX_LAMBDA:
+def _list(values):
+    """`values`, or ModelError for a value that is not a JSON list, or for a
+    list longer than REFUTE_MAX_LAMBDA: no list of a model or rho file holds
+    more than lambda_size items."""
+    # map would read a string's characters and an object's keys
+    if not isinstance(values, list):
+        raise ModelError(f"expected a JSON list, got {_quoted(values)}")
+    if len(values) > REFUTE_MAX_LAMBDA:
         raise ModelError(f"a list of {len(values)} items; lists in model "
                          f"and rho files hold at most {REFUTE_MAX_LAMBDA}")
     return values
+
+
+# JSON's names for what its parser returns.
+_JSON_TYPES = {dict: "object", list: "list", str: "string", int: "number",
+               float: "number", bool: "boolean", type(None): "null"}
+
+
+def _field(d, key: str):
+    """d[key], or ModelError if `d` is no JSON object or lacks `key`. The
+    error names the type of `d`, as its text may run to megabytes."""
+    if not isinstance(d, dict):
+        raise ModelError("expected a JSON object, got "
+                         + _JSON_TYPES.get(type(d), type(d).__name__))
+    if key not in d:
+        raise ModelError(f'missing key "{key}"')
+    return d[key]
 
 
 class _Literals(dict):
@@ -88,10 +108,7 @@ class _Literals(dict):
         literals alone, as a string equals only a string; any other by its
         literals and their JSON types, so [1], [1.0] and [true] stay apart
         and the refused ones are refused."""
-        # map would read a string's characters and an object's keys
-        if not isinstance(values, list):
-            raise ModelError(f"expected a JSON list, got {_quoted(values)}")
-        key = tuple(_capped(values))
+        key = tuple(_list(values))
         try:
             row = self.rows.get(key)
         except TypeError:  # an unhashable value, named by parse_frac
@@ -106,50 +123,15 @@ class _Literals(dict):
         return row
 
 
-def _targets_from_json(rows, literals):
-    if len(rows) != 4 or any(len(r) != 4 for r in rows):
-        raise ModelError("born_targets must be 4x4")
-    return tuple(map(literals.row, rows))
-
-
-def _table_from_json(p, literals) -> ResponseTable:
-    return ResponseTable(tuple(tuple(map(literals.row, _capped(plane)))
-                               for plane in _capped(p)))
-
-
 # What reading a malformed model or rho file raises (ModelError included).
 _MALFORMED = (KeyError, TypeError, ValueError, ArithmeticError)
 
 
 def _states(d: dict, literals: _Literals) -> tuple:
     """(lambda_size, rho1, rho2) of a model or rho file."""
-    return (parse_size(d["lambda_size"]),
-            EpistemicState(literals.row(d["rho1"])),
-            EpistemicState(literals.row(d["rho2"])))
-
-
-def model_from_json(d: dict):
-    try:
-        if d["mode"] != "exact":
-            raise ModelError(f"unknown mode {_quoted(d['mode'])}; "
-                             "models are exact")
-        literals = _Literals()
-        L, rho1, rho2 = _states(d, literals)
-        targets = _targets_from_json(d["born_targets"], literals)
-        resp = d["response"]
-        kind = resp["kind"]
-        if kind == "noncontextual":
-            response = (_table_from_json(resp["p"], literals),)
-        elif kind == "contextual":
-            response = tuple(_table_from_json(resp["p"][f"{j}{k}"], literals)
-                             for (j, k) in CONTEXTS)
-        else:
-            raise ModelError(f"unknown response kind {_quoted(kind)}")
-    except _MALFORMED as e:
-        raise ModelError(f"malformed model: {e}") from e
-
-    return OntologicalModel(lambda_space=LambdaSpace(L), rho1=rho1, rho2=rho2,
-                            response=response, born_targets=targets)
+    return (parse_size(_field(d, "lambda_size")),
+            EpistemicState(literals.row(_field(d, "rho1"))),
+            EpistemicState(literals.row(_field(d, "rho2"))))
 
 
 def rho_pair_from_json(d: dict):

@@ -5,7 +5,8 @@ so reports stay re-verifiable by third parties; floats appear only in
 sampling statistics. Canonical dumps sort keys so golden-file comparisons
 are byte-stable. `dumps_canonical` writes JSON text with json's own C
 function, without importing json. The reader of model and rho files lives
-in `reader`, which only a command that reads a file loads.
+in `reader`, which only a command that reads a file loads, and `modelfile`,
+which only a command that reads a model file loads.
 """
 
 from fractions import Fraction
@@ -111,10 +112,11 @@ def model_to_json(m) -> dict:
 
 
 # `cli` imports these two names, where the benchmark's tracer wraps them.
-# They forward to `reader`, which only a command that reads a file loads.
+# They forward to `modelfile` and `reader`, which only a command that reads
+# a model file, or any file, loads.
 def model_from_json(d: dict):
-    from . import reader
-    return reader.model_from_json(d)
+    from . import modelfile
+    return modelfile.model_from_json(d)
 
 
 def rho_pair_from_json(d: dict):

@@ -6,7 +6,8 @@ the Born targets, and support overlap.
 Every number is exact: weights and targets are ints or Fractions, compared
 with no tolerance. A check reports any other value, a float or a bool
 included. The model-level checks, prediction and sampling are in
-`ontology`, which a certificate run of `nogo` never imports.
+`ontology`, which no `nogo` run imports: `nogo` audits its witness with
+`witness.verify_witness`.
 """
 
 import math

@@ -1144,10 +1144,42 @@ REFUSALS = {
         "contradiction --model {file}", lambda doc=doc: json.dumps(doc),
         f"^malformed model: {text}")
        for name, doc, text in (
-           ("list", [1], "list indices must be integers"),
-           ("response-string", {"response": "contextual"}, "'mode'"),
+           ("list", [1], "expected a JSON object, got list"),
+           ("response-string", {"response": "contextual"},
+            'missing key "mode"'),
            ("kind-list", {"mode": "exact", "response": {
-               "kind": ["contextual"]}}, "'lambda_size'"))},
+               "kind": ["contextual"]}}, 'missing key "lambda_size"'))},
+    # a file or a part of one that is no JSON object, or lacks a key, is
+    # named as such, not by the Python error that reading it raised
+    **{f"test_malformed_file_names_its_fault[{name}-{command}]": (
+        *_read(command, lambda doc=doc: doc), f"={prefix}: {text}")
+       for name, doc, text in (
+           ("top-list", [], "expected a JSON object, got list"),
+           ("top-number", 3, "expected a JSON object, got number"),
+           ("top-string", "rho", "expected a JSON object, got string"),
+           ("top-null", None, "expected a JSON object, got null"))
+       for command, prefix in (("check", "malformed model"),
+                               ("nogo --rho", "malformed rho file"))},
+    **{f"test_malformed_file_names_its_fault[{name}-{command}]": (
+        *_read(command, *change), f"={prefix}: {text}")
+       for name, command, prefix, change, text in (
+           ("missing-rho2", "nogo --rho", "malformed rho file",
+            (_RHO, (("rho2",), DROP)), 'missing key "rho2"'),
+           ("missing-mode", "check", "malformed model",
+            (_FLAT, (("mode",), DROP)), 'missing key "mode"'),
+           ("missing-kind", "check", "malformed model",
+            (_FLAT, (("response", "kind"), DROP)),
+            'missing key "kind"'),
+           ("response-number", "check", "malformed model",
+            (_FLAT, (("response",), 7)),
+            "expected a JSON object, got number"),
+           ("slices-list", "check", "malformed model",
+            ("model_L3_contextual.json", (("response", "p"), [])),
+            "expected a JSON object, got list"),
+           ("targets-number", "check", "malformed model",
+            (_FLAT, (("born_targets",), 1)), "expected a JSON list, got 1"),
+           ("table-number", "check", "malformed model",
+            (_FLAT, (("response", "p"), 1)), "expected a JSON list, got 1"))},
     "test_refute_unwritable_out_exits_2": (
         "refute --lambda-size 2 --out {unwritable} --json", None,
         ("error", "no_such_dir")),

@@ -12,8 +12,9 @@ from pbrlab.hilbert import CONTEXTS, born_targets
 from pbrlab.nogo import (build_feasibility, lambda_classes, quotient,
                          solve_feasibility, theorem_expected_verdict,
                          verify_certificate, witness_model)
-from pbrlab.ontology import predict, validate_model
+from pbrlab.ontology import _predict, predict, validate_model
 from pbrlab.simplex import solve_equalities
+from pbrlab.witness import verify_witness
 from pbrlab.values import (EpistemicState, LambdaSpace, ModelError,
                            OntologicalModel, ResponseTable)
 
@@ -122,13 +123,12 @@ def test_certificate_with_zero_objective_rejected():
 
 
 def test_audit_shares_no_code_with_simplex():
-    # the audit checks the solver's certificates and their lift, so it must
+    # each audit checks the solver's answers and their lift, so it must
     # not run any of the solver's code, nor the lift's integer scaling, nor
-    # the builder's shared coefficients; it reads rho and the targets, and
-    # never the LP's A or b, which it would build
+    # the builder's shared coefficients; it reads rho and the targets (and
+    # the witness's table), and never the LP's A or b, which it would build
+    import sys
     import types
-
-    import pbrlab.nogo as nogo
 
     def names(code):
         yield from code.co_names
@@ -136,11 +136,14 @@ def test_audit_shares_no_code_with_simplex():
             if isinstance(const, types.CodeType):
                 yield from names(const)
 
-    for name in names(verify_certificate.__code__):
-        used = getattr(nogo, name, None)
-        assert getattr(used, "__module__", None) != "pbrlab.simplex", name
-        assert name not in {"_over_common_denominator", "_build", "row_labels",
-                            "quotient", "_tight_lift", "A", "b"}, name
+    for audit in (verify_certificate, verify_witness):
+        module = sys.modules[audit.__module__]
+        for name in names(audit.__code__):
+            used = getattr(module, name, None)
+            assert getattr(used, "__module__", None) != "pbrlab.simplex", name
+            assert name not in {"_over_common_denominator", "_build",
+                                "row_labels", "quotient", "_tight_lift", "A",
+                                "b"}, name
 
 
 def test_certificate_fails_on_feasible_problem():
@@ -524,3 +527,124 @@ def test_forcing_proof_is_a_farkas_certificate(pair):
     assert solve_feasibility(p).feasible == isinstance(proof, NoOverlap)
     if isinstance(proof, ContradictionProof):
         assert verify_certificate(p, _forcing_certificate(p, proof))
+
+
+def _reference_witness_check(m):
+    """What the witness audit must decide, by `ontology`'s model checks: a
+    noncontextual model (ontology accepts four tables too) that is valid
+    and predicts every Born target."""
+    return (not m.contextual and not validate_model(m)
+            and all(_predict(m, ctx) == PBR[c]
+                    for c, ctx in enumerate(CONTEXTS)))
+
+
+@st.composite
+def _disjoint_rho_pairs(draw, max_size=8):
+    """Disjoint rho pairs over L <= max_size, some lambdas outside both
+    supports, with weights from 1..2 (lambdas sharing a ratio) or 1..1000
+    (mostly distinct)."""
+    L = draw(st.integers(2, max_size))
+    role = draw(st.lists(st.sampled_from("120"), min_size=L, max_size=L))
+    assume("1" in role and "2" in role)
+    weight = st.integers(1, draw(st.sampled_from([2, 1000])))
+    return (_state(*(draw(weight) if r == "1" else 0 for r in role)),
+            _state(*(draw(weight) if r == "2" else 0 for r in role)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_disjoint_rho_pairs())
+def test_witness_audit_matches_the_model_checks(pair):
+    p = build_feasibility(*pair, PBR)
+    m = witness_model(p, solve_feasibility(p))
+    assert verify_witness(m) is True
+    assert _reference_witness_check(m)
+
+
+# A disjoint pair with lambda 3 outside both supports.
+_WITNESS_PAIR = (_state(1, 2, 0, 0), _state(0, 0, 3, 0))
+
+
+def _witness_planes():
+    """The witness of _WITNESS_PAIR as mutable planes, and its problem."""
+    p = build_feasibility(*_WITNESS_PAIR, PBR)
+    planes = [[list(row) for row in plane]
+              for plane in solve_feasibility(p).witness.p]
+    return p, planes
+
+
+def _negative_entry(planes):
+    # cell (3, 0), outside both supports: outcome 1 at -1/4, its mass and
+    # 1/4 more on outcome 2, so the cell sums to 1 and no prediction moves
+    old = planes[0][3][0]
+    planes[0][3][0] = Fraction(-1, 4)
+    planes[1][3][0] += old + Fraction(1, 4)
+
+
+def _moved_mass(planes):
+    # cell (0, 1), weighted in context 11: an outcome's mass moved to the
+    # next outcome, so the cell still sums to 1
+    i = next(i for i in range(4) if planes[i][0][1])
+    planes[(i + 1) % 4][0][1] += planes[i][0][1]
+    planes[i][0][1] = Fraction(0)
+
+
+def _replace(planes, test, new):
+    """The first entry passing `test` becomes new(entry)."""
+    for plane in planes:
+        for row in plane:
+            for lamp, v in enumerate(row):
+                if test(v):
+                    row[lamp] = new(v)
+                    return
+    raise AssertionError("no entry to replace")
+
+
+def _doubled_cell(planes):
+    # cell (3, 3), outside both supports: weighted in no context, so only
+    # its sum, now 2, tells
+    for plane in planes:
+        plane[3][3] *= 2
+
+
+WITNESS_CORRUPTIONS = {
+    "negative-entry": _negative_entry,
+    "moved-mass": _moved_mass,
+    "doubled-cell": _doubled_cell,
+    "float": lambda planes: _replace(planes, lambda v: v.denominator > 1,
+                                     float),
+    "bool": lambda planes: _replace(planes, lambda v: v == 0,
+                                    lambda v: False),
+    "missing-plane": lambda planes: planes.pop(),
+    "short-plane": lambda planes: planes[2].pop(),
+    "short-row": lambda planes: planes[1][3].pop(),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WITNESS_CORRUPTIONS))
+def test_witness_audit_rejects_a_corrupted_table(case):
+    p, planes = _witness_planes()
+    WITNESS_CORRUPTIONS[case](planes)
+    table = ResponseTable(tuple(tuple(map(tuple, plane)) for plane in planes))
+    m = OntologicalModel(lambda_space=LambdaSpace(4), rho1=p.rho1,
+                         rho2=p.rho2, response=(table,), born_targets=PBR)
+    assert verify_witness(m) is False
+    assert not _reference_witness_check(m)
+    if case == "moved-mass":  # a valid model, predicting other values
+        assert validate_model(m) == []
+
+
+def test_witness_audit_rejects_four_tables():
+    # a contextual model is no witness, though ontology's checks alone
+    # accept one whose four tables are the witness
+    p = build_feasibility(*_WITNESS_PAIR, PBR)
+    out = solve_feasibility(p)
+    m = witness_model(p, out)
+    four = OntologicalModel(lambda_space=m.lambda_space, rho1=m.rho1,
+                            rho2=m.rho2, response=(out.witness,) * 4,
+                            born_targets=PBR)
+    assert verify_witness(m) is True
+    assert verify_witness(four) is False
+    assert not _reference_witness_check(four)
+    assert validate_model(four) == []
+    assert all(_predict(four, ctx) == PBR[c]
+               for c, ctx in enumerate(CONTEXTS))

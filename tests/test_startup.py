@@ -40,27 +40,30 @@ def _golden(name: str) -> str:
 
 # Each command's argv, its exit code, the `pbrlab` modules its process loads
 # besides `pbrlab` itself, sorted, and the most AST nodes it compiles.
-# `ontology` holds the checks of a whole model, prediction and sampling: a
-# certificate run of `nogo` needs none of them, a witness run checks its
-# witness with them. `basis` and `contradiction` build their reports in
+# `ontology` holds the checks of a whole model, prediction and sampling: no
+# `nogo` run needs them, as both of its answers are audited in the LP layer,
+# a certificate by `nogo` itself and a witness by `witness`, which only a
+# witness run loads. `basis` and `contradiction` build their reports in
 # modules of their own, which no other command loads; only a command that
-# reads a file loads the reader, and `contradiction` refuses a contextual
-# file by its response kind alone, before the forcing argument or the model
-# checks are loaded. With PYTHONDONTWRITEBYTECODE=1, as the benchmark runs
+# reads a file loads the reader, and only one that reads a model file
+# `modelfile`, so a `nogo --rho` run compiles no model reading; and
+# `contradiction` refuses a contextual file by its response kind alone,
+# before the model reading, the forcing argument or the model checks are
+# loaded. With PYTHONDONTWRITEBYTECODE=1, as the benchmark runs
 # `pbr`, a process compiles every `pbrlab` module it imports, and `cli` as
 # `__main__`, from source, in a time that follows their AST node count; a
 # change that adds code to a command's path raises its budget, and says why.
 COMMANDS = {
     "nogo-certificate": (["nogo", "--lambda-size", "12", "--json"], 0,
-                         "hilbert nogo serialize simplex values", 8743),
+                         "hilbert nogo serialize simplex values", 8708),
     "nogo-rho-certificate": (["nogo", "--lambda-size", "7", "--rho",
                               _golden("rho_L7_seed7_overlap"), "--json"], 0,
                              "hilbert nogo reader serialize simplex values",
-                             10097),
+                             9866),
     "nogo-witness": (["nogo", "--lambda-size", "3", "--rho",
                       _golden("rho_L3_seed3_disjoint"), "--json"], 0,
-                     "hilbert nogo ontology reader serialize simplex values",
-                     11928),
+                     "hilbert nogo reader serialize simplex values witness",
+                     10615),
     "nogo-refused": (["nogo", "--lambda-size", "0"], 2, "serialize values",
                      4416),
     "refute": (["refute", "--lambda-size", "2", "--json"], 0,
@@ -69,22 +72,24 @@ COMMANDS = {
                    "contextual hilbert ontology outfile serialize values",
                    8361),
     "check": (["check", "--model", _golden("model_L3_contextual"), "--json"],
-              0, "ontology reader serialize values", 7601),
+              0, "modelfile ontology reader serialize values", 7721),
     "check-invalid": (["check", "--model",
                        _golden("model_L3_contextual_invalid")], 2,
-                      "ontology reader serialize values", 7601),
+                      "modelfile ontology reader serialize values", 7721),
     "sample": (["sample", "--model", _golden("model_L3_contextual"),
                 "--context", "12", "--n", "100", "--seed", "1", "--json"], 0,
-               "ontology reader serialize values", 7601),
+               "modelfile ontology reader serialize values", 7721),
     "contradiction": (["contradiction", "--model",
                        _golden("model_L3_disjoint"), "--json"], 4,
-                      "forcing ontology reader serialize values", 8146),
+                      "forcing modelfile ontology reader serialize values",
+                      8266),
     "contradiction-proof": (["contradiction", "--model",
                              _golden("model_L3_noncontextual")], 0,
-                            "forcing ontology reader serialize values", 8146),
+                            "forcing modelfile ontology reader serialize "
+                            "values", 8266),
     "contradiction-contextual": (["contradiction", "--model",
                                   _golden("model_L3_contextual")], 2,
-                                 "reader serialize values", 5770),
+                                 "reader serialize values", 5574),
     "basis": (["basis", "--json"], 0, "basis hilbert serialize values", 5812),
     "help": (["--help"], 0, "serialize values", 4416),
     "command-help": (["sample", "--help"], 0, "serialize values", 4416),
@@ -195,14 +200,18 @@ def test_no_entry_loads_argparse_and_only_sample_loads_random(name, pbr):
     "sample", "refute", "contradiction",
     ids={"nogo-witness": "nogo-rho-witness"}))
 def test_only_a_witness_or_a_model_command_loads_ontology(name, pbr):
+    # the name is older than the witness audit: no `nogo` run loads
+    # `ontology`, and only a witness run loads `witness`
     loaded = pbr(name)[2]
-    assert ("pbrlab.ontology" in loaded) == ("certificate" not in name)
+    assert ("pbrlab.ontology" in loaded) == (not name.startswith("nogo"))
+    assert ("pbrlab.witness" in loaded) == (name == "nogo-witness")
 
 
 def test_contradiction_refuses_a_contextual_file_before_loading_nogo(pbr):
     loaded = set(pbr("contradiction-contextual")[2])
     assert "pbrlab.reader" in loaded
-    assert not {"pbrlab.forcing", "pbrlab.ontology", "pbrlab.nogo"} & loaded
+    assert not {"pbrlab.forcing", "pbrlab.modelfile", "pbrlab.ontology",
+                "pbrlab.nogo"} & loaded
 
 
 # The Born table and the LP.

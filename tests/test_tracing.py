@@ -38,8 +38,7 @@ COMMANDS = {
     "nogo-rho-witness": (
         ["nogo", "--lambda-size", "3", "--rho",
          str(GOLDEN / "rho_L3_seed3_disjoint.json")],
-        _NOGO | {"nogo.witness_model", "ontology.validate",
-                 "serialize.from_json"}),
+        _NOGO | {"nogo.witness_model", "serialize.from_json"}),
     "refute-out": (["refute", "--lambda-size", "3", "--out", "model.json"],
                    {"contextual.build", "contextual.report",
                     "hilbert.born_targets", "ontology.validate",
